@@ -288,6 +288,36 @@ let test_csv_bad_probability () =
           Alcotest.failf "%s rejected: %s" p (Printexc.to_string exn))
     [ "0"; "1"; "0.5" ]
 
+(* The hand-written edge relation of test/cram/render.t: Null cells,
+   float and extreme int cells, negative bounds, p of 0, 1 and 0.00001,
+   lineage that needs parentheses. *)
+let edge_csv =
+  [
+    "K,N,X,lineage,ts,te,p";
+    "-,-7,2.5,a1 & !(b2 | c3),-10,-3,0";
+    "alpha,0,-0.125,!(a2 & b1) | c4,-5,4,1";
+    "beta,12,1e-07,(a3 | b4) & (c1 | !d2),0,1,0.00001";
+    "gamma,4611686018427387903,-,!a5,-4611686018427387904,4611686018427387903,0.123456";
+    "delta,-4611686018427387904,100000,T,7,9,0.5";
+  ]
+
+(* Golden bytes of the canonical CSV: the server store's content digest
+   hashes exactly this text, so any drift would invalidate every cached
+   result of a reloaded relation. *)
+let test_csv_golden () =
+  let r = Csv.of_lines ~name:"edge" edge_csv in
+  Alcotest.(check string) "Csv.to_string"
+    (String.concat ""
+       [
+         "K,N,X,lineage,ts,te,p\n";
+         "-,-7,2.5,a1 & !(b2 | c3),-10,-3,0\n";
+         "alpha,0,-0.125,!(a2 & b1) | c4,-5,4,1\n";
+         "beta,12,1e-07,(a3 | b4) & (c1 | !d2),0,1,1e-05\n";
+         "gamma,4611686018427387903,-,!a5,-4611686018427387904,4611686018427387903,0.123456\n";
+         "delta,-4611686018427387904,100000,T,7,9,0.5\n";
+       ])
+    (Csv.to_string r)
+
 (* --- properties --- *)
 
 open QCheck2
@@ -339,6 +369,7 @@ let suite =
     Alcotest.test_case "csv malformed" `Quick test_csv_malformed;
     Alcotest.test_case "csv rejects non-probability p" `Quick
       test_csv_bad_probability;
+    Alcotest.test_case "csv golden bytes" `Quick test_csv_golden;
     qcheck prop_generated_duplicate_free;
     qcheck prop_coalesce_idempotent;
     qcheck prop_csv_roundtrip;
