@@ -154,7 +154,17 @@ let points i =
   let rec loop t () = if t >= i.te then Seq.Nil else Seq.Cons (t, loop (t + 1)) in
   loop i.ts
 
-let to_string i = Printf.sprintf "[%d,%d)" i.ts i.te
+let add_to_buffer buf i =
+  Buffer.add_char buf '[';
+  Tpdb_text.Numbers.add_int buf i.ts;
+  Buffer.add_char buf ',';
+  Tpdb_text.Numbers.add_int buf i.te;
+  Buffer.add_char buf ')'
+
+let to_string i =
+  let buf = Buffer.create 16 in
+  add_to_buffer buf i;
+  Buffer.contents buf
 
 let pp ppf i = Format.fprintf ppf "[%d,%d)" i.ts i.te
 

@@ -108,6 +108,9 @@ val points : t -> time Seq.t
 val to_string : t -> string
 (** ["[ts,te)"], as in the paper's figures. *)
 
+val add_to_buffer : Buffer.t -> t -> unit
+(** Appends {!to_string}'s bytes without allocating. *)
+
 val pp : Format.formatter -> t -> unit
 
 val of_string : string -> t

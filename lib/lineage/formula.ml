@@ -270,35 +270,48 @@ let rec substitute lookup f =
   | Or fs -> disj (List.map (substitute lookup) fs)
 
 (* Printing. Precedence levels: Or = 0, And = 1, Not/atom = 2. A child is
-   parenthesized when its level is below the context's. *)
-let render ~not_ ~and_ ~or_ f =
+   parenthesized when its level is below the context's. The writers are
+   top-level recursions over a constant notation, so rendering a
+   formula allocates nothing. *)
+type notation = { not_ : string; and_ : string; or_ : string }
+
+let paper = { not_ = "\xc2\xac"; and_ = " \xe2\x88\xa7 "; or_ = " \xe2\x88\xa8 " }
+let ascii = { not_ = "!"; and_ = " & "; or_ = " | " }
+
+let rec add_node nt buf level f =
+  match f.node with
+  | True -> Buffer.add_char buf 'T'
+  | False -> Buffer.add_char buf 'F'
+  | Var v -> Var.add_to_buffer buf v
+  | Not g ->
+      Buffer.add_string buf nt.not_;
+      add_node nt buf 2 g
+  | And fs -> add_infix nt buf (level > 1) 2 nt.and_ fs
+  | Or fs -> add_infix nt buf (level > 0) 1 nt.or_ fs
+
+and add_infix nt buf parens level sep fs =
+  if parens then Buffer.add_char buf '(';
+  add_juncts nt buf level sep fs;
+  if parens then Buffer.add_char buf ')'
+
+and add_juncts nt buf level sep = function
+  | [] -> ()
+  | [ f ] -> add_node nt buf level f
+  | f :: rest ->
+      add_node nt buf level f;
+      Buffer.add_string buf sep;
+      add_juncts nt buf level sep rest
+
+let add_to_buffer buf f = add_node paper buf 0 f
+let add_to_buffer_ascii buf f = add_node ascii buf 0 f
+
+let render add f =
   let buf = Buffer.create 64 in
-  let rec go level f =
-    match f.node with
-    | True -> Buffer.add_string buf "T"
-    | False -> Buffer.add_string buf "F"
-    | Var v -> Buffer.add_string buf (Var.to_string v)
-    | Not g ->
-        Buffer.add_string buf not_;
-        go 2 g
-    | And fs -> infix level 1 and_ fs
-    | Or fs -> infix level 0 or_ fs
-  and infix level own sep fs =
-    let needs_parens = level > own in
-    if needs_parens then Buffer.add_char buf '(';
-    List.iteri
-      (fun i f ->
-        if i > 0 then Buffer.add_string buf sep;
-        go (own + 1) f)
-      fs;
-    if needs_parens then Buffer.add_char buf ')'
-  in
-  go 0 f;
+  add buf f;
   Buffer.contents buf
 
-let to_string f = render ~not_:"\xc2\xac" ~and_:" \xe2\x88\xa7 " ~or_:" \xe2\x88\xa8 " f
-
-let to_string_ascii f = render ~not_:"!" ~and_:" & " ~or_:" | " f
+let to_string f = render add_to_buffer f
+let to_string_ascii f = render add_to_buffer_ascii f
 
 let pp ppf f = Format.pp_print_string ppf (to_string f)
 

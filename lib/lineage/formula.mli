@@ -85,6 +85,12 @@ val to_string : t -> string
 val to_string_ascii : t -> string
 (** ASCII notation accepted by {!of_string}: [a1 & !(b3 | b2)]. *)
 
+val add_to_buffer : Buffer.t -> t -> unit
+(** Appends {!to_string}'s bytes without allocating. *)
+
+val add_to_buffer_ascii : Buffer.t -> t -> unit
+(** Appends {!to_string_ascii}'s bytes without allocating. *)
+
 val pp : Format.formatter -> t -> unit
 
 val of_string : string -> t

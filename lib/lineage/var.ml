@@ -20,7 +20,14 @@ let compare a b =
 
 let hash v = Hashtbl.hash (v.rel, v.idx)
 
-let to_string v = v.rel ^ string_of_int v.idx
+let add_to_buffer buf v =
+  Buffer.add_string buf v.rel;
+  Tpdb_text.Numbers.add_int buf v.idx
+
+let to_string v =
+  let buf = Buffer.create (String.length v.rel + 4) in
+  add_to_buffer buf v;
+  Buffer.contents buf
 
 let pp ppf v = Format.pp_print_string ppf (to_string v)
 

@@ -20,6 +20,10 @@ val compare : t -> t -> int
 val hash : t -> int
 
 val to_string : t -> string
+
+val add_to_buffer : Buffer.t -> t -> unit
+(** Appends {!to_string}'s bytes without allocating. *)
+
 val pp : Format.formatter -> t -> unit
 
 val of_string : string -> t

@@ -15,34 +15,49 @@ let () =
 let error ~path ?line fmt =
   Printf.ksprintf (fun message -> raise (Error { path; line; message })) fmt
 
-let lines r =
-  let cols = Schema.columns (Relation.schema r) in
-  String.concat "," (cols @ [ "lineage"; "ts"; "te"; "p" ])
-  :: List.map
-       (fun tp ->
-         let fact = Tuple.fact tp in
-         let values =
-           List.init (Fact.arity fact) (fun i ->
-               Value.to_string (Fact.get fact i))
-         in
-         String.concat ","
-           (values
-           @ [
-               Formula.to_string_ascii (Tuple.lineage tp);
-               string_of_int (Interval.ts (Tuple.iv tp));
-               string_of_int (Interval.te (Tuple.iv tp));
-               Printf.sprintf "%.12g" (Tuple.p tp);
-             ]))
-       (Relation.tuples r)
+(* The canonical CSV text, written with the same buffer writers as
+   [Relation.to_string]; the server store's content digest hashes it.
+   [flush] is handed the buffer whenever it holds a chunk and must
+   empty it. *)
+let chunk_bytes = 65536
 
-let to_string r = String.concat "" (List.map (fun l -> l ^ "\n") (lines r))
+let add_document buf r ~flush =
+  List.iter
+    (fun col ->
+      Buffer.add_string buf col;
+      Buffer.add_char buf ',')
+    (Schema.columns (Relation.schema r));
+  Buffer.add_string buf "lineage,ts,te,p\n";
+  Relation.iter
+    (fun (tp : Tuple.t) ->
+      if Buffer.length buf >= chunk_bytes then flush buf;
+      for i = 0 to Array.length tp.fact - 1 do
+        Value.add_to_buffer buf tp.fact.(i);
+        Buffer.add_char buf ','
+      done;
+      Formula.add_to_buffer_ascii buf tp.lineage;
+      Buffer.add_char buf ',';
+      Tpdb_text.Numbers.add_int buf (Interval.ts tp.iv);
+      Buffer.add_char buf ',';
+      Tpdb_text.Numbers.add_int buf (Interval.te tp.iv);
+      Buffer.add_char buf ',';
+      Tpdb_text.Numbers.add_g12 buf tp.p;
+      Buffer.add_char buf '\n')
+    r
+
+let to_string r =
+  let buf = Buffer.create 4096 in
+  add_document buf r ~flush:ignore;
+  Buffer.contents buf
 
 let to_channel oc r =
-  List.iter
-    (fun l ->
-      output_string oc l;
-      output_char oc '\n')
-    (lines r)
+  let buf = Buffer.create 4096 in
+  let flush buf =
+    Buffer.output_buffer oc buf;
+    Buffer.clear buf
+  in
+  add_document buf r ~flush;
+  flush buf
 
 let save path r =
   let oc = open_out path in

@@ -36,6 +36,7 @@ let name r = Schema.name r.schema
 let cardinality r = Array.length r.tuples
 let tuples r = Array.to_list r.tuples
 let to_seq r = Array.to_seq r.tuples
+let iter f r = Array.iter f r.tuples
 let to_array r = Array.copy r.tuples
 
 let prob_env relations =
@@ -155,24 +156,90 @@ let union_all a b =
     invalid_arg "Relation.union_all: incompatible schemas";
   { a with tuples = Array.append a.tuples b.tuples }
 
-let pp ppf r =
-  let cols = Schema.columns r.schema in
-  Format.fprintf ppf "%s (%d tuples)@." (Schema.name r.schema)
-    (Array.length r.tuples);
-  Format.fprintf ppf "%s | lineage | T | p@."
-    (String.concat " | " cols);
+(* --- rendering ---
+
+   One set of writers produces the table text for [to_string], [pp] and
+   [print]: every line is appended to a caller's buffer with no
+   per-row allocation beyond the probability's one float conversion.
+   The large outputs (outer joins multiply their inputs) reach a
+   formatter or channel in bounded chunks, so no path holds a second
+   whole-result copy besides the one its caller asked for. *)
+
+let chunk_bytes = 65536
+
+let add_title buf r =
+  Buffer.add_string buf (Schema.name r.schema);
+  Buffer.add_string buf " (";
+  Tpdb_text.Numbers.add_int buf (Array.length r.tuples);
+  Buffer.add_string buf " tuples)"
+
+let add_row buf (tp : Tuple.t) =
+  let fact = tp.fact in
+  for i = 0 to Array.length fact - 1 do
+    if i > 0 then Buffer.add_string buf " | ";
+    Value.add_to_buffer buf fact.(i)
+  done;
+  Buffer.add_string buf " | ";
+  Formula.add_to_buffer buf tp.lineage;
+  Buffer.add_string buf " | ";
+  Interval.add_to_buffer buf tp.iv;
+  Buffer.add_string buf " | ";
+  Tpdb_text.Numbers.add_g4 buf tp.p
+
+(* The column line, then each row preceded by its newline: the text
+   after the title line, minus the final newline. [flush] is handed the
+   buffer whenever it holds a chunk and must empty it. *)
+let add_body buf r ~flush =
+  List.iteri
+    (fun i col ->
+      if i > 0 then Buffer.add_string buf " | ";
+      Buffer.add_string buf col)
+    (Schema.columns r.schema);
+  Buffer.add_string buf " | lineage | T | p";
   Array.iter
     (fun tp ->
-      let fact = Tuple.fact tp in
-      let cells =
-        List.init (Fact.arity fact) (fun i ->
-            Value.to_string (Fact.get fact i))
-      in
-      Format.fprintf ppf "%s | %s | %s | %.4g@."
-        (String.concat " | " cells)
-        (Formula.to_string (Tuple.lineage tp))
-        (Interval.to_string (Tuple.iv tp))
-        (Tuple.p tp))
+      if Buffer.length buf >= chunk_bytes then flush buf;
+      Buffer.add_char buf '\n';
+      add_row buf tp)
     r.tuples
 
-let print r = Format.printf "%a@?" pp r
+let to_string r =
+  let buf = Buffer.create 4096 in
+  add_title buf r;
+  Buffer.add_char buf '\n';
+  add_body buf r ~flush:ignore;
+  Buffer.add_char buf '\n';
+  Buffer.contents buf
+
+(* Each line used to end in [@.], which closes the caller's open boxes,
+   prints the newline and resets the formatter. The title line and the
+   last line still end that way, so the title lands in the caller's
+   boxes exactly as before and the formatter is left as it was; the
+   lines between reach it as one string per chunk. *)
+let pp ppf r =
+  let buf = Buffer.create 4096 in
+  let flush buf =
+    Format.pp_print_string ppf (Buffer.contents buf);
+    Buffer.clear buf
+  in
+  add_title buf r;
+  flush buf;
+  Format.pp_print_newline ppf ();
+  add_body buf r ~flush;
+  flush buf;
+  Format.pp_print_newline ppf ()
+
+let print r =
+  (* whatever is pending on [Format.std_formatter] goes out first *)
+  Format.pp_print_flush Format.std_formatter ();
+  let buf = Buffer.create 4096 in
+  let flush buf =
+    Buffer.output_buffer stdout buf;
+    Buffer.clear buf
+  in
+  add_title buf r;
+  Buffer.add_char buf '\n';
+  add_body buf r ~flush;
+  Buffer.add_char buf '\n';
+  flush buf;
+  Stdlib.flush stdout

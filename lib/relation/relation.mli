@@ -25,6 +25,7 @@ val name : t -> string
 val cardinality : t -> int
 val tuples : t -> Tuple.t list
 val to_seq : t -> Tuple.t Seq.t
+val iter : (Tuple.t -> unit) -> t -> unit
 val to_array : t -> Tuple.t array
 (** The returned array is fresh; mutating it does not affect the
     relation. *)
@@ -66,7 +67,16 @@ val map_tuples : (Tuple.t -> Tuple.t) -> t -> t
 val union_all : t -> t -> t
 (** Bag union; schemas must have equal column lists. *)
 
+val to_string : t -> string
+(** Table rendering in the style of the paper's Fig. 1: a title line,
+    the column line, one line per tuple. The text [tpdb_cli query
+    --result-only] prints and the server sends. *)
+
 val pp : Format.formatter -> t -> unit
-(** Table rendering in the style of the paper's Fig. 1. *)
+(** Prints {!to_string}'s text in chunks of about 64 KiB. The title
+    line and the last line end as [@.] does: open boxes are closed and
+    the formatter is flushed and reset. *)
 
 val print : t -> unit
+(** Writes {!to_string}'s text to [stdout] in chunks and flushes it,
+    after flushing [Format.std_formatter]. *)

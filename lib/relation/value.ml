@@ -42,11 +42,19 @@ let hash = function
 
 let is_null = function Null -> true | S _ | I _ | F _ -> false
 
+let add_to_buffer buf = function
+  | Null -> Buffer.add_char buf '-'
+  | S s -> Buffer.add_string buf s
+  | I i -> Tpdb_text.Numbers.add_int buf i
+  | F f -> Tpdb_text.Numbers.add_g buf f
+
 let to_string = function
   | Null -> "-"
   | S s -> s
-  | I i -> string_of_int i
-  | F f -> Printf.sprintf "%g" f
+  | (I _ | F _) as v ->
+      let buf = Buffer.create 24 in
+      add_to_buffer buf v;
+      Buffer.contents buf
 
 let pp ppf v = Format.pp_print_string ppf (to_string v)
 

@@ -29,6 +29,9 @@ val is_null : t -> bool
 val to_string : t -> string
 (** [Null] prints as ["-"], as in the paper's result tables. *)
 
+val add_to_buffer : Buffer.t -> t -> unit
+(** Appends {!to_string}'s bytes; allocates only for [F]. *)
+
 val pp : Format.formatter -> t -> unit
 
 val of_string_guess : string -> t

@@ -116,9 +116,9 @@ let qlog_record ~sql ~fingerprint ~total_ms ~rows_out =
 
 (* Render exactly what [tpdb_cli query --result-only] prints: the
    byte-identity contract of the wire format (and the result cache's
-   value). [Relation.print] is [Format.printf "%a@?" pp], so asprintf
-   over the same pp produces the same bytes. *)
-let render relation = Format.asprintf "%a" Relation.pp relation
+   value). [Relation.print] and [Relation.to_string] share one set of
+   buffer writers, so the bytes are the same by construction. *)
+let render relation = Relation.to_string relation
 
 (* --- query execution ---
 

@@ -103,11 +103,12 @@ let partition_pair ?dir ~partitions ~pool_pages:capacity ~left_key ~right_key
     Seq.iter (fun tp -> Heap_file.Writer.add rw.(right_key tp) tp) rseq;
     let bytes = ref 0 in
     for i = 0 to partitions - 1 do
+      (* [close] writes each partition's last block: count after it *)
+      Heap_file.Writer.close lw.(i);
+      Heap_file.Writer.close rw.(i);
       let pair_bytes =
         Heap_file.Writer.bytes_written lw.(i) + Heap_file.Writer.bytes_written rw.(i)
       in
-      Heap_file.Writer.close lw.(i);
-      Heap_file.Writer.close rw.(i);
       bytes := !bytes + pair_bytes;
       Metrics.observe Metrics.Spill_partition_bytes pair_bytes
     done;

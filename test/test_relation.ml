@@ -348,6 +348,234 @@ let prop_csv_roundtrip =
           Csv.save path r;
           Relation.equal_as_sets r (Csv.load ~name:"r" path)))
 
+(* --- rendering against the Format-based printer ---
+
+   A copy of the original renderer, kept as the oracle for the buffer
+   writers: Format.fprintf with a trailing [@.] per line, closures
+   over a private buffer for lineage, [^] for variable names and
+   Printf for intervals and numbers. *)
+
+let seed_var (v : Var.t) = v.rel ^ string_of_int v.idx
+
+let seed_formula f =
+  let buf = Buffer.create 64 in
+  let rec go level f =
+    match Formula.view f with
+    | Formula.True -> Buffer.add_string buf "T"
+    | Formula.False -> Buffer.add_string buf "F"
+    | Formula.Var v -> Buffer.add_string buf (seed_var v)
+    | Formula.Not g ->
+        Buffer.add_string buf "\xc2\xac";
+        go 2 g
+    | Formula.And fs -> infix level 1 " \xe2\x88\xa7 " fs
+    | Formula.Or fs -> infix level 0 " \xe2\x88\xa8 " fs
+  and infix level own sep fs =
+    let needs_parens = level > own in
+    if needs_parens then Buffer.add_char buf '(';
+    List.iteri
+      (fun i f ->
+        if i > 0 then Buffer.add_string buf sep;
+        go (own + 1) f)
+      fs;
+    if needs_parens then Buffer.add_char buf ')'
+  in
+  go 0 f;
+  Buffer.contents buf
+
+let seed_value = function
+  | Value.Null -> "-"
+  | Value.S s -> s
+  | Value.I i -> string_of_int i
+  | Value.F f -> Printf.sprintf "%g" f
+
+let seed_pp ppf r =
+  let cols = Schema.columns (Relation.schema r) in
+  Format.fprintf ppf "%s (%d tuples)@." (Relation.name r)
+    (Relation.cardinality r);
+  Format.fprintf ppf "%s | lineage | T | p@." (String.concat " | " cols);
+  List.iter
+    (fun (tp : Tpdb_relation.Tuple.t) ->
+      let cells = List.map seed_value (Array.to_list tp.fact) in
+      Format.fprintf ppf "%s | %s | %s | %.4g@."
+        (String.concat " | " cells)
+        (seed_formula tp.lineage)
+        (Printf.sprintf "[%d,%d)" (Interval.ts tp.iv) (Interval.te tp.iv))
+        tp.p)
+    (Relation.tuples r)
+
+let seed_render r = Format.asprintf "%a" seed_pp r
+
+(* Relations with every kind of cell, extreme ints in cells and bounds,
+   nested lineage and boundary probabilities — wider than the
+   generators the join tests use. *)
+let wide_relation_gen : Relation.t Gen.t =
+  let open Gen in
+  let extreme_int =
+    oneof [ int; oneofl [ 0; -1; 1; 9; -10; min_int; max_int; min_int + 1 ] ]
+  in
+  let value =
+    oneof
+      [
+        return Value.Null;
+        map (fun s -> Value.S s) (oneofl [ "a"; "zrh"; "x y"; "" ]);
+        map (fun i -> Value.I i) extreme_int;
+        map (fun f -> Value.F f)
+          (oneof [ float; oneofl [ 0.5; -0.125; 2.0; 1e-7; 1e21; -0.0 ] ]);
+      ]
+  in
+  let var = map2 (fun tag i -> Var.make tag i) (oneofl [ "a"; "b"; "sx" ]) (int_bound 40) in
+  let formula =
+    fix
+      (fun self n ->
+        if n <= 1 then
+          oneof [ map Formula.var var; return Formula.true_; return Formula.false_ ]
+        else
+          oneof
+            [
+              map Formula.var var;
+              map Formula.neg (self (n / 2));
+              map Formula.conj (list_size (int_range 2 3) (self (n / 3)));
+              map Formula.disj (list_size (int_range 2 3) (self (n / 3)));
+            ])
+      8
+  in
+  let interval =
+    let* ts = extreme_int in
+    let* len = int_range 1 50 in
+    return (if ts > max_int - len then Interval.make (ts - len) ts else Interval.make ts (ts + len))
+  in
+  let p = oneof [ float_bound_inclusive 1.0; oneofl [ 0.0; 1.0; 0.00001; 0.123456 ] ] in
+  let* arity = int_range 0 3 in
+  let columns = List.init arity (fun i -> Printf.sprintf "C%d" i) in
+  let* rows =
+    list_size (int_range 0 8)
+      (let* values = list_repeat arity value in
+       let* lineage = formula in
+       let* iv = interval in
+       let* p = p in
+       return
+         (Tpdb_relation.Tuple.make ~fact:(Fact.of_values values) ~lineage ~iv ~p))
+  in
+  return (Relation.of_tuples (Schema.make ~name:"w" columns) rows)
+
+let matches_seed r =
+  let want = seed_render r in
+  String.equal want (Relation.to_string r)
+  && String.equal want (Format.asprintf "%a" Relation.pp r)
+
+let prop_render_generated =
+  Test.make ~name:"to_string and pp match the Format printer (generated)"
+    ~count:200 ~print:seed_render
+    (Tp_gen.relation_gen ~name:"r" ())
+    matches_seed
+
+let prop_render_wide =
+  Test.make ~name:"to_string and pp match the Format printer (wide)"
+    ~count:300 ~print:seed_render wide_relation_gen matches_seed
+
+(* The CSV writer against the list-and-concat one it replaced. *)
+let seed_csv r =
+  let cols = Schema.columns (Relation.schema r) in
+  String.concat ""
+    (List.map
+       (fun l -> l ^ "\n")
+       (String.concat "," (cols @ [ "lineage"; "ts"; "te"; "p" ])
+       :: List.map
+            (fun (tp : Tpdb_relation.Tuple.t) ->
+              String.concat ","
+                (List.map seed_value (Array.to_list tp.fact)
+                @ [
+                    Formula.to_string_ascii tp.lineage;
+                    string_of_int (Interval.ts tp.iv);
+                    string_of_int (Interval.te tp.iv);
+                    Printf.sprintf "%.12g" tp.p;
+                  ]))
+            (Relation.tuples r)))
+
+let prop_csv_writer =
+  Test.make ~name:"Csv.to_string matches the concatenating writer"
+    ~count:300 ~print:seed_render wide_relation_gen (fun r ->
+      String.equal (seed_csv r) (Csv.to_string r))
+
+(* Text printed on the same formatter after [pp] must come out as it did
+   after the trailing [@.]: the caller's boxes are closed and the
+   formatter reset. A narrow margin makes any difference in box state
+   show up as a different line break. *)
+let test_pp_formatter_state () =
+  let r = Csv.of_lines ~name:"edge" edge_csv in
+  let small = sample () in
+  let render margin pp =
+    let buf = Buffer.create 256 in
+    let ppf = Format.formatter_of_buffer buf in
+    Format.pp_set_margin ppf margin;
+    Format.fprintf ppf "@[<hov 2>a rather long heading@ %a after the@ table@ %a@ tail words@]@."
+      pp r pp small;
+    Format.fprintf ppf "@[<v 1>next:@,%a@,done@]@?" pp small;
+    Buffer.contents buf
+  in
+  List.iter
+    (fun margin ->
+      Alcotest.(check string)
+        (Printf.sprintf "margin %d" margin)
+        (render margin seed_pp) (render margin Relation.pp))
+    [ 10; 20; 78; 200 ]
+
+(* Big enough to cross the 64 KiB chunk boundary several times. *)
+let test_render_chunked () =
+  let r =
+    Relation.of_tuples
+      (Schema.make ~name:"big" [ "K"; "N" ])
+      (List.init 6000 (fun i ->
+           Tpdb_relation.Tuple.make
+             ~fact:(Fact.of_values [ Value.S (Printf.sprintf "key%d" (i mod 97)); Value.I (i - 3000) ])
+             ~lineage:(Formula.of_string (Printf.sprintf "a%d & !(b%d | c%d)" i (i + 1) i))
+             ~iv:(iv (i - 100) (i + 7))
+             ~p:(float_of_int i /. 6000.)))
+  in
+  let want = seed_render r in
+  Alcotest.(check bool) "several chunks" true (String.length want > 4 * 65536);
+  Alcotest.(check string) "to_string" want (Relation.to_string r);
+  Alcotest.(check string) "pp" want (Format.asprintf "%a" Relation.pp r);
+  let path = Filename.temp_file "tpdb_test" ".csv" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Csv.save path r;
+      let ic = open_in_bin path in
+      let saved = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      Alcotest.(check string) "Csv.save = Csv.to_string" (seed_csv r) saved)
+
+(* --- number writers --- *)
+
+module Numbers = Tpdb_text.Numbers
+
+let via add x =
+  let buf = Buffer.create 8 in
+  add buf x;
+  Buffer.contents buf
+
+let test_int_writer () =
+  List.iter
+    (fun n ->
+      Alcotest.(check string) (string_of_int n) (string_of_int n)
+        (via Numbers.add_int n))
+    [ 0; 1; -1; 9; -9; 10; -10; 99; 100; -100; 1234567890; min_int; max_int;
+      min_int + 1; max_int - 1 ]
+
+let prop_int_writer =
+  Test.make ~name:"add_int = string_of_int" ~count:1000 Gen.int (fun n ->
+      String.equal (string_of_int n) (via Numbers.add_int n))
+
+let prop_float_writers =
+  let special = [ 0.0; -0.0; 1.0; 0.00001; 1e-320; 1e300; nan; infinity; neg_infinity ] in
+  Test.make ~name:"float writers = Printf" ~count:1000
+    Gen.(oneof [ float; oneofl special ])
+    (fun f ->
+      String.equal (Printf.sprintf "%g" f) (via Numbers.add_g f)
+      && String.equal (Printf.sprintf "%.4g" f) (via Numbers.add_g4 f)
+      && String.equal (Printf.sprintf "%.12g" f) (via Numbers.add_g12 f))
+
 let qcheck = QCheck_alcotest.to_alcotest ~speed_level:`Quick
 
 let suite =
@@ -373,4 +601,14 @@ let suite =
     qcheck prop_generated_duplicate_free;
     qcheck prop_coalesce_idempotent;
     qcheck prop_csv_roundtrip;
+    qcheck prop_render_generated;
+    qcheck prop_render_wide;
+    qcheck prop_csv_writer;
+    Alcotest.test_case "pp leaves the formatter as @. did" `Quick
+      test_pp_formatter_state;
+    Alcotest.test_case "chunked rendering of a large relation" `Quick
+      test_render_chunked;
+    Alcotest.test_case "int writer" `Quick test_int_writer;
+    qcheck prop_int_writer;
+    qcheck prop_float_writers;
   ]

@@ -596,6 +596,40 @@ let test_spill_exception_removes_directory () =
     "no partition directory leaks on the exception path" before
     (spill_dirs ())
 
+(* Regression: the spill counters were read before [close] wrote each
+   partition's last block, so they missed it — and read 0 whenever every
+   partition fit in one block, as here. The expected figure is
+   recomputed from the codec: an 8-byte length prefix plus the encoded
+   block, per block of at most 512 tuples. *)
+let test_spill_bytes_counted () =
+  let block_bytes tuples =
+    let rec go acc = function
+      | [] -> acc
+      | tuples ->
+          let block = List.filteri (fun i _ -> i < 512) tuples in
+          let rest = List.filteri (fun i _ -> i >= 512) tuples in
+          let buf = Buffer.create 4096 in
+          Codec.Column.encode buf (Array.of_list block);
+          go (acc + 8 + Buffer.length buf) rest
+    in
+    go 0 tuples
+  in
+  let expected =
+    block_bytes (Relation.tuples (Fixtures.relation_a ()))
+    + block_bytes (Relation.tuples (Fixtures.relation_b ()))
+  in
+  let metrics = Tpdb_obs.Metrics.create () in
+  Tpdb_obs.Metrics.install metrics;
+  let spill = Fun.protect ~finally:Tpdb_obs.Metrics.uninstall small_spill in
+  Tpdb_storage.Spill.finish spill;
+  Alcotest.(check bool) "blocks were written" true (expected > 0);
+  Alcotest.(check int) "Spill_bytes" expected
+    (Tpdb_obs.Metrics.get metrics Tpdb_obs.Metrics.Spill_bytes);
+  Alcotest.(check int) "Spill.bytes" expected (Tpdb_storage.Spill.bytes spill);
+  Alcotest.(check int) "Spill_partition_bytes sums to the same" expected
+    (Tpdb_obs.Metrics.dist_stats metrics Tpdb_obs.Metrics.Spill_partition_bytes)
+      .Tpdb_obs.Metrics.sum
+
 let suite =
   [
     Alcotest.test_case "codec scalars" `Quick test_codec_scalars;
@@ -622,6 +656,8 @@ let suite =
       test_spill_dirs_never_collide;
     Alcotest.test_case "spill exception removes its directory" `Quick
       test_spill_exception_removes_directory;
+    Alcotest.test_case "spill counters include the last block" `Quick
+      test_spill_bytes_counted;
     qtest prop_heap_file_roundtrip;
     qtest prop_column_block_roundtrip;
     qtest prop_columnar_file_roundtrip;
