@@ -33,7 +33,17 @@ Usage: check_bench.py BASELINE CURRENT [--hit-rate-floor F]
                       [--sweep-ratio-floor F] [--alloc-tolerance F]
                       [--require-counter NAME]... [--pool-hit-rate-floor F]
                       [--qps-floor F] [--p99-ceiling-ms F]
+                      [--render-words-per-byte-ceiling F]
 Exits non-zero on the first class of failure, printing every diff.
+
+Result rendering: the current report's "render" block carries the
+bytes of the four-operator Meteo output at a fixed seed and the minor
+words spent rendering them, through Relation.pp and through
+Relation.to_string. Both counts are deterministic, so words per byte
+is a property of the code. --render-words-per-byte-ceiling F fails
+when either path allocates more than F minor words per rendered byte,
+or when the block is missing. The Format-based renderer spent about
+4.9 words per byte; the buffer writers spend well under 1.
 
 Server reports (bench/main.exe --server --json) carry a "server" block
 with client-side latency and throughput plus the plan-/result-cache
@@ -150,6 +160,14 @@ def main():
         default=None,
         metavar="F",
         help="fail unless the server block reports p99_ms <= F",
+    )
+    parser.add_argument(
+        "--render-words-per-byte-ceiling",
+        type=float,
+        default=None,
+        metavar="F",
+        help="fail unless rendering the render block's output allocates "
+        "at most F minor words per byte, through pp and to_string",
     )
     args = parser.parse_args()
 
@@ -293,6 +311,23 @@ def main():
                     f"{args.p99_ceiling_ms:.2f} ms"
                 )
 
+    render = current.get("render")
+    if args.render_words_per_byte_ceiling is not None:
+        if render is None:
+            failures.append(
+                "render ceiling set but the report has no render block"
+            )
+        else:
+            for path in ("pp", "to_string"):
+                ratio = render[f"{path}_words_per_byte"]
+                if ratio > args.render_words_per_byte_ceiling:
+                    failures.append(
+                        f"rendering through {path} allocates {ratio:.3f} "
+                        f"minor words per byte ({render[f'{path}_minor_words']} "
+                        f"words for {render['bytes']} bytes), above ceiling "
+                        f"{args.render_words_per_byte_ceiling}"
+                    )
+
     if failures:
         print(f"bench regression check FAILED ({len(failures)} diffs):")
         for failure in failures:
@@ -313,6 +348,12 @@ def main():
         summary.append(f"pool hit rate {pool_rate:.3f}")
     if "speedup" in pc_cur:
         summary.append(f"speedup {json.dumps(pc_cur['speedup'])}")
+    if render is not None:
+        summary.append(
+            f"render {render['pp_words_per_byte']:.3f} (pp) / "
+            f"{render['to_string_words_per_byte']:.3f} (to_string) "
+            f"words per byte of {render['bytes']}"
+        )
     if server is not None:
         summary.append(
             f"server {server['qps']:.0f} q/s p99 {server['p99_ms']:.2f} ms "

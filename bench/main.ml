@@ -20,8 +20,10 @@
                    baseline)
      --json FILE   additionally write every sweep point plus the
                    pipeline's metrics snapshot (windows per class,
-                   partition skew, quantile distributions) as a JSON
-                   report, led by a self-describing meta block
+                   partition skew, quantile distributions) and the
+                   render block (minor words per rendered byte of the
+                   four-operator Meteo output) as a JSON report, led by
+                   a self-describing meta block
      --openmetrics FILE
                    additionally write the metrics snapshot in the
                    OpenMetrics (Prometheus) text format *)
@@ -343,6 +345,51 @@ let run_paper_scale () =
         (E.nj_paper_scale dataset))
     [ E.Webkit; E.Meteo ]
 
+(* --- render allocation ---
+
+   The result text of the four-operator Meteo round (anti, left, right
+   and full outer join on Metric, 500 tuples per side, seed 7), rendered
+   by [Relation.pp] through [Format.asprintf] and by
+   [Relation.to_string]. Bytes and minor words are deterministic, so
+   words per byte is a property of the code, not of the machine:
+   check_bench.py --render-words-per-byte-ceiling gates it. The joins
+   run with the metrics sink uninstalled, so the report's counters
+   still match the baseline's. *)
+
+let render_report : (int * int * int) option ref = ref None
+
+let run_render metrics_installed =
+  let outputs () =
+    let r, s = Tpdb.Datasets.Meteo.pair ~seed:7 500 in
+    List.map
+      (fun kind -> Nj.join ~kind ~theta:(Tpdb.Theta.eq 1 1) r s)
+      Nj.[ Anti; Left; Right; Full ]
+  in
+  let outputs =
+    match metrics_installed with
+    | None -> outputs ()
+    | Some metrics ->
+        Metrics.uninstall ();
+        Fun.protect ~finally:(fun () -> Metrics.install metrics) outputs
+  in
+  let measure render =
+    let before = Gc.minor_words () in
+    let bytes =
+      List.fold_left (fun n rel -> n + String.length (render rel)) 0 outputs
+    in
+    (bytes, int_of_float (Gc.minor_words () -. before))
+  in
+  let bytes, pp_words = measure (Format.asprintf "%a" Relation.pp) in
+  let _, to_string_words = measure Relation.to_string in
+  Printf.printf
+    "render: %d bytes; minor words %d through pp (%.3f per byte), %d \
+     through to_string (%.3f per byte)\n%!"
+    bytes pp_words
+    (float_of_int pp_words /. float_of_int bytes)
+    to_string_words
+    (float_of_int to_string_words /. float_of_int bytes);
+  render_report := Some (bytes, pp_words, to_string_words)
+
 (* --- the JSON report --- *)
 
 (* Self-describing provenance for committed BENCH_*.json files. Nothing
@@ -452,6 +499,21 @@ let json_report metrics =
     @ (match !server_report with
       | None -> []
       | Some fields -> [ ("server", J.obj fields) ])
+    @ (match !render_report with
+      | None -> []
+      | Some (bytes, pp_words, to_string_words) ->
+          let per_byte words = J.float (float_of_int words /. float_of_int bytes) in
+          [
+            ( "render",
+              J.obj
+                [
+                  ("bytes", J.int bytes);
+                  ("pp_minor_words", J.int pp_words);
+                  ("to_string_minor_words", J.int to_string_words);
+                  ("pp_words_per_byte", per_byte pp_words);
+                  ("to_string_words_per_byte", per_byte to_string_words);
+                ] );
+          ])
     (* the full snapshot, verbatim from the sink *)
     @ [ ("metrics", Metrics.to_json metrics) ])
 
@@ -676,7 +738,8 @@ let () =
       run_flat_scale ();
       if scale <> E.Quick then run_extra_sweeps ()
     end;
-    if has "--paper" then run_paper_scale ()
+    if has "--paper" then run_paper_scale ();
+    run_render (Metrics.active ())
   end;
   Metrics.uninstall ();
   (match json_out with

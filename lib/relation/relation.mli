@@ -73,9 +73,9 @@ val to_string : t -> string
     --result-only] prints and the server sends. *)
 
 val pp : Format.formatter -> t -> unit
-(** Prints {!to_string}'s text in chunks of about 64 KiB. The title
-    line and the last line end as [@.] does: open boxes are closed and
-    the formatter is flushed and reset. *)
+(** Prints {!to_string}'s text, one string per chunk of at most a few
+    KiB. The title line and the last line end as [@.] does: open boxes
+    are closed and the formatter is flushed and reset. *)
 
 val print : t -> unit
 (** Writes {!to_string}'s text to [stdout] in chunks and flushes it,
