@@ -208,19 +208,22 @@ let add_body buf r ~flush =
       add_row buf tp)
     r.tuples
 
-let to_string r =
-  let buf = Buffer.create 4096 in
+let add_table buf r ~flush =
   add_title buf r;
   Buffer.add_char buf '\n';
-  add_body buf r ~flush:ignore;
-  Buffer.add_char buf '\n';
+  add_body buf r ~flush;
+  Buffer.add_char buf '\n'
+
+let to_string r =
+  let buf = Buffer.create 4096 in
+  add_table buf r ~flush:ignore;
   Buffer.contents buf
 
-(* Each line used to end in [@.], which closes the caller's open boxes,
-   prints the newline and resets the formatter. The title line and the
-   last line still end that way, so the title lands in the caller's
-   boxes exactly as before and the formatter is left as it was; the
-   lines between reach it as one string per chunk. *)
+(* The title line and the last line end as [@.] does: it closes the
+   caller's open boxes, prints the newline and resets the formatter. So
+   the title lands in the caller's boxes, and the formatter is left,
+   just as when every line ended in [@.]; the lines between reach it as
+   one string per chunk. *)
 let pp ppf r =
   let buf = Buffer.create 4096 in
   let flush buf =
@@ -242,9 +245,6 @@ let print r =
     Buffer.output_buffer stdout buf;
     Buffer.clear buf
   in
-  add_title buf r;
-  Buffer.add_char buf '\n';
-  add_body buf r ~flush;
-  Buffer.add_char buf '\n';
+  add_table buf r ~flush;
   flush buf;
   Stdlib.flush stdout
