@@ -166,7 +166,7 @@ let to_string i =
   add_to_buffer buf i;
   Buffer.contents buf
 
-let pp ppf i = Format.fprintf ppf "[%d,%d)" i.ts i.te
+let pp ppf i = Format.pp_print_string ppf (to_string i)
 
 let of_string s =
   match Scanf.sscanf_opt s "[%d,%d)" (fun ts te -> (ts, te)) with

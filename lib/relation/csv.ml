@@ -18,7 +18,8 @@ let error ~path ?line fmt =
 (* The canonical CSV text, written with the same buffer writers as
    [Relation.to_string]; the server store's content digest hashes it.
    [flush] is handed the buffer whenever it holds a chunk and must
-   empty it. *)
+   empty it. A chunk only bounds the buffer: [to_channel] copies it into
+   the channel without allocating. *)
 let chunk_bytes = 65536
 
 let add_document buf r ~flush =

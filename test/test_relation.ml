@@ -355,15 +355,15 @@ let prop_csv_roundtrip =
    over a private buffer for lineage, [^] for variable names and
    Printf for intervals and numbers. *)
 
-let seed_var (v : Var.t) = v.rel ^ string_of_int v.idx
+let oracle_var (v : Var.t) = v.rel ^ string_of_int v.idx
 
-let seed_formula f =
+let oracle_formula f =
   let buf = Buffer.create 64 in
   let rec go level f =
     match Formula.view f with
     | Formula.True -> Buffer.add_string buf "T"
     | Formula.False -> Buffer.add_string buf "F"
-    | Formula.Var v -> Buffer.add_string buf (seed_var v)
+    | Formula.Var v -> Buffer.add_string buf (oracle_var v)
     | Formula.Not g ->
         Buffer.add_string buf "\xc2\xac";
         go 2 g
@@ -382,28 +382,28 @@ let seed_formula f =
   go 0 f;
   Buffer.contents buf
 
-let seed_value = function
+let oracle_value = function
   | Value.Null -> "-"
   | Value.S s -> s
   | Value.I i -> string_of_int i
   | Value.F f -> Printf.sprintf "%g" f
 
-let seed_pp ppf r =
+let oracle_pp ppf r =
   let cols = Schema.columns (Relation.schema r) in
   Format.fprintf ppf "%s (%d tuples)@." (Relation.name r)
     (Relation.cardinality r);
   Format.fprintf ppf "%s | lineage | T | p@." (String.concat " | " cols);
   List.iter
     (fun (tp : Tpdb_relation.Tuple.t) ->
-      let cells = List.map seed_value (Array.to_list tp.fact) in
+      let cells = List.map oracle_value (Array.to_list tp.fact) in
       Format.fprintf ppf "%s | %s | %s | %.4g@."
         (String.concat " | " cells)
-        (seed_formula tp.lineage)
+        (oracle_formula tp.lineage)
         (Printf.sprintf "[%d,%d)" (Interval.ts tp.iv) (Interval.te tp.iv))
         tp.p)
     (Relation.tuples r)
 
-let seed_render r = Format.asprintf "%a" seed_pp r
+let oracle_render r = Format.asprintf "%a" oracle_pp r
 
 (* Relations with every kind of cell, extreme ints in cells and bounds,
    nested lineage and boundary probabilities — wider than the
@@ -458,23 +458,23 @@ let wide_relation_gen : Relation.t Gen.t =
   in
   return (Relation.of_tuples (Schema.make ~name:"w" columns) rows)
 
-let matches_seed r =
-  let want = seed_render r in
+let matches_oracle r =
+  let want = oracle_render r in
   String.equal want (Relation.to_string r)
   && String.equal want (Format.asprintf "%a" Relation.pp r)
 
 let prop_render_generated =
   Test.make ~name:"to_string and pp match the Format printer (generated)"
-    ~count:200 ~print:seed_render
+    ~count:200 ~print:oracle_render
     (Tp_gen.relation_gen ~name:"r" ())
-    matches_seed
+    matches_oracle
 
 let prop_render_wide =
   Test.make ~name:"to_string and pp match the Format printer (wide)"
-    ~count:300 ~print:seed_render wide_relation_gen matches_seed
+    ~count:300 ~print:oracle_render wide_relation_gen matches_oracle
 
 (* The CSV writer against the list-and-concat one it replaced. *)
-let seed_csv r =
+let oracle_csv r =
   let cols = Schema.columns (Relation.schema r) in
   String.concat ""
     (List.map
@@ -483,7 +483,7 @@ let seed_csv r =
        :: List.map
             (fun (tp : Tpdb_relation.Tuple.t) ->
               String.concat ","
-                (List.map seed_value (Array.to_list tp.fact)
+                (List.map oracle_value (Array.to_list tp.fact)
                 @ [
                     Formula.to_string_ascii tp.lineage;
                     string_of_int (Interval.ts tp.iv);
@@ -494,8 +494,8 @@ let seed_csv r =
 
 let prop_csv_writer =
   Test.make ~name:"Csv.to_string matches the concatenating writer"
-    ~count:300 ~print:seed_render wide_relation_gen (fun r ->
-      String.equal (seed_csv r) (Csv.to_string r))
+    ~count:300 ~print:oracle_render wide_relation_gen (fun r ->
+      String.equal (oracle_csv r) (Csv.to_string r))
 
 (* Text printed on the same formatter after [pp] must come out as it did
    after the trailing [@.]: the caller's boxes are closed and the
@@ -517,7 +517,7 @@ let test_pp_formatter_state () =
     (fun margin ->
       Alcotest.(check string)
         (Printf.sprintf "margin %d" margin)
-        (render margin seed_pp) (render margin Relation.pp))
+        (render margin oracle_pp) (render margin Relation.pp))
     [ 10; 20; 78; 200 ]
 
 (* Big enough to cross the 64 KiB chunk boundary several times. *)
@@ -532,7 +532,7 @@ let test_render_chunked () =
              ~iv:(iv (i - 100) (i + 7))
              ~p:(float_of_int i /. 6000.)))
   in
-  let want = seed_render r in
+  let want = oracle_render r in
   Alcotest.(check bool) "several chunks" true (String.length want > 4 * 65536);
   Alcotest.(check string) "to_string" want (Relation.to_string r);
   Alcotest.(check string) "pp" want (Format.asprintf "%a" Relation.pp r);
@@ -544,7 +544,7 @@ let test_render_chunked () =
       let ic = open_in_bin path in
       let saved = really_input_string ic (in_channel_length ic) in
       close_in ic;
-      Alcotest.(check string) "Csv.save = Csv.to_string" (seed_csv r) saved)
+      Alcotest.(check string) "Csv.save = Csv.to_string" (oracle_csv r) saved)
 
 (* --- number writers --- *)
 
