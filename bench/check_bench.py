@@ -34,6 +34,7 @@ Usage: check_bench.py BASELINE CURRENT [--hit-rate-floor F]
                       [--require-counter NAME]... [--pool-hit-rate-floor F]
                       [--qps-floor F] [--p99-ceiling-ms F]
                       [--render-words-per-byte-ceiling F]
+                      [--join-words-per-row-ceiling F]
 Exits non-zero on the first class of failure, printing every diff.
 
 Result rendering: the current report's "render" block carries the
@@ -44,6 +45,13 @@ is a property of the code. --render-words-per-byte-ceiling F fails
 when either path allocates more than F minor words per rendered byte,
 or when the block is missing. The Format-based renderer spent about
 4.9 words per byte; the buffer writers spend well under 1.
+
+Join allocation: the "join" block carries the output rows of the
+same four-operator Meteo round, planned through the query planner (so
+the joins take the statically safe path), and the minor words spent
+executing it. --join-words-per-row-ceiling F fails when executing
+allocates more than F minor words per output row, or when the block is
+missing.
 
 Server reports (bench/main.exe --server --json) carry a "server" block
 with client-side latency and throughput plus the plan-/result-cache
@@ -168,6 +176,14 @@ def main():
         metavar="F",
         help="fail unless rendering the render block's output allocates "
         "at most F minor words per byte, through pp and to_string",
+    )
+    parser.add_argument(
+        "--join-words-per-row-ceiling",
+        type=float,
+        default=None,
+        metavar="F",
+        help="fail unless executing the join block's queries allocates at "
+        "most F minor words per output row",
     )
     args = parser.parse_args()
 
@@ -328,6 +344,18 @@ def main():
                         f"{args.render_words_per_byte_ceiling}"
                     )
 
+    join = current.get("join")
+    if args.join_words_per_row_ceiling is not None:
+        if join is None:
+            failures.append("join ceiling set but the report has no join block")
+        elif join["words_per_row"] > args.join_words_per_row_ceiling:
+            failures.append(
+                f"executing the join block allocates "
+                f"{join['words_per_row']:.1f} minor words per row "
+                f"({join['minor_words']} words for {join['rows']} rows), "
+                f"above ceiling {args.join_words_per_row_ceiling}"
+            )
+
     if failures:
         print(f"bench regression check FAILED ({len(failures)} diffs):")
         for failure in failures:
@@ -354,6 +382,8 @@ def main():
             f"{render['to_string_words_per_byte']:.3f} (to_string) "
             f"words per byte of {render['bytes']}"
         )
+    if join is not None:
+        summary.append(f"join {join['words_per_row']:.1f} words per row")
     if server is not None:
         summary.append(
             f"server {server['qps']:.0f} q/s p99 {server['p99_ms']:.2f} ms "

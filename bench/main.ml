@@ -22,8 +22,9 @@
                    pipeline's metrics snapshot (windows per class,
                    partition skew, quantile distributions) and the
                    render block (minor words per rendered byte of the
-                   four-operator Meteo output) as a JSON report, led by
-                   a self-describing meta block
+                   four-operator Meteo output) and the join block (minor
+                   words per output row of the same round, planned) as
+                   a JSON report, led by a self-describing meta block
      --openmetrics FILE
                    additionally write the metrics snapshot in the
                    OpenMetrics (Prometheus) text format *)
@@ -390,6 +391,52 @@ let run_render metrics_installed =
     (float_of_int to_string_words /. float_of_int bytes);
   render_report := Some (bytes, pp_words, to_string_words)
 
+(* --- join allocation ---
+
+   Minor words per output row of the same four-operator Meteo round
+   (seed 7, 500 tuples per side), planned through [Planner]: its safe-plan
+   classification tags these joins statically safe, so they take their
+   probabilities from the sweep. Rows and words are deterministic, so
+   words per row is a property of the code:
+   check_bench.py --join-words-per-row-ceiling gates it. Like the render
+   block's, the joins run with the metrics sink uninstalled, so the
+   report's counters still match the baseline's. *)
+
+let join_report : (int * int) option ref = ref None
+
+let run_join metrics_installed =
+  let r, s = Tpdb.Datasets.Meteo.pair ~seed:7 500 in
+  let catalog = Tpdb.Catalog.create () in
+  Tpdb.Catalog.register catalog r;
+  Tpdb.Catalog.register catalog s;
+  let plans =
+    List.map
+      (fun op ->
+        Tpdb.Planner.plan ~sanitize:false catalog
+          (Tpdb.Parser.parse
+             (Printf.sprintf "SELECT * FROM r %s s ON r.Metric = s.Metric" op)))
+      [ "ANTIJOIN"; "LEFT TPJOIN"; "RIGHT TPJOIN"; "FULL TPJOIN" ]
+  in
+  let measure () =
+    let before = Gc.minor_words () in
+    let rows =
+      List.fold_left
+        (fun n plan -> n + Relation.cardinality (Tpdb.Planner.run plan))
+        0 plans
+    in
+    (rows, int_of_float (Gc.minor_words () -. before))
+  in
+  let rows, words =
+    match metrics_installed with
+    | None -> measure ()
+    | Some metrics ->
+        Metrics.uninstall ();
+        Fun.protect ~finally:(fun () -> Metrics.install metrics) measure
+  in
+  Printf.printf "join: %d rows; minor words %d (%.1f per row)\n%!" rows words
+    (float_of_int words /. float_of_int rows);
+  join_report := Some (rows, words)
+
 (* --- the JSON report --- *)
 
 (* Self-describing provenance for committed BENCH_*.json files. Nothing
@@ -512,6 +559,19 @@ let json_report metrics =
                   ("to_string_minor_words", J.int to_string_words);
                   ("pp_words_per_byte", per_byte pp_words);
                   ("to_string_words_per_byte", per_byte to_string_words);
+                ] );
+          ])
+    @ (match !join_report with
+      | None -> []
+      | Some (rows, words) ->
+          [
+            ( "join",
+              J.obj
+                [
+                  ("rows", J.int rows);
+                  ("minor_words", J.int words);
+                  ( "words_per_row",
+                    J.float (float_of_int words /. float_of_int rows) );
                 ] );
           ])
     (* the full snapshot, verbatim from the sink *)
@@ -739,7 +799,8 @@ let () =
       if scale <> E.Quick then run_extra_sweeps ()
     end;
     if has "--paper" then run_paper_scale ();
-    run_render (Metrics.active ())
+    run_render (Metrics.active ());
+    run_join (Metrics.active ())
   end;
   Metrics.uninstall ();
   (match json_out with

@@ -33,11 +33,11 @@ let pass2 ~algorithm ~theta r s =
               matches
           in
           match covering with
-          | [] -> Window.unmatched ~fr ~iv:segment ~lr ~rspan
+          | [] -> Window.unmatched ~fr ~iv:segment ~lr ~rspan ()
           | _ ->
               Window.negating ~fr ~iv:segment ~lr
                 ~ls:(Formula.disj (List.map Tuple.lineage covering))
-                ~rspan)
+                ~rspan ())
         segments)
     (Align.replicate ~algorithm ~theta r s)
 
@@ -58,7 +58,7 @@ let pass2_unmatched ~algorithm ~theta r s =
       List.map
         (fun gap ->
           Window.unmatched ~fr:(Tuple.fact r_tuple) ~iv:gap
-            ~lr:(Tuple.lineage r_tuple) ~rspan:within)
+            ~lr:(Tuple.lineage r_tuple) ~rspan:within ())
         (Tpdb_interval.Timeline.gaps ~within covered))
     (Relation.tuples r)
 

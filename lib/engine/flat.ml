@@ -30,6 +30,7 @@ module Buf = struct
 
   let get b i = b.data.(i)
   let set b i v = b.data.(i) <- v
+  let truncate b n = if n < b.len then b.len <- max 0 n
 
   (* In-place sort of the live prefix under an index comparator:
      insertion sort below a small cutoff, median-of-3 quicksort above.
@@ -84,10 +85,31 @@ module Buf = struct
     if b.len > 1 then qsort 0 (b.len - 1)
 end
 
+(* Growable array of boxed values: the output buffer of a sweep. The
+   first element pushed fills the spare capacity, so no dummy is needed. *)
+module Vec = struct
+  type 'a t = { mutable items : 'a array; mutable len : int }
+
+  let create () = { items = [||]; len = 0 }
+
+  let push v x =
+    if v.len = Array.length v.items then begin
+      let items = Array.make (max 256 (2 * v.len)) x in
+      Array.blit v.items 0 items 0 v.len;
+      v.items <- items
+    end;
+    v.items.(v.len) <- x;
+    v.len <- v.len + 1
+
+  let contents v =
+    if v.len = Array.length v.items then v.items else Array.sub v.items 0 v.len
+end
+
 (* The flat struct-of-arrays interval index: start and end points of a
    start-sorted run of intervals, unboxed into two int arrays that the
    sweep kernels walk with plain index arithmetic. The payload (tuples,
    lineages, …) stays with the caller in parallel arrays. *)
+
 type t = { ts : int array; te : int array; len : int }
 
 let length t = t.len

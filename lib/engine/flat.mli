@@ -53,8 +53,23 @@ module Buf : sig
   val get : t -> int -> int
   val set : t -> int -> int -> unit
 
+  val truncate : t -> int -> unit
+  (** Drops every element from the given length on (no-op when the
+      buffer is already shorter). *)
+
   val sort : t -> (int -> int -> int) -> unit
   (** In-place sort of the live prefix under an element comparator. *)
+end
+
+(** Growable array of boxed values, in push order. *)
+module Vec : sig
+  type 'a t
+
+  val create : unit -> 'a t
+  val push : 'a t -> 'a -> unit
+
+  val contents : 'a t -> 'a array
+  (** The pushed values; the buffer must not be pushed to afterwards. *)
 end
 
 type t

@@ -34,12 +34,16 @@ let output_fact ~side ~pad w =
   | (Window.Unmatched | Window.Negating), Right ->
       Fact.concat (Fact.nulls pad) (Window.fr w)
 
+let p_of ~prob w lineage =
+  let p = Window.p w in
+  if Float.is_nan p then prob lineage else p
+
 let tuple_of_window ~prob ~side ~pad w =
   let lineage = output_lineage w in
   count_lineage lineage;
   Tuple.make
     ~fact:(output_fact ~side ~pad w)
-    ~lineage ~iv:(Window.iv w) ~p:(prob lineage)
+    ~lineage ~iv:(Window.iv w) ~p:(p_of ~prob w lineage)
 
 let tuple_of_window_no_fs ~prob w =
   match Window.kind w with
@@ -49,4 +53,4 @@ let tuple_of_window_no_fs ~prob w =
       let lineage = output_lineage w in
       count_lineage lineage;
       Tuple.make ~fact:(Window.fr w) ~lineage ~iv:(Window.iv w)
-        ~p:(prob lineage)
+        ~p:(p_of ~prob w lineage)

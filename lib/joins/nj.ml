@@ -9,6 +9,7 @@ module Overlap = Tpdb_windows.Overlap
 module Lawau = Tpdb_windows.Lawau
 module Lawan = Tpdb_windows.Lawan
 module Flat_join = Tpdb_windows.Flat_join
+module Vec = Tpdb_engine.Flat.Vec
 module Invariant = Tpdb_windows.Invariant
 module Pool = Tpdb_engine.Pool
 module Parallel = Tpdb_engine.Parallel
@@ -73,60 +74,45 @@ let effective_parallelism o theta =
    sweep emits, because it sorts r by Tuple.compare_fact_start, which
    compares exactly the group fields). Equal facts hash alike, so a
    group never spans partitions and the merged stream is identical to
-   the sequential one. Only the sweep is parallel; output formation
-   (lineage concatenation, probabilities) stays on the calling domain. *)
-
-let sharded ~partitions ~theta r s =
-  match Theta.equi_keys theta with
-  | None -> None
-  | Some (left_cols, right_cols) ->
-      let key cols tp = Fact.hash (Fact.key cols (Tuple.fact tp)) in
-      Some
-        (Parallel.shard2 ~partitions ~left_key:(key left_cols)
-           ~right_key:(key right_cols) (Relation.tuples r) (Relation.tuples s))
+   the sequential one. Only the sweep (with the probabilities it
+   takes on a statically safe plan) is parallel; output formation
+   (lineage concatenation, the other probabilities) stays on the calling
+   domain. *)
 
 (* Runs [sweep : Relation.t -> Relation.t -> 'a] once per partition on
-   the pool; [None] when θ has no equi-key to shard on. *)
-let partitioned ~partitions ~theta ~sweep r s =
-  match sharded ~partitions ~theta r s with
-  | None -> None
-  | Some parts ->
-      let rschema = Relation.schema r and sschema = Relation.schema s in
-      let indexed = Array.mapi (fun i part -> (i, part)) parts in
-      Some
-        (Parallel.map ~pool:(Pool.default ())
-           (fun (i, (rp, sp)) ->
-             if Metrics.enabled () then begin
-               Metrics.observe Metrics.Partition_size
-                 (List.length rp + List.length sp);
-               Metrics.incr Metrics.Partition_sweeps
-             end;
-             let run () =
-               Metrics.time Metrics.Domain_busy_ns (fun () ->
-                   sweep
-                     (Relation.of_tuples rschema rp)
-                     (Relation.of_tuples sschema sp))
-             in
-             if Trace.enabled () then
-               Trace.with_span ~cat:"partition"
-                 (Printf.sprintf "partition-%d" i)
-                 run
-             else run ())
-           indexed)
+   the pool, the inputs sharded on the equi-key columns [keys]. *)
+let partitioned ~partitions ~keys:(left_cols, right_cols) ~sweep r s =
+  let key cols tp = Fact.hash (Fact.key cols (Tuple.fact tp)) in
+  let parts =
+    Parallel.shard2 ~partitions ~left_key:(key left_cols)
+      ~right_key:(key right_cols) (Relation.tuples r) (Relation.tuples s)
+  in
+  let rschema = Relation.schema r and sschema = Relation.schema s in
+  Parallel.map ~pool:(Pool.default ())
+    (fun (i, (rp, sp)) ->
+      if Metrics.enabled () then begin
+        Metrics.observe Metrics.Partition_size
+          (List.length rp + List.length sp);
+        Metrics.incr Metrics.Partition_sweeps
+      end;
+      let run () =
+        Metrics.time Metrics.Domain_busy_ns (fun () ->
+            sweep (Relation.of_tuples rschema rp) (Relation.of_tuples sschema sp))
+      in
+      if Trace.enabled () then
+        Trace.with_span ~cat:"partition" (Printf.sprintf "partition-%d" i) run
+      else run ())
+    (Array.mapi (fun i part -> (i, part)) parts)
 
 let merge ~options parts =
   let run () =
     Parallel.merge_grouped
       ?check:(if options.sanitize then Some Invariant.merge_check else None)
-      ~compare_group:Window.compare_group parts
+      ~compare_group:Window.compare_group (Array.map Array.to_list parts)
   in
-  if Trace.enabled () then Trace.with_span ~cat:"merge" "merge-grouped" run
-  else run ()
-
-let merge3 ~options parts =
-  ( merge ~options (Array.map (fun (l, _, _) -> l) parts),
-    merge ~options (Array.map (fun (_, g, _) -> g) parts),
-    merge ~options (Array.map (fun (_, _, u) -> u) parts) )
+  Array.of_list
+    (if Trace.enabled () then Trace.with_span ~cat:"merge" "merge-grouped" run
+     else run ())
 
 (* --- out-of-core spilling at the partition boundary -------------------
 
@@ -204,112 +190,180 @@ let spilled_of_relations ~partitions ~keys ~budget ~sweep r s =
 
 (* --- the window pipeline --------------------------------------------- *)
 
-(* With a trace sink installed the stage's stream is forced inside the
-   span so the span measures the stage's actual work; without one the
-   stream passes through untouched — lazy pipelines stay lazy and the
-   only cost is one atomic load. *)
-let traced name stream =
+let traced name run =
+  if Trace.enabled () then Trace.with_span ~cat:"sweep" name run else run ()
+
+(* With a trace sink installed a legacy stage's stream is forced inside
+   its span so the span measures the stage's actual work; without one
+   the stream passes through untouched and the chain stays lazy. *)
+let traced_seq name stream =
   if Trace.enabled () then
-    Trace.with_span ~cat:"sweep" name (fun () ->
-        List.to_seq (List.of_seq stream))
+    traced name (fun () -> List.to_seq (List.of_seq stream))
   else stream
 
-(* The default [`Flat] executor computes each stage's windows in one
-   fused pass over the flat endpoint arrays (Flat_join); the legacy
+let overlapping w = Window.kind w = Window.Overlapping
+
+(* Feeds the windows of one stage, in stream order, to [emit]. The
+   default [`Flat] executor computes them in one fused pass over the
+   flat endpoint arrays (Flat_join), taking each window's probability
+   from the sweep when [env] is given, and hands each window on as it
+   is built, so a consumer that forms its tuple right away lets it die
+   young (the sanitizer collects them first, to check them). The legacy
    algorithms chain the three Seq stages. The flat pass still opens the
-   same nested spans as the legacy chain ("lawan" > "lawau" > "overlap",
-   with the fused work attributed to the innermost), so EXPLAIN ANALYZE
-   and the Chrome traces stay comparable across executors. *)
-let overlap_stage ~options ~theta r s =
-  traced "overlap"
-    (match options.algorithm with
-    | `Flat ->
-        Flat_join.left ~stage:`Wo ~sanitize:options.sanitize ~theta r s
-    | (`Hash | `Merge | `Index | `Nested_loop) as algorithm ->
-        Overlap.left ~algorithm ~sanitize:options.sanitize ~theta r s)
-
-let wuo_stage ~options ~theta r s =
+   same nested spans as the legacy chain ("lawan" > "lawau" >
+   "overlap", with the fused work attributed to the innermost), so
+   EXPLAIN ANALYZE and the Chrome traces stay comparable across
+   executors; they cover the formation the pass feeds, so a traced run
+   executes what an untraced one does. *)
+let stage_pass ?env ~options (stage : Flat_join.stage) ~theta r s emit =
+  let sanitize = options.sanitize in
   match options.algorithm with
-  | `Flat ->
-      traced "lawau"
-        (traced "overlap"
-           (Flat_join.left ~stage:`Wuo ~sanitize:options.sanitize ~theta r s))
-  | `Hash | `Merge | `Index | `Nested_loop ->
-      traced "lawau"
-        (Lawau.extend ~sanitize:options.sanitize
-           (overlap_stage ~options ~theta r s))
-
-let wuon_stage ~options ~theta r s =
-  match options.algorithm with
-  | `Flat ->
-      traced "lawan"
-        (traced "lawau"
-           (traced "overlap"
-              (Flat_join.left ~stage:`Wuon ~sanitize:options.sanitize ~theta r
-                 s)))
-  | `Hash | `Merge | `Index | `Nested_loop ->
-      traced "lawan"
-        (Lawan.extend ~sanitize:options.sanitize
-           (wuo_stage ~options ~theta r s))
-
-(* A left-side window stream: spilled to disk when the working set
-   exceeds the memory budget (which overrides parallelism — the
-   spilled sweep is strictly sequential to keep its memory bound),
-   domain-parallel when options and θ allow, sequential otherwise. All
-   three paths produce the identical stream.
-
-   [keep] is the formation filter of the operator consuming the stream
-   (overlapping-only for inner, non-overlapping for anti). The spilled
-   sweep applies it inside each per-partition pass: without it every
-   partition's full window list survives until formation filters the
-   merged stream, making peak memory O(input) for operators whose
-   output is much smaller than their input — exactly the regime that
-   spills. Filtering before the merge is sound because the merge is a
-   stable group-order merge of per-partition sorted lists: dropping
-   elements of each sorted list keeps it sorted and keeps the survivors'
-   relative order, so merging the filtered lists equals filtering the
-   merged list. *)
-let windows_with ?keep ~options ~theta stage r s =
-  let p = effective_parallelism options theta in
-  let sequential () = stage ~options ~theta r s in
-  let sweep rp sp = List.of_seq (stage ~options ~theta rp sp) in
-  match spill_plan ~options ~theta r s with
-  | Some (keys, partitions) ->
-      let sweep =
-        match keep with
-        | None -> sweep
-        | Some keep ->
-            fun rp sp ->
-              List.of_seq (Seq.filter keep (stage ~options ~theta rp sp))
+  | `Flat -> (
+      let run () =
+        if sanitize then
+          Array.iter emit (Flat_join.windows ~stage ~sanitize ?env ~theta r s)
+        else Flat_join.iter ~stage ?env ~theta r s emit
       in
-      List.to_seq
-        (merge ~options
-           (spilled_of_relations ~partitions ~keys ~budget:options.mem_budget
-              ~sweep r s))
-  | None -> (
-      if p <= 1 then sequential ()
-      else
-        match partitioned ~partitions:p ~theta ~sweep r s with
-        | Some parts -> List.to_seq (merge ~options parts)
-        | None -> sequential ())
+      match stage with
+      | `Wo -> traced "overlap" run
+      | `Wuo -> traced "lawau" (fun () -> traced "overlap" run)
+      | `Wuon | `Wun ->
+          traced "lawan" (fun () ->
+              traced "lawau" (fun () -> traced "overlap" run)))
+  | (`Hash | `Merge | `Index | `Nested_loop) as algorithm -> (
+      let wo =
+        traced_seq "overlap" (Overlap.left ~algorithm ~sanitize ~theta r s)
+      in
+      let wuo () = traced_seq "lawau" (Lawau.extend ~sanitize wo) in
+      let wuon () = traced_seq "lawan" (Lawan.extend ~sanitize (wuo ())) in
+      match stage with
+      | `Wo -> Seq.iter emit wo
+      | `Wuo -> Seq.iter emit (wuo ())
+      | `Wuon -> Seq.iter emit (wuon ())
+      | `Wun -> Seq.iter (fun w -> if not (overlapping w) then emit w) (wuon ()))
 
-let windows_wuo ?(options = default_options) ~theta r s =
-  windows_with ~options ~theta wuo_stage r s
+(* The legacy right-hand sweep of right/full outer joins: the
+   overlapping windows arrive mirrored and re-sorted so they are grouped
+   by the s tuple; LAWAU/LAWAN then find the s side's unmatched and
+   negating windows (the overlapping copies are dropped — the left pass
+   emits them already). *)
+let right_side_windows ~sanitize windows =
+  windows
+  |> Seq.filter overlapping
+  |> Seq.map Window.mirror
+  |> List.of_seq
+  |> List.sort Window.compare_group_start
+  |> List.to_seq
+  |> Lawau.extend ~sanitize
+  |> Lawan.extend ~sanitize
+  |> Seq.filter (fun w -> not (overlapping w))
 
-let windows_wuon ?(options = default_options) ~theta r s =
-  windows_with ~options ~theta wuon_stage r s
+(* One partition (or the whole input, when sequential) of a right/full
+   outer join, into three streams: the left-side windows
+   (overlapping-only for the right outer join, LAWAU+LAWAN extended for
+   the full outer join), the right side's gap and negating windows, and
+   the spanning windows of the never-matched s tuples. The flat executor
+   finds the right side in a second pass of the kernel with the sides
+   swapped; the legacy one sweeps the mirrored overlapping windows and
+   tracks the s tuples that matched. *)
+let tracked_pass ?env ~options ~extend_left ~theta r s emits =
+  let sanitize = options.sanitize in
+  let left = emits.(0) and gaps = emits.(1) and spanning = emits.(2) in
+  match options.algorithm with
+  | `Flat ->
+      stage_pass ?env ~options
+        (if extend_left then `Wuon else `Wo)
+        ~theta r s
+        (fun w -> if extend_left || overlapping w then left w);
+      traced "right-sweep" (fun () ->
+          if sanitize then begin
+            let g, u = Flat_join.right ~sanitize ?env ~theta r s in
+            Array.iter gaps g;
+            Array.iter spanning u
+          end
+          else Flat_join.iter_right ?env ~theta r s ~gaps ~spanning)
+  | (`Hash | `Merge | `Index | `Nested_loop) as algorithm ->
+      let stream, tracker =
+        Overlap.left_tracking ~algorithm ~sanitize ~theta r s
+      in
+      let raw = traced "overlap" (fun () -> List.of_seq stream) in
+      (if extend_left then
+         let wuo =
+           traced "lawau" (fun () ->
+               List.of_seq (Lawau.extend ~sanitize (List.to_seq raw)))
+         in
+         List.iter left
+           (traced "lawan" (fun () ->
+                List.of_seq (Lawan.extend ~sanitize (List.to_seq wuo))))
+       else List.iter (fun w -> if overlapping w then left w) raw);
+      List.iter gaps
+        (traced "right-sweep" (fun () ->
+             List.of_seq (right_side_windows ~sanitize (List.to_seq raw))));
+      Seq.iter spanning (Overlap.unmatched_right tracker)
+
+(* A pass feeds each of its window streams, in order, to one consumer.
+   A join runs its passes over the whole input, straight into the
+   consumers, or once per partition ([run_parts]) into buffers whose
+   contents are merged back in group order, stream by stream, and then
+   consumed. *)
+let per_partition ~options pass run_parts emits =
+  let collect rp sp =
+    let bufs = Array.map (fun _ -> Vec.create ()) emits in
+    pass rp sp (Array.map Vec.push bufs);
+    Array.map Vec.contents bufs
+  in
+  let parts = run_parts collect in
+  Array.iteri
+    (fun i emit ->
+      Array.iter emit (merge ~options (Array.map (fun part -> part.(i)) parts)))
+    emits
+
+(* The materialized inputs: spilled to disk when the working set exceeds
+   the memory budget (which overrides parallelism — the spilled sweep is
+   strictly sequential to keep its memory bound), domain-parallel when
+   options and θ allow, sequential otherwise. All three paths produce
+   the identical windows. *)
+let in_memory ~options ~theta r s pass emits =
+  match
+    ( spill_plan ~options ~theta r s,
+      Theta.equi_keys theta,
+      effective_parallelism options theta )
+  with
+  | Some (keys, partitions), _, _ ->
+      per_partition ~options pass
+        (fun sweep ->
+          spilled_of_relations ~partitions ~keys ~budget:options.mem_budget
+            ~sweep r s)
+        emits
+  | None, Some keys, partitions when partitions > 1 ->
+      per_partition ~options pass
+        (fun sweep -> partitioned ~partitions ~keys ~sweep r s)
+        emits
+  | None, _, _ -> pass r s emits
+
+let stage_stream stage ?(options = default_options) ~theta r s () =
+  let windows = Vec.create () in
+  in_memory ~options ~theta r s
+    (fun rp sp emits -> stage_pass ~options stage ~theta rp sp emits.(0))
+    [| Vec.push windows |];
+  Array.to_seq (Vec.contents windows) ()
+
+let windows_wuo = stage_stream `Wuo
+let windows_wuon = stage_stream `Wuon
 
 let env_default env r s =
   match env with Some e -> e | None -> Relation.prob_env [ r; s ]
 
-(* The probability function output formation runs through: memoized on
-   the calling domain's long-lived cache (keyed on hash-consed formula
-   ids, reset when [env] changes) unless the option turns it off. On a
-   statically safe plan ([static_safe], set from the planner's read-once
-   classification) misses go through [Prob.factorize] — no per-formula
-   read-once check, no BDD fallback; the sanitizer's output check
-   cross-validates against [Prob.compute], so a misclassified plan fails
-   loudly under TPDB_SANITIZE=1. *)
+(* The probability function output formation runs through for the
+   windows the sweep did not price: memoized on the calling domain's
+   long-lived cache (keyed on hash-consed formula ids, reset when [env]
+   changes) unless the option turns it off. On a statically safe plan
+   ([static_safe], set from the planner's read-once classification) the
+   sweep prices every window whose partner lineages are bare variables,
+   and the rest go through [Prob.factorize] — no per-formula read-once
+   check, no BDD fallback; the sanitizer's output check cross-validates
+   against [Prob.compute], so a misclassified plan fails loudly under
+   TPDB_SANITIZE=1. *)
 let prob_fn ~options ~env =
   let base = if options.static_safe then Prob.factorize else Prob.compute in
   if options.prob_cache then begin
@@ -318,211 +372,7 @@ let prob_fn ~options ~env =
   end
   else fun lineage -> base env lineage
 
-(* The right-hand sweep of right/full outer joins: the overlapping
-   windows arrive mirrored and re-sorted so they are grouped by the s
-   tuple; LAWAU/LAWAN then find the s side's unmatched and negating
-   windows (the overlapping copies are dropped — the left pass emits
-   them already). *)
-let right_side_windows ~sanitize windows =
-  windows
-  |> Seq.filter (fun w -> Window.kind w = Window.Overlapping)
-  |> Seq.map Window.mirror
-  |> List.of_seq
-  |> List.sort Window.compare_group_start
-  |> List.to_seq
-  |> Lawau.extend ~sanitize
-  |> Lawan.extend ~sanitize
-  |> Seq.filter (fun w -> Window.kind w <> Window.Overlapping)
-
-(* One partition (or the whole input, when sequential) of a right/full
-   outer join: one tracking pass of the conventional join, the left-side
-   stream (overlapping-only for the right outer join, LAWAU+LAWAN
-   extended for the full outer join), the right side's gap windows, and
-   the spanning windows of the never-matched s tuples. *)
-let tracked_sweep ~options ~extend_left ~theta r s =
-  let sanitize = options.sanitize in
-  match options.algorithm with
-  | `Flat ->
-      (* One flat pass produces the fully extended left stream (or the
-         conventional-join stream when the left side needs no
-         extension); the raw overlapping windows for the mirrored
-         right-side sweep are a filter away. *)
-      let stage = if extend_left then `Wuon else `Wo in
-      let stream, tracker =
-        Flat_join.left_tracking ~stage ~sanitize ~theta r s
-      in
-      let all =
-        if Trace.enabled () then
-          if extend_left then
-            Trace.with_span ~cat:"sweep" "lawan" (fun () ->
-                Trace.with_span ~cat:"sweep" "lawau" (fun () ->
-                    Trace.with_span ~cat:"sweep" "overlap" (fun () ->
-                        List.of_seq stream)))
-          else
-            Trace.with_span ~cat:"sweep" "overlap" (fun () ->
-                List.of_seq stream)
-        else List.of_seq stream
-      in
-      let left =
-        if extend_left then all
-        else List.filter (fun w -> Window.kind w = Window.Overlapping) all
-      in
-      let gaps =
-        let run () =
-          List.of_seq (right_side_windows ~sanitize (List.to_seq all))
-        in
-        if Trace.enabled () then
-          Trace.with_span ~cat:"sweep" "right-sweep" run
-        else run ()
-      in
-      let spanning = List.of_seq (Flat_join.unmatched_right tracker) in
-      (left, gaps, spanning)
-  | (`Hash | `Merge | `Index | `Nested_loop) as algorithm ->
-      let stream, tracker =
-        Overlap.left_tracking ~algorithm ~sanitize ~theta r s
-      in
-      let raw =
-        if Trace.enabled () then
-          Trace.with_span ~cat:"sweep" "overlap" (fun () ->
-              List.of_seq stream)
-        else List.of_seq stream
-      in
-      let left =
-        if extend_left then
-          if Trace.enabled () then
-            let wuo =
-              Trace.with_span ~cat:"sweep" "lawau" (fun () ->
-                  List.of_seq (Lawau.extend ~sanitize (List.to_seq raw)))
-            in
-            Trace.with_span ~cat:"sweep" "lawan" (fun () ->
-                List.of_seq (Lawan.extend ~sanitize (List.to_seq wuo)))
-          else
-            List.of_seq
-              (Lawan.extend ~sanitize
-                 (Lawau.extend ~sanitize (List.to_seq raw)))
-        else List.filter (fun w -> Window.kind w = Window.Overlapping) raw
-      in
-      let gaps =
-        let run () =
-          List.of_seq (right_side_windows ~sanitize (List.to_seq raw))
-        in
-        if Trace.enabled () then
-          Trace.with_span ~cat:"sweep" "right-sweep" run
-        else run ()
-      in
-      let spanning = List.of_seq (Overlap.unmatched_right tracker) in
-      (left, gaps, spanning)
-
-let tracked_join ~options ~extend_left ~theta r s =
-  let p = effective_parallelism options theta in
-  let sweep rp sp = tracked_sweep ~options ~extend_left ~theta rp sp in
-  match spill_plan ~options ~theta r s with
-  | Some (keys, partitions) ->
-      merge3 ~options
-        (spilled_of_relations ~partitions ~keys ~budget:options.mem_budget
-           ~sweep r s)
-  | None -> (
-      if p <= 1 then sweep r s
-      else
-        match partitioned ~partitions:p ~theta ~sweep r s with
-        | Some parts -> merge3 ~options parts
-        | None -> sweep r s)
-
-(* --- output formation per operator -----------------------------------
-
-   Formation is split from window production: the [form_*] functions
-   turn a window stream (or tracking triple) into the result relation
-   given only the input schemas, so the materialized path ([exec_*],
-   which runs [windows_with]/[tracked_join] on relations) and the
-   streamed out-of-core path ([join_spilled], which never materializes
-   its inputs) share them verbatim. *)
-
-let form_inner ~prob ~rschema ~sschema windows =
-  let pad = Schema.arity sschema in
-  let tuples =
-    windows
-    |> Seq.filter (fun w -> Window.kind w = Window.Overlapping)
-    |> Seq.map (Concat.tuple_of_window ~prob ~side:Concat.Left ~pad)
-    |> List.of_seq
-  in
-  Relation.of_tuples (Schema.join rschema sschema) tuples
-
-let form_anti ~prob ~rschema ~sschema windows =
-  let tuples =
-    windows
-    |> Seq.filter (fun w -> Window.kind w <> Window.Overlapping)
-    |> Seq.map (Concat.tuple_of_window_no_fs ~prob)
-    |> List.of_seq
-  in
-  let schema =
-    Schema.rename (Schema.name rschema ^ "_anti_" ^ Schema.name sschema) rschema
-  in
-  Relation.of_tuples schema tuples
-
-let form_left_outer ~prob ~rschema ~sschema windows =
-  let pad = Schema.arity sschema in
-  let tuples =
-    windows
-    |> Seq.map (Concat.tuple_of_window ~prob ~side:Concat.Left ~pad)
-    |> List.of_seq
-  in
-  Relation.of_tuples (Schema.join rschema sschema) tuples
-
-let form_right_outer ~prob ~rschema ~sschema (wo, gaps, spanning) =
-  let pad_r = Schema.arity rschema in
-  let pad_s = Schema.arity sschema in
-  let pairs =
-    List.to_seq wo
-    |> Seq.map (Concat.tuple_of_window ~prob ~side:Concat.Left ~pad:pad_s)
-  in
-  let right_side =
-    Seq.append (List.to_seq gaps) (List.to_seq spanning)
-    |> Seq.map (Concat.tuple_of_window ~prob ~side:Concat.Right ~pad:pad_r)
-  in
-  let tuples = List.of_seq (Seq.append pairs right_side) in
-  Relation.of_tuples (Schema.join rschema sschema) tuples
-
-let form_full_outer ~prob ~rschema ~sschema (left, gaps, spanning) =
-  let pad_r = Schema.arity rschema in
-  let pad_s = Schema.arity sschema in
-  let left_side =
-    List.to_seq left
-    |> Seq.map (Concat.tuple_of_window ~prob ~side:Concat.Left ~pad:pad_s)
-  in
-  let right_side =
-    Seq.append (List.to_seq gaps) (List.to_seq spanning)
-    |> Seq.map (Concat.tuple_of_window ~prob ~side:Concat.Right ~pad:pad_r)
-  in
-  let tuples = List.of_seq (Seq.append left_side right_side) in
-  Relation.of_tuples (Schema.join rschema sschema) tuples
-
-let keep_overlapping w = Window.kind w = Window.Overlapping
-let keep_non_overlapping w = Window.kind w <> Window.Overlapping
-
-let exec_inner ~options ~prob ~theta r s =
-  form_inner ~prob ~rschema:(Relation.schema r) ~sschema:(Relation.schema s)
-    (windows_with ~keep:keep_overlapping ~options ~theta overlap_stage r s)
-
-let exec_anti ~options ~prob ~theta r s =
-  form_anti ~prob ~rschema:(Relation.schema r) ~sschema:(Relation.schema s)
-    (windows_with ~keep:keep_non_overlapping ~options ~theta wuon_stage r s)
-
-let exec_left_outer ~options ~prob ~theta r s =
-  form_left_outer ~prob ~rschema:(Relation.schema r)
-    ~sschema:(Relation.schema s)
-    (windows_with ~options ~theta wuon_stage r s)
-
-let exec_right_outer ~options ~prob ~theta r s =
-  form_right_outer ~prob ~rschema:(Relation.schema r)
-    ~sschema:(Relation.schema s)
-    (tracked_join ~options ~extend_left:false ~theta r s)
-
-let exec_full_outer ~options ~prob ~theta r s =
-  form_full_outer ~prob ~rschema:(Relation.schema r)
-    ~sschema:(Relation.schema s)
-    (tracked_join ~options ~extend_left:true ~theta r s)
-
-(* --- the unified entry point ----------------------------------------- *)
+(* --- output formation per operator ----------------------------------- *)
 
 type join_kind = Inner | Anti | Left | Right | Full
 
@@ -535,25 +385,65 @@ let kind_name = function
   | Right -> "right-outer"
   | Full -> "full-outer"
 
-let join ?(options = default_options) ?env ~kind ~theta r s =
-  let env = env_default env r s in
+(* Runs the passes of [kind] through [runner] and forms each window's
+   output tuple as the window arrives, given only the input schemas — so
+   the materialized path ({!join}) and the streamed out-of-core path
+   ({!join_spilled}, which never materializes its inputs) share it
+   verbatim. The inner join's filter runs inside its pass, so windows
+   formation would discard never accumulate across the partition merge
+   (peak memory O(output), not O(input), in the regime that spills);
+   that is sound because the merge is a stable group-order merge of
+   sorted lists, so merging the filtered lists equals filtering the
+   merged one. *)
+let form ~runner ~options ~env ~kind ~theta ~rschema ~sschema =
   let prob = prob_fn ~options ~env in
-  if Metrics.enabled () then
-    Metrics.add Metrics.Tuples_in
-      (Relation.cardinality r + Relation.cardinality s);
-  let exec =
-    match kind with
-    | Inner -> exec_inner
-    | Anti -> exec_anti
-    | Left -> exec_left_outer
-    | Right -> exec_right_outer
-    | Full -> exec_full_outer
+  let env = if options.static_safe then Some env else None in
+  let pad_r = Schema.arity rschema and pad_s = Schema.arity sschema in
+  let tuples = Vec.create () and spanning = Vec.create () in
+  let into v side pad w =
+    Vec.push v (Concat.tuple_of_window ~prob ~side ~pad w)
   in
-  let run () = exec ~options ~prob ~theta r s in
+  let stage ?(keep = fun _ -> true) stage rp sp emits =
+    stage_pass ?env ~options stage ~theta rp sp (fun w ->
+        if keep w then emits.(0) w)
+  in
+  let schema =
+    match kind with
+    | Inner ->
+        runner
+          (stage ~keep:overlapping `Wo)
+          [| into tuples Concat.Left pad_s |];
+        Schema.join rschema sschema
+    | Left ->
+        runner (stage `Wuon) [| into tuples Concat.Left pad_s |];
+        Schema.join rschema sschema
+    | Anti ->
+        runner (stage `Wun)
+          [| (fun w -> Vec.push tuples (Concat.tuple_of_window_no_fs ~prob w)) |];
+        Schema.rename
+          (Schema.name rschema ^ "_anti_" ^ Schema.name sschema)
+          rschema
+    | Right | Full ->
+        let extend_left = match kind with Full -> true | _ -> false in
+        runner
+          (tracked_pass ?env ~options ~extend_left ~theta)
+          [|
+            into tuples Concat.Left pad_s;
+            into tuples Concat.Right pad_r;
+            into spanning Concat.Right pad_r;
+          |];
+        Schema.join rschema sschema
+  in
+  let tuples = Vec.contents tuples and spanning = Vec.contents spanning in
+  Relation.of_array schema
+    (if Array.length spanning = 0 then tuples
+     else Array.append tuples spanning)
+
+(* Counts the output, and under the sanitizer checks every output
+   probability against [Prob.compute]. *)
+let finish ~options ~env ~span run =
   let result =
-    if Trace.enabled () then
-      Trace.with_span ~cat:"join" ("nj-" ^ kind_name kind) run
-    else run ()
+    if Trace.enabled () then Trace.with_span ~cat:"join" span run else run ()
   in
   if Metrics.enabled () then
     Metrics.add Metrics.Tuples_out (Relation.cardinality result);
@@ -562,6 +452,17 @@ let join ?(options = default_options) ?env ~kind ~theta r s =
       ~recompute:(fun lineage -> Prob.compute env lineage)
       (Relation.tuples result);
   result
+
+(* --- the unified entry point ----------------------------------------- *)
+
+let join ?(options = default_options) ?env ~kind ~theta r s =
+  let env = env_default env r s in
+  if Metrics.enabled () then
+    Metrics.add Metrics.Tuples_in
+      (Relation.cardinality r + Relation.cardinality s);
+  finish ~options ~env ~span:("nj-" ^ kind_name kind) (fun () ->
+      form ~runner:(in_memory ~options ~theta r s) ~options ~env ~kind ~theta
+        ~rschema:(Relation.schema r) ~sschema:(Relation.schema s))
 
 (* Out-of-core join over tuple streams: the inputs are never
    materialized — they stream straight into the spill partitioner — so
@@ -594,58 +495,25 @@ let join_spilled ?(options = default_options) ?partitions ~env ~kind ~theta
             Spill.partitions_for ~budget ~est:((l + r) * 48 * 8)
         | None -> 64)
   in
-  let prob = prob_fn ~options ~env in
-  let run () =
-    match kind with
-    | (Inner | Anti | Left) as kind ->
-        let stage =
-          match kind with Inner -> overlap_stage | _ -> wuon_stage
-        in
-        (* formation's filter, applied inside the per-partition sweep so
-           windows formation would discard never accumulate across the
-           merge (see [windows_with]) *)
-        let keep =
-          match kind with
-          | Inner -> keep_overlapping
-          | Anti -> keep_non_overlapping
-          | _ -> fun _ -> true
-        in
-        let sweep rp sp =
-          List.of_seq (Seq.filter keep (stage ~options ~theta rp sp))
-        in
-        let windows =
-          List.to_seq
-            (merge ~options
-               (spilled ~partitions ~keys ~budget ~sweep (rschema, rseq)
-                  (sschema, sseq)))
-        in
-        (match kind with
-        | Inner -> form_inner ~prob ~rschema ~sschema windows
-        | Anti -> form_anti ~prob ~rschema ~sschema windows
-        | _ -> form_left_outer ~prob ~rschema ~sschema windows)
-    | (Right | Full) as kind ->
-        let extend_left = (match kind with Full -> true | _ -> false) in
-        let sweep rp sp = tracked_sweep ~options ~extend_left ~theta rp sp in
-        let triple =
-          merge3 ~options
-            (spilled ~partitions ~keys ~budget ~sweep (rschema, rseq)
-               (sschema, sseq))
-        in
-        if extend_left then form_full_outer ~prob ~rschema ~sschema triple
-        else form_right_outer ~prob ~rschema ~sschema triple
+  (* the rows are the join's input tuples, counted as they stream into
+     the partitioner *)
+  let counted seq =
+    if Metrics.enabled () then
+      Seq.map
+        (fun tp ->
+          Metrics.incr Metrics.Tuples_in;
+          tp)
+        seq
+    else seq
   in
-  let result =
-    if Trace.enabled () then
-      Trace.with_span ~cat:"join" ("nj-" ^ kind_name kind ^ "-spilled") run
-    else run ()
+  let runner pass =
+    per_partition ~options pass (fun sweep ->
+        spilled ~partitions ~keys ~budget ~sweep
+          (rschema, counted rseq)
+          (sschema, counted sseq))
   in
-  if Metrics.enabled () then
-    Metrics.add Metrics.Tuples_out (Relation.cardinality result);
-  if options.sanitize then
-    Invariant.check_output
-      ~recompute:(fun lineage -> Prob.compute env lineage)
-      (Relation.tuples result);
-  result
+  finish ~options ~env ~span:("nj-" ^ kind_name kind ^ "-spilled") (fun () ->
+      form ~runner ~options ~env ~kind ~theta ~rschema ~sschema)
 
 let inner ?options ?env ~theta r s = join ?options ?env ~kind:Inner ~theta r s
 let anti ?options ?env ~theta r s = join ?options ?env ~kind:Anti ~theta r s

@@ -13,9 +13,10 @@
     ({!Tpdb_windows.Flat_join}) → output formation ({!Concat}); the
     legacy {!Tpdb_windows.Overlap.left} → {!Tpdb_windows.Lawau} →
     {!Tpdb_windows.Lawan} chain is selectable per {!options} as the
-    ablation baseline. The full outer join additionally mirrors the
-    overlapping windows to sweep the [s] side without executing the join
-    a second time.
+    ablation baseline. Right and full outer joins find the [s] side's
+    windows in a second pass of the flat kernel with the sides swapped
+    ({!Tpdb_windows.Flat_join.right}), which builds no overlapping
+    window; the legacy chain mirrors the overlapping windows instead.
 
     {2 Parallel execution}
 
@@ -28,8 +29,9 @@
     identical to the sequential one, tuple for tuple, including order,
     lineage and probability. A θ without an equality atom silently falls
     back to the sequential sweep ({!effective_parallelism} reports the
-    decision). Output formation — lineage concatenation and probability
-    computation — always runs on the calling domain.
+    decision). Output formation — lineage concatenation and the
+    probabilities the sweep did not compute — always runs on the calling
+    domain.
 
     Inputs are assumed duplicate-free ({!Tpdb_relation.Relation.is_duplicate_free}),
     as the paper assumes of TP relations. [env] supplies the marginal
@@ -77,7 +79,8 @@ val options :
       hash-consed formula ids, so lineages repeated across windows (and
       across joins sharing one [env] closure) are evaluated once.
       Probabilities are bit-identical either way; turn it off to
-      measure the uncached path or to bound memory;
+      measure the uncached path or to bound memory. On a [static_safe]
+      plan only the windows the sweep does not price consult it;
     - [mem_budget] (default: the [TPDB_MEM_BUDGET] environment variable
       in megabytes, else [0] = unlimited): working-set budget in bytes
       for the out-of-core executor. When an equi-θ join's estimated
@@ -108,9 +111,13 @@ val est_rows : options -> (int * int) option
 
 val static_safe : options -> bool
 (** Whether the planner proved every output lineage of this join
-    read-once (default [false]). When set, probabilities are computed by
-    {!Prob.factorize} — no per-formula read-once check and no BDD
-    fallback. Only set it from a proof such as the static safe-plan
+    read-once (default [false]). When set, the [`Flat] sweep takes each
+    window's probability from its tuples' probabilities, multiplied in
+    the order {!Prob.factorize} evaluates the output lineage (so the
+    float is bit-identical), without consulting the cache; windows whose
+    partner lineages are not bare variables, and the legacy algorithms,
+    go through {!Prob.factorize} — no per-formula read-once check and no
+    BDD fallback. Only set it from a proof such as the static safe-plan
     classification in {!Tpdb_query.Analyze}; the sanitizer's output
     check cross-validates each probability against {!Prob.compute}. *)
 
@@ -166,9 +173,8 @@ val join_spilled :
 val windows_wuo :
   ?options:options -> theta:Theta.t -> Relation.t -> Relation.t -> Window.t Seq.t
 (** Overlapping + unmatched windows of [r] w.r.t. [s] (the paper's WUO):
-    {!Overlap.left} extended by LAWAU. Benched as Fig. 5. Sequential
-    streams are recomputed on every traversal; parallel streams are
-    materialized once at the first traversal. *)
+    {!Overlap.left} extended by LAWAU. Benched as Fig. 5. The stream is
+    recomputed on every traversal. *)
 
 val windows_wuon :
   ?options:options -> theta:Theta.t -> Relation.t -> Relation.t -> Window.t Seq.t

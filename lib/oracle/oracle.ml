@@ -160,11 +160,12 @@ type config = {
   sanitize : bool;
   algorithm : Tpdb_windows.Overlap.algorithm;
   mem_budget : int;
+  static_safe : bool;
 }
 
 let config ?(jobs = 1) ?(prob_cache = true) ?(sanitize = false)
-    ?(algorithm = `Flat) ?(mem_budget = 0) () =
-  { jobs; prob_cache; sanitize; algorithm; mem_budget }
+    ?(algorithm = `Flat) ?(mem_budget = 0) ?(static_safe = false) () =
+  { jobs; prob_cache; sanitize; algorithm; mem_budget; static_safe }
 
 let config_name c =
   let parts =
@@ -172,6 +173,7 @@ let config_name c =
     @ (if not c.prob_cache then [ "nocache" ] else [])
     @ (if c.sanitize then [ "sanitize" ] else [])
     @ (if c.mem_budget > 0 then [ "spill" ] else [])
+    @ (if c.static_safe then [ "safe" ] else [])
     @
     match c.algorithm with
     | `Flat -> []
@@ -184,7 +186,8 @@ let config_name c =
 
 let options_of c =
   Nj.options ~algorithm:c.algorithm ~parallelism:c.jobs ~sanitize:c.sanitize
-    ~prob_cache:c.prob_cache ~mem_budget:c.mem_budget ()
+    ~prob_cache:c.prob_cache ~mem_budget:c.mem_budget
+    ~static_safe:c.static_safe ()
 
 let default_configs =
   List.concat_map
@@ -201,7 +204,41 @@ let default_configs =
          spilled-vs-in-RAM differential *)
       config ~mem_budget:1 ();
       config ~mem_budget:1 ~sanitize:true ();
+      (* the statically safe path, where the sweep computes the
+         probabilities: run only on inputs the classifier would tag
+         (see [static_safe_inputs]) *)
+      config ~static_safe:true ();
+      config ~static_safe:true ~jobs:2 ();
+      config ~static_safe:true ~mem_budget:1 ();
     ]
+
+(* The safe-plan classifier's precondition for a join of two scans:
+   duplicate-free inputs whose lineages are distinct bare variables, with
+   no relation tag on both sides. *)
+let static_safe_inputs r s =
+  let seen = Hashtbl.create 64 in
+  let scan rel =
+    List.for_all
+      (fun tp ->
+        match Formula.view (Tuple.lineage tp) with
+        | Formula.Var v when not (Hashtbl.mem seen v) ->
+            Hashtbl.add seen v ();
+            true
+        | _ -> false)
+      (Relation.tuples rel)
+  in
+  let tags rel =
+    List.sort_uniq String.compare
+      (List.filter_map
+         (fun tp ->
+           match Formula.view (Tuple.lineage tp) with
+           | Formula.Var v -> Some (Tpdb_lineage.Var.rel v)
+           | _ -> None)
+         (Relation.tuples rel))
+  in
+  Relation.is_duplicate_free r && Relation.is_duplicate_free s && scan r
+  && scan s
+  && not (List.exists (fun t -> List.mem t (tags s)) (tags r))
 
 (* --- diffing ---------------------------------------------------------- *)
 
@@ -276,6 +313,10 @@ let diff ~expected ~actual =
 let check ?(configs = default_configs) ?(kinds = Nj.all_kinds) ?env ~theta r s
     =
   let env = match env with Some e -> e | None -> Relation.prob_env [ r; s ] in
+  let configs =
+    if static_safe_inputs r s then configs
+    else List.filter (fun c -> not c.static_safe) configs
+  in
   List.concat_map
     (fun kind ->
       let expected = eval ~env ~kind ~theta r s in

@@ -68,10 +68,12 @@ type config = {
   sanitize : bool;
   algorithm : Tpdb_windows.Overlap.algorithm;
   mem_budget : int;
+  static_safe : bool;
 }
 (** One point of the execution-configuration space of {!Nj.options}.
     [mem_budget] (bytes, [0] = in-RAM) selects the out-of-core spilling
-    executor. *)
+    executor; [static_safe] the statically safe probability path, where
+    the sweep computes the probabilities. *)
 
 val config :
   ?jobs:int ->
@@ -79,6 +81,7 @@ val config :
   ?sanitize:bool ->
   ?algorithm:Tpdb_windows.Overlap.algorithm ->
   ?mem_budget:int ->
+  ?static_safe:bool ->
   unit ->
   config
 (** Defaults mirror {!Nj.options}: [jobs 1], [prob_cache true],
@@ -96,7 +99,15 @@ val default_configs : config list
     the [`Merge] and [`Index] overlap algorithms, and the [`Scan] LAWAN
     schedule — and two tiny-budget ([mem_budget 1]) spilling variants
     that force every equi-θ scenario through the out-of-core executor,
-    proving spilled output identical to the oracle's ground truth. *)
+    proving spilled output identical to the oracle's ground truth — and
+    three statically safe variants (in RAM, [jobs 2], [mem_budget 1]),
+    which {!check} runs only on {!static_safe_inputs}. *)
+
+val static_safe_inputs : Relation.t -> Relation.t -> bool
+(** The safe-plan classifier's precondition for a join of two scans
+    ({!Tpdb_query.Analyze.read_once_safe}): both inputs duplicate-free,
+    every lineage a bare variable, no variable twice, and no relation
+    tag on both sides. *)
 
 (** {2 Diffing} *)
 
@@ -140,8 +151,9 @@ val check :
   divergence list
 (** Evaluates the oracle once per [kind] (default {!Nj.all_kinds}) and
     diffs [Nj.join] under every [config] (default {!default_configs})
-    against it. Empty iff every configuration of every kind agrees with
-    the snapshot semantics. *)
+    against it, skipping the [static_safe] ones unless
+    {!static_safe_inputs} holds. Empty iff every configuration of every
+    kind agrees with the snapshot semantics. *)
 
 (** {2 Reporting} *)
 

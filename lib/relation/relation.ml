@@ -6,17 +6,20 @@ module Prob = Tpdb_lineage.Prob
 
 type t = { schema : Schema.t; tuples : Tuple.t array }
 
+let check_arity schema tp =
+  if Fact.arity (Tuple.fact tp) <> Schema.arity schema then
+    invalid_arg
+      (Printf.sprintf "Relation.of_tuples: arity %d tuple in schema %s"
+         (Fact.arity (Tuple.fact tp))
+         (Schema.name schema))
+
 let of_tuples schema tuples =
-  let arity = Schema.arity schema in
-  List.iter
-    (fun tp ->
-      if Fact.arity (Tuple.fact tp) <> arity then
-        invalid_arg
-          (Printf.sprintf "Relation.of_tuples: arity %d tuple in schema %s"
-             (Fact.arity (Tuple.fact tp))
-             (Schema.name schema)))
-    tuples;
+  List.iter (check_arity schema) tuples;
   { schema; tuples = Array.of_list tuples }
+
+let of_array schema tuples =
+  Array.iter (check_arity schema) tuples;
+  { schema; tuples }
 
 let of_rows ~name ~columns ?tag rows =
   let tag = Option.value tag ~default:name in

@@ -10,6 +10,10 @@ val of_tuples : Schema.t -> Tuple.t list -> t
 (** Raises [Invalid_argument] if a tuple's fact arity differs from the
     schema's. *)
 
+val of_array : Schema.t -> Tuple.t array -> t
+(** {!of_tuples} over an array, which the relation takes over (the
+    caller must not mutate it afterwards). *)
+
 val of_rows :
   name:string ->
   columns:string list ->

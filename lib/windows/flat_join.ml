@@ -1,23 +1,25 @@
 (* The flat struct-of-arrays window pipeline: WO + WU + WN of each group
-   derived in one pass over endpoint arrays (Tpdb_engine.Flat), with
-   Window.t records materialized only at the group boundary the merge
-   layer consumes. Output is window-for-window identical to the legacy
+   derived in one event sweep over endpoint arrays (Tpdb_engine.Flat),
+   every window handed to the pass's consumer in stream order as soon as
+   it is built. Output is window-for-window identical to the legacy
    Overlap.left → Lawau.extend → Lawan.extend chain (a qcheck property
    asserts it); the difference is the inner loop: index arithmetic over
    unboxed int arrays instead of a Seq-of-records closure chain. *)
 
 module Interval = Tpdb_interval.Interval
 module Formula = Tpdb_lineage.Formula
+module Prob = Tpdb_lineage.Prob
 module Relation = Tpdb_relation.Relation
 module Tuple = Tpdb_relation.Tuple
 module Fact = Tpdb_relation.Fact
 module Value = Tpdb_relation.Value
 module Flat = Tpdb_engine.Flat
 module Buf = Tpdb_engine.Flat.Buf
+module Vec = Tpdb_engine.Flat.Vec
 module Hash_partition = Tpdb_engine.Hash_partition
 module Metrics = Tpdb_obs.Metrics
 
-type stage = [ `Wo | `Wuo | `Wuon ]
+type stage = [ `Wo | `Wuo | `Wuon | `Wun ]
 
 (* --- per-domain reusable scratch buffers ----------------------------- *)
 
@@ -29,6 +31,8 @@ type scratch = {
   w_ts : Buf.t;  (* matches in window order (iv, then tuple) *)
   w_te : Buf.t;
   w_j : Buf.t;
+  ends : Buf.t;  (* window ends, ascending: the event sweep's end cursor *)
+  live : Buf.t;  (* windows covering the sweep position, arrival order *)
 }
 
 (* Each domain of the pool gets its own buffers, so parallel partition
@@ -43,15 +47,33 @@ let scratch_key =
         w_ts = Buf.create ();
         w_te = Buf.create ();
         w_j = Buf.create ();
+        ends = Buf.create ();
+        live = Buf.create ();
       })
 
 let scratch () = Domain.DLS.get scratch_key
+
+(* --- probabilities --------------------------------------------------- *)
+
+(* [Prob.factorize env λ], or [nan] when the sweep cannot take a window's
+   probability from it: no [env] (the plan is not statically safe), a
+   partner lineage that is not a bare variable, or a variable [env] does
+   not bind (formation's own probability function then raises if an
+   output lineage needs it). *)
+let price env ~partner lineage =
+  let bare =
+    match Formula.view lineage with Formula.Var _ -> true | _ -> false
+  in
+  match env with
+  | Some env when bare || not partner -> (
+      try Prob.factorize env lineage with Prob.Unbound_variable _ -> Float.nan)
+  | Some _ | None -> Float.nan
 
 (* --- the build side --------------------------------------------------- *)
 
 type bucket = {
   b_tuples : Tuple.t array;  (* sorted by (interval, original position) *)
-  b_orig : int array;  (* original s position, for right-side tracking *)
+  b_p : float array;  (* [price ~partner:true] of each tuple's lineage *)
   b_flat : Flat.t;  (* their endpoints, start-sorted *)
 }
 
@@ -60,18 +82,23 @@ type ctx = {
   temporal : Flat.temporal;
   matches_residual : Fact.t -> Fact.t -> bool;
   residual_trivial : bool;  (* no fact atoms beyond the equi key *)
+  order : Tuple.t -> Tuple.t -> int;
+      (* partners of equal intersection intervals, in window order *)
+  env : Prob.env option;
 }
 
-let bucket_of_entries entries =
+let bucket_of_entries ~env entries =
   let arr = Array.of_list entries in
   Array.sort
     (fun (i, a) (j, b) ->
       let c = Interval.compare (Tuple.iv a) (Tuple.iv b) in
       if c <> 0 then c else Int.compare i j)
     arr;
+  let b_tuples = Array.map snd arr in
   {
-    b_tuples = Array.map snd arr;
-    b_orig = Array.map fst arr;
+    b_tuples;
+    b_p =
+      Array.map (fun tp -> price env ~partner:true (Tuple.lineage tp)) b_tuples;
     b_flat = Flat.of_sorted (fun (_, tp) -> Tuple.iv tp) arr;
   }
 
@@ -84,12 +111,9 @@ end)
 
 (* Single-column equi keys probe a [Value.t]-keyed table directly: no
    per-probe key-fact allocation, no multi-column hash loop. Null-keyed
-   s tuples are left out of the table — a null never equals anything, so
-   they could not match; they still surface as unmatched right-side
-   windows through the tracker. *)
-let residual_trivial residual = Theta.atoms residual = []
-
-let build_single_key ~temporal ~residual ~lcol ~rcol s =
+   build tuples are left out of the table — a null never equals
+   anything, so they could not match. *)
+let single_key_lookup ~env ~lcol ~rcol s =
   let by_key = Value_table.create 1024 in
   List.iteri
     (fun i tp ->
@@ -102,81 +126,81 @@ let build_single_key ~temporal ~residual ~lcol ~rcol s =
   let buckets = Value_table.create (Value_table.length by_key) in
   Value_table.iter
     (fun v entries ->
-      Value_table.add buckets v (bucket_of_entries (List.rev !entries)))
+      Value_table.add buckets v (bucket_of_entries ~env (List.rev !entries)))
     by_key;
-  {
-    lookup =
-      (fun r_tuple ->
-        let v = Fact.get (Tuple.fact r_tuple) lcol in
-        if Value.is_null v then None else Value_table.find_opt buckets v);
-    temporal;
-    matches_residual = Theta.matches residual;
-    residual_trivial = residual_trivial residual;
-  }
+  fun r_tuple ->
+    let v = Fact.get (Tuple.fact r_tuple) lcol in
+    if Value.is_null v then None else Value_table.find_opt buckets v
 
-let build ~theta s =
-  let temporal = (Theta.temporal theta :> Flat.temporal) in
-  match Theta.equi_keys theta with
-  | Some ([ lcol ], [ rcol ]) ->
-      build_single_key ~temporal ~residual:(Theta.residual theta) ~lcol ~rcol s
-  | equi -> (
-      let s_indexed = List.mapi (fun i tp -> (i, tp)) (Relation.tuples s) in
-      match equi with
-      | Some ([ _ ], [ _ ]) -> assert false (* handled above *)
-      | Some (left_cols, right_cols) ->
-      let partition =
-        Hash_partition.build
-          ~key:(fun (_, tp) -> Fact.key right_cols (Tuple.fact tp))
-          ~hash:Fact.hash ~equal:Fact.equal s_indexed
-      in
-      let buckets =
-        Hash_partition.build
-          ~key:(fun (key, _) -> key)
-          ~hash:Fact.hash ~equal:Fact.equal
-          (List.map
-             (fun (key, entries) -> (key, bucket_of_entries entries))
-             (Hash_partition.buckets partition))
-      in
-      let residual = Theta.residual theta in
-      {
-        lookup =
-          (fun r_tuple ->
+let build ?env ?(order = Tuple.compare_fact_start) ~theta s =
+  let indexed () = List.mapi (fun i tp -> (i, tp)) (Relation.tuples s) in
+  let lookup, residual =
+    match Theta.equi_keys theta with
+    | Some ([ lcol ], [ rcol ]) ->
+        (single_key_lookup ~env ~lcol ~rcol s, Theta.residual theta)
+    | Some (left_cols, right_cols) ->
+        let partition =
+          Hash_partition.build
+            ~key:(fun (_, tp) -> Fact.key right_cols (Tuple.fact tp))
+            ~hash:Fact.hash ~equal:Fact.equal (indexed ())
+        in
+        let buckets =
+          Hash_partition.build
+            ~key:(fun (key, _) -> key)
+            ~hash:Fact.hash ~equal:Fact.equal
+            (List.map
+               (fun (key, entries) -> (key, bucket_of_entries ~env entries))
+               (Hash_partition.buckets partition))
+        in
+        ( (fun r_tuple ->
             let key = Fact.key left_cols (Tuple.fact r_tuple) in
             if Array.exists Value.is_null key then None
             else
               match Hash_partition.probe buckets key with
               | [] -> None
-              | (_, bucket) :: _ -> Some bucket);
-        temporal;
-        matches_residual = Theta.matches residual;
-        residual_trivial = residual_trivial residual;
-      }
-      | None ->
-          let bucket = bucket_of_entries s_indexed in
-          {
-            lookup =
-              (fun _ ->
-                if Array.length bucket.b_tuples = 0 then None else Some bucket);
-            temporal;
-            matches_residual = Theta.matches theta;
-            residual_trivial = residual_trivial theta;
-          })
+              | (_, bucket) :: _ -> Some bucket),
+          Theta.residual theta )
+    | None ->
+        let bucket = bucket_of_entries ~env (indexed ()) in
+        ( (fun _ ->
+            if Array.length bucket.b_tuples = 0 then None else Some bucket),
+          theta )
+  in
+  {
+    lookup;
+    temporal = (Theta.temporal theta :> Flat.temporal);
+    matches_residual = Theta.matches residual;
+    residual_trivial = Theta.atoms residual = [];
+    order;
+    env;
+  }
 
-(* --- the probe-side group pipeline ------------------------------------ *)
+(* --- the probe-side group kernel -------------------------------------- *)
 
-let unmatched_group ~fr ~lr ~rspan =
-  Metrics.incr Metrics.Windows_unmatched;
-  [ Window.unmatched ~fr ~iv:rspan ~lr ~rspan ]
+(* What a pass builds. [count_wo]/[build_wo] are split so that the anti
+   join counts overlapping windows it never builds, and the right pass
+   of an outer join builds them (for the sanitizer only) without
+   counting them a second time. *)
+type emit = { count_wo : bool; build_wo : bool; gaps : bool; negs : bool }
+
+let some_p p = if Float.is_nan p then None else Some p
 
 (* One r tuple: collect its matches into the scratch arrays, order them,
-   and emit the group's windows for the requested stage. *)
-let group ctx scr ~stage ~mark r_tuple =
+   and hand the group's windows to [out] as they are built — or, for a
+   tuple without matches, its spanning unmatched window to [spanning]. *)
+let group ctx scr emit ~out ~spanning r_tuple =
   let fr = Tuple.fact r_tuple
   and lr = Tuple.lineage r_tuple
   and rspan = Tuple.iv r_tuple in
   let rts = Interval.ts rspan and rte = Interval.te rspan in
+  let priced = Option.is_some ctx.env in
+  let pr = price ctx.env ~partner:false lr in
+  let unmatched ~iv sink =
+    Metrics.incr Metrics.Windows_unmatched;
+    sink (Window.unmatched ?p:(some_p pr) ~fr ~iv ~lr ~rspan ())
+  in
   match ctx.lookup r_tuple with
-  | None -> unmatched_group ~fr ~lr ~rspan
+  | None -> unmatched ~iv:rspan spanning
   | Some b ->
       Buf.clear scr.m_ts;
       Buf.clear scr.m_te;
@@ -188,17 +212,16 @@ let group ctx scr ~stage ~mark r_tuple =
           Flat.end_matches ctx.temporal ~rts ~rte tev
           && ctx.matches_residual fr (Tuple.fact b.b_tuples.(j))
         then begin
-          mark b.b_orig.(j);
           Buf.push scr.m_ts (max rts (Flat.ts b.b_flat j));
           Buf.push scr.m_te (min rte tev);
           Buf.push scr.m_j j
         end
       done;
       let k = Buf.length scr.m_ts in
-      if k = 0 then unmatched_group ~fr ~lr ~rspan
+      if k = 0 then unmatched ~iv:rspan spanning
       else begin
-        (* Window order within the group: intersection interval, then
-           the s tuple — the order the legacy probe sorts into. *)
+        (* Window order within the group: intersection interval, then the
+           s tuple — the order the legacy probe sorts into. *)
         Buf.clear scr.ord;
         for x = 0 to k - 1 do
           Buf.push scr.ord x
@@ -210,7 +233,7 @@ let group ctx scr ~stage ~mark r_tuple =
               let c = Int.compare (Buf.get scr.m_te x) (Buf.get scr.m_te y) in
               if c <> 0 then c
               else
-                Tuple.compare_fact_start
+                ctx.order
                   b.b_tuples.(Buf.get scr.m_j x)
                   b.b_tuples.(Buf.get scr.m_j y));
         Buf.clear scr.w_ts;
@@ -222,89 +245,105 @@ let group ctx scr ~stage ~mark r_tuple =
           Buf.push scr.w_te (Buf.get scr.m_te o);
           Buf.push scr.w_j (Buf.get scr.m_j o)
         done;
-        let wts x = Buf.get scr.w_ts x
-        and wte x = Buf.get scr.w_te x
-        and wtuple x = b.b_tuples.(Buf.get scr.w_j x) in
-        let wo =
-          Array.init k (fun x ->
-              Metrics.incr Metrics.Windows_overlapping;
-              let s_tuple = wtuple x in
-              Window.overlapping ~fr ~fs:(Tuple.fact s_tuple)
-                ~iv:(Interval.make (wts x) (wte x))
-                ~lr
-                ~ls:(Tuple.lineage s_tuple)
-                ~rspan ~sspan:(Tuple.iv s_tuple))
+        let wts x = Buf.get scr.w_ts x and wte x = Buf.get scr.w_te x in
+        let overlapping x =
+          if emit.count_wo then Metrics.incr Metrics.Windows_overlapping;
+          if emit.build_wo then begin
+            let j = Buf.get scr.w_j x in
+            let s_tuple = b.b_tuples.(j) in
+            out
+              (Window.overlapping
+                 ?p:(some_p (pr *. b.b_p.(j)))
+                 ~fr ~fs:(Tuple.fact s_tuple)
+                 ~iv:(Interval.make (wts x) (wte x))
+                 ~lr ~ls:(Tuple.lineage s_tuple) ~rspan
+                 ~sspan:(Tuple.iv s_tuple) ())
+          end
         in
-        match stage with
-        | `Wo -> Array.to_list wo
-        | (`Wuo | `Wuon) as stage ->
-            (* LAWAU: cursor sweep for the uncovered gaps, interleaved
-               before the window that bounds them. *)
-            let acc = ref [] in
-            let cursor = ref rts in
-            let gap upto =
-              match Interval.make_opt !cursor upto with
-              | Some iv ->
-                  Metrics.incr Metrics.Windows_unmatched;
-                  acc := Window.unmatched ~fr ~iv ~lr ~rspan :: !acc
-              | None -> ()
-            in
-            for x = 0 to k - 1 do
-              gap (wts x);
-              acc := wo.(x) :: !acc;
-              cursor := max !cursor (wte x)
-            done;
-            gap rte;
-            let wuo = List.rev !acc in
-            if stage = `Wuo then wuo
+        (* LAWAN: a maximal constant-coverage segment, λs = the live
+           lineages in arrival order. p multiplies in the order
+           [Prob.factorize] folds [λr ∧ ¬(λs1 ∨ … ∨ λsk)]: λr's conjuncts,
+           then the negated disjunction, a bare [¬λs1] when k = 1. *)
+        let negating a t =
+          Metrics.incr Metrics.Sweep_segments;
+          Metrics.incr Metrics.Windows_negating;
+          let live = scr.live in
+          let n = Buf.length live in
+          let partner y = Buf.get scr.w_j (Buf.get live y) in
+          let ls = ref [] in
+          for y = n - 1 downto 0 do
+            ls := Tuple.lineage b.b_tuples.(partner y) :: !ls
+          done;
+          let p_not =
+            if not priced then Float.nan
+            else if n = 1 then 1.0 -. b.b_p.(partner 0)
             else begin
-              (* LAWAN: maximal constant-coverage segments of the match
-                 intervals, λs in arrival order. *)
-              let negs = ref [] in
-              let x = ref 0 in
-              let pos = ref 0 in
-              let active = ref [] in
-              let admit t =
-                while !x < k && wts !x = t do
-                  active := (wte !x, !x) :: !active;
-                  incr x
-                done
-              in
-              while !x < k || !active <> [] do
-                if !active = [] then begin
-                  pos := wts !x;
-                  admit !pos
-                end
-                else begin
-                  let next_start = if !x < k then wts !x else max_int in
-                  let min_end =
-                    List.fold_left (fun m (e, _) -> min m e) max_int !active
-                  in
-                  let t = min min_end next_start in
-                  if t > !pos then begin
-                    Metrics.incr Metrics.Sweep_segments;
-                    Metrics.incr Metrics.Windows_negating;
-                    let ls =
-                      Formula.disj
-                        (List.rev_map
-                           (fun (_, y) -> Tuple.lineage (wtuple y))
-                           !active)
-                    in
-                    negs :=
-                      Window.negating ~fr ~iv:(Interval.make !pos t) ~lr ~ls
-                        ~rspan
-                      :: !negs
-                  end;
-                  active := List.filter (fun (e, _) -> e > t) !active;
-                  admit t;
-                  pos := t
+              let q = ref 1.0 in
+              for y = 0 to n - 1 do
+                q := !q *. (1.0 -. b.b_p.(partner y))
+              done;
+              1.0 -. (1.0 -. !q)
+            end
+          in
+          out
+            (Window.negating
+               ?p:(some_p (pr *. p_not))
+               ~fr ~iv:(Interval.make a t) ~lr ~ls:(Formula.disj !ls) ~rspan ())
+        in
+        if not (emit.gaps || emit.negs) then
+          for x = 0 to k - 1 do
+            overlapping x
+          done
+        else begin
+          (* One ascending event sweep over the window starts (already
+             sorted: window order) and the sorted ends. At each event the
+             segment since the previous one is a gap (LAWAU) when nothing
+             covers it and a negating window (LAWAN) otherwise; windows
+             starting at the event follow it. That is exactly the legacy
+             stream order: LAWAU's gaps in front of the window bounding
+             them, LAWAN's segments merged in by start, overlapping
+             windows first on ties. *)
+          Buf.clear scr.ends;
+          for x = 0 to k - 1 do
+            Buf.push scr.ends (wte x)
+          done;
+          Buf.sort scr.ends Int.compare;
+          Buf.clear scr.live;
+          let i = ref 0 and j = ref 0 and pos = ref rts in
+          while !j < k do
+            let t =
+              if !i < k && wts !i <= Buf.get scr.ends !j then wts !i
+              else Buf.get scr.ends !j
+            in
+            if t > !pos then
+              if Buf.length scr.live = 0 then begin
+                if emit.gaps then unmatched ~iv:(Interval.make !pos t) out
+              end
+              else if emit.negs then negating !pos t;
+            while !i < k && wts !i = t do
+              overlapping !i;
+              Buf.push scr.live !i;
+              incr i
+            done;
+            if Buf.get scr.ends !j = t then begin
+              while !j < k && Buf.get scr.ends !j = t do
+                incr j
+              done;
+              let kept = ref 0 in
+              for y = 0 to Buf.length scr.live - 1 do
+                let x = Buf.get scr.live y in
+                if wte x > t then begin
+                  Buf.set scr.live !kept x;
+                  incr kept
                 end
               done;
-              List.merge
-                (fun a b ->
-                  Interval.compare_start (Window.iv a) (Window.iv b))
-                wuo (List.rev !negs)
-            end
+              Buf.truncate scr.live !kept
+            end;
+            pos := t
+          done;
+          if emit.gaps && rte > !pos then
+            unmatched ~iv:(Interval.make !pos rte) out
+        end
       end
 
 (* Counting kernel: derive every window boundary of the group on the
@@ -379,31 +418,51 @@ let count_group ctx scr ~stage r_tuple =
           pos := t
         done;
         if rte > !pos then incr gaps;
-        let segments = if stage = `Wuon then !segments else 0 in
-        k + !gaps + segments
+        match stage with
+        | `Wuon -> k + !gaps + !segments
+        | `Wun -> !gaps + !segments
+        | `Wuo | `Wo -> k + !gaps
       end
 
 (* --- entry points ------------------------------------------------------ *)
 
+let emit_of_stage ~sanitize : stage -> emit = function
+  | `Wo -> { count_wo = true; build_wo = true; gaps = false; negs = false }
+  | `Wuo -> { count_wo = true; build_wo = true; gaps = true; negs = false }
+  | `Wuon -> { count_wo = true; build_wo = true; gaps = true; negs = true }
+  | `Wun -> { count_wo = true; build_wo = sanitize; gaps = true; negs = true }
+
 let invariant_stage : stage -> Invariant.stage = function
   | `Wo -> Invariant.Overlap
   | `Wuo -> Invariant.Wuo
-  | `Wuon -> Invariant.Wuon
+  | `Wuon | `Wun -> Invariant.Wuon
 
-let left_with ~stage ~theta ~mark r s =
-  let ctx = build ~theta s in
-  let r_sorted = Relation.sorted_by_fact_start r in
-  Seq.concat_map
-    (fun r_tuple ->
-      List.to_seq (group ctx (scratch ()) ~stage ~mark r_tuple))
-    (List.to_seq r_sorted)
+let sweep ?env ?order ~emit ~theta ~out ~spanning r s =
+  let ctx = build ?env ?order ~theta s in
+  let scr = scratch () in
+  List.iter
+    (fun r_tuple -> group ctx scr emit ~out ~spanning r_tuple)
+    (Relation.sorted_by_fact_start r)
 
-let checked ~stage ~sanitize ~theta stream =
-  if sanitize then Invariant.wrap ~stage:(invariant_stage stage) ~theta stream
-  else stream
+let iter ?(stage = `Wuon) ?env ~theta r s f =
+  let emit = emit_of_stage ~sanitize:false stage in
+  sweep ?env ~emit ~theta ~out:f ~spanning:f r s
 
-let left ?(stage = `Wuon) ?(sanitize = false) ~theta r s =
-  checked ~stage ~sanitize ~theta (left_with ~stage ~theta ~mark:ignore r s)
+(* Under the sanitizer a pass that drops its overlapping windows builds
+   them anyway, so the checker sees whole groups, and drops them after
+   the check. *)
+let checked ~sanitize ~stage ~theta ~drop_wo ws =
+  if not sanitize then ws
+  else
+    Invariant.wrap ~stage:(invariant_stage stage) ~theta (Array.to_seq ws)
+    |> Seq.filter (fun w -> not (drop_wo && Window.kind w = Window.Overlapping))
+    |> Array.of_seq
+
+let windows ?(stage = `Wuon) ?(sanitize = false) ?env ~theta r s =
+  let out = Vec.create () in
+  let emit = emit_of_stage ~sanitize stage in
+  sweep ?env ~emit ~theta ~out:(Vec.push out) ~spanning:(Vec.push out) r s;
+  checked ~sanitize ~stage ~theta ~drop_wo:(stage = `Wun) (Vec.contents out)
 
 let count ?(stage = `Wuon) ~theta r s =
   let ctx = build ~theta s in
@@ -412,49 +471,36 @@ let count ?(stage = `Wuon) ~theta r s =
     (fun n r_tuple -> n + count_group ctx scr ~stage r_tuple)
     0 (Relation.tuples r)
 
-type right_tracker = {
-  s_tuples : Tuple.t array;
-  matched : bool array;
-  mutable drained : bool;
-}
-
-let left_tracking ?(stage = `Wuon) ?(sanitize = false) ~theta r s =
-  let s_tuples = Relation.to_array s in
-  let tracker =
-    {
-      s_tuples;
-      matched = Array.make (Array.length s_tuples) false;
-      drained = false;
-    }
-  in
-  let stream =
-    let body =
-      checked ~stage ~sanitize ~theta
-        (left_with ~stage ~theta
-           ~mark:(fun i -> tracker.matched.(i) <- true)
-           r s)
+(* Partners of one s group in the legacy right pass's order: that pass
+   sorts the mirrored overlapping windows with [Window.compare_group_start]
+   — after the interval, by the r fact, then the normalized r lineage —
+   and its stable sort keeps the left pass's r group order on the
+   remaining ties. *)
+let mirrored_order a b =
+  let c = Fact.compare (Tuple.fact a) (Tuple.fact b) in
+  if c <> 0 then c
+  else
+    let c =
+      Formula.compare
+        (Formula.normalize (Tuple.lineage a))
+        (Formula.normalize (Tuple.lineage b))
     in
-    Seq.append body
-      (fun () ->
-        tracker.drained <- true;
-        Seq.Nil)
-  in
-  (stream, tracker)
+    if c <> 0 then c else Tuple.compare_fact_start a b
 
-let unmatched_right tracker =
-  if not tracker.drained then
-    invalid_arg "Flat_join.unmatched_right: main stream not yet drained";
-  let unmatched =
-    List.filter_map
-      (fun i ->
-        if tracker.matched.(i) then None
-        else begin
-          Metrics.incr Metrics.Windows_unmatched;
-          let tp = tracker.s_tuples.(i) in
-          Some
-            (Window.unmatched ~fr:(Tuple.fact tp) ~iv:(Tuple.iv tp)
-               ~lr:(Tuple.lineage tp) ~rspan:(Tuple.iv tp))
-        end)
-      (List.init (Array.length tracker.s_tuples) Fun.id)
+let right_pass ~sanitize ?env ~theta r s ~gaps ~spanning =
+  let emit =
+    { count_wo = false; build_wo = sanitize; gaps = true; negs = true }
   in
-  List.to_seq (List.sort Window.compare_group_start unmatched)
+  sweep ?env ~order:mirrored_order ~emit ~theta:(Theta.swap theta) ~out:gaps
+    ~spanning s r
+
+let iter_right ?env ~theta r s ~gaps ~spanning =
+  right_pass ~sanitize:false ?env ~theta r s ~gaps ~spanning
+
+let right ?(sanitize = false) ?env ~theta r s =
+  let gaps = Vec.create () and spanning = Vec.create () in
+  right_pass ~sanitize ?env ~theta r s ~gaps:(Vec.push gaps)
+    ~spanning:(Vec.push spanning);
+  ( checked ~sanitize ~stage:`Wun ~theta:(Theta.swap theta) ~drop_wo:true
+      (Vec.contents gaps),
+    Vec.contents spanning )

@@ -1,62 +1,93 @@
 (** The flat struct-of-arrays window pipeline (the default executor).
 
-    Computes, per group (one [r] tuple), the overlapping windows plus —
+    Computes, per group (one probe tuple), the overlapping windows plus —
     depending on [stage] — the unmatched gaps (LAWAU) and the negating
-    constant-coverage segments (LAWAN), all derived from the same
-    start-sorted endpoint arrays ({!Tpdb_engine.Flat}) with index
-    arithmetic. [Window.t] records are materialized only at the group
-    boundary. The probe kernel supports the full temporal component of θ:
-    the classic [`Overlap] and all 13 [`Allen] relations
-    ({!Tpdb_engine.Flat.window_range}).
+    constant-coverage segments (LAWAN) in one ascending event sweep over
+    the group's match endpoints ({!Tpdb_engine.Flat}); the sweep's live
+    set is an int buffer of match indices in arrival order. The probe
+    kernel supports the full temporal component of θ: [`Overlap] and
+    all 13 [`Allen] relations ({!Tpdb_engine.Flat.window_range}).
 
     Output is window-for-window identical (content and order) to the
     legacy [Overlap.left] → [Lawau.extend] → [Lawan.extend] chain at the
-    corresponding stage; the legacy chain remains available through
-    {!Tpdb_joins.Nj.options} as the ablation baseline the bench suite
-    measures the flat core against.
+    corresponding stage, which {!Tpdb_joins.Nj.options} keeps as the
+    ablation baseline. The right side of an outer join is the same
+    kernel over [Theta.swap theta] with [s] as the probe side.
+
+    With [?env] (a statically safe plan) each build side carries its
+    tuples' probabilities, [Prob.factorize env λ] of bare-variable
+    lineages, and each window records its output lineage's probability
+    ({!Window.p}), multiplied in the order [Prob.factorize] evaluates
+    that lineage, so the float is bit-identical; windows with a partner
+    lineage that is not a bare variable keep [nan].
 
     Scratch buffers are per-domain ([Domain.DLS]), so the parallel
-    executor's partition sweeps each get their own flat buffers. *)
+    executor's partition sweeps each get their own. *)
 
 module Relation = Tpdb_relation.Relation
 
-type stage = [ `Wo | `Wuo | `Wuon ]
+type stage = [ `Wo | `Wuo | `Wuon | `Wun ]
 (** How far to extend each group: overlapping/spanning-unmatched only
     ([`Wo], the conventional outer join), plus gap windows ([`Wuo]), plus
-    negating windows ([`Wuon]). *)
+    negating windows ([`Wuon]). [`Wun] is [`Wuon] without its
+    overlapping windows — the anti join's input: they are counted in
+    {!Tpdb_obs.Metrics} but never built. *)
 
-val left :
+val iter :
   ?stage:stage ->
-  ?sanitize:bool ->
+  ?env:Tpdb_lineage.Prob.env ->
   theta:Theta.t ->
   Relation.t ->
   Relation.t ->
-  Window.t Seq.t
-(** The stream is recomputed on every traversal. [stage] defaults to
-    [`Wuon]; with [~sanitize:true] the stream is wrapped in
-    {!Invariant.wrap} at the matching stage. *)
+  (Window.t -> unit) ->
+  unit
+(** [iter ~stage ~theta r s f] hands the windows of [r] against [s],
+    grouped by [r] tuple, to [f] in stream order, each as soon as it is
+    built. [stage] defaults to [`Wuon]. *)
+
+val windows :
+  ?stage:stage ->
+  ?sanitize:bool ->
+  ?env:Tpdb_lineage.Prob.env ->
+  theta:Theta.t ->
+  Relation.t ->
+  Relation.t ->
+  Window.t array
+(** The windows {!iter} hands out; with [~sanitize:true] they pass
+    through {!Invariant.wrap} at the matching stage. *)
+
+val iter_right :
+  ?env:Tpdb_lineage.Prob.env ->
+  theta:Theta.t ->
+  Relation.t ->
+  Relation.t ->
+  gaps:(Window.t -> unit) ->
+  spanning:(Window.t -> unit) ->
+  unit
+(** The right side of the outer joins [r ⟖ s] and [r ⟗ s]: one pass of
+    the kernel over [Theta.swap theta] that probes with [s] and builds
+    on [r]. The unmatched and negating windows of the [s] tuples with a
+    match go to [gaps], the spanning windows of those without one to
+    [spanning], each grouped by [s] tuple. Overlapping windows are
+    neither built nor counted (the left pass has them); a negating
+    window's partners come in the order of the legacy mirrored-window
+    sweep. *)
+
+val right :
+  ?sanitize:bool ->
+  ?env:Tpdb_lineage.Prob.env ->
+  theta:Theta.t ->
+  Relation.t ->
+  Relation.t ->
+  Window.t array * Window.t array
+(** {!iter_right}'s two streams; with [~sanitize:true] the first is
+    checked at the LAWAN stage. *)
 
 val count : ?stage:stage -> theta:Theta.t -> Relation.t -> Relation.t -> int
-(** [count ~stage ~theta r s] is [Seq.length (left ~stage ~theta r s)]
-    computed entirely on the flat endpoint buffers: no [Window.t]
+(** [count ~stage ~theta r s] is [Array.length (windows ~stage ~theta r
+    s)] computed entirely on the flat endpoint buffers: no [Window.t]
     records, no lineage, no probe-order sort — the windows of each group
     are only {e counted} from one ascending event sweep over the match
     endpoints. This is the sweep core's raw throughput (the quantity the
     bench regression gate holds ≥5x over the legacy chain) and the fast
     path for count-only consumers. *)
-
-type right_tracker
-(** Same contract as {!Overlap.right_tracker}: remembers which [s]
-    tuples matched at least once. *)
-
-val left_tracking :
-  ?stage:stage ->
-  ?sanitize:bool ->
-  theta:Theta.t ->
-  Relation.t ->
-  Relation.t ->
-  Window.t Seq.t * right_tracker
-
-val unmatched_right : right_tracker -> Window.t Seq.t
-(** Spanning unmatched windows of the never-matched [s] tuples; raises
-    [Invalid_argument] before the main stream has been drained. *)

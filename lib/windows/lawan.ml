@@ -27,7 +27,7 @@ let negating_of_group group =
       Sweep.constant_segments (Sweep.Source.of_list overlapping)
       |> List.map (fun (iv, lineages) ->
              Tpdb_obs.Metrics.incr Tpdb_obs.Metrics.Windows_negating;
-             Window.negating ~fr ~iv ~lr ~ls:(Formula.disj lineages) ~rspan)
+             Window.negating ~fr ~iv ~lr ~ls:(Formula.disj lineages) ~rspan ())
 
 let extend_group group =
   let negs = negating_of_group group in

@@ -11,7 +11,7 @@ let extend_group group =
         Interval.make_opt cursor upto
         |> Option.map (fun iv ->
                Tpdb_obs.Metrics.incr Tpdb_obs.Metrics.Windows_unmatched;
-               Window.unmatched ~fr ~iv ~lr ~rspan)
+               Window.unmatched ~fr ~iv ~lr ~rspan ())
       in
       let rec sweep cursor acc = function
         | [] ->

@@ -22,7 +22,7 @@ let windows_of_probe r_tuple matches =
   match matches with
   | [] ->
       Metrics.incr Metrics.Windows_unmatched;
-      [ Window.unmatched ~fr ~iv:rspan ~lr ~rspan ]
+      [ Window.unmatched ~fr ~iv:rspan ~lr ~rspan () ]
   | _ ->
       let with_iv =
         List.filter_map
@@ -42,7 +42,7 @@ let windows_of_probe r_tuple matches =
         (fun (iv, s_tuple) ->
           Metrics.incr Metrics.Windows_overlapping;
           Window.overlapping ~fr ~fs:(Tuple.fact s_tuple) ~iv ~lr
-            ~ls:(Tuple.lineage s_tuple) ~rspan ~sspan:(Tuple.iv s_tuple))
+            ~ls:(Tuple.lineage s_tuple) ~rspan ~sspan:(Tuple.iv s_tuple) ())
         sorted
 
 let probe_fn ?(algorithm = `Hash) ~theta s_indexed =
@@ -207,7 +207,7 @@ let unmatched_right tracker =
           let tp = tracker.s_tuples.(i) in
           Some
             (Window.unmatched ~fr:(Tuple.fact tp) ~iv:(Tuple.iv tp)
-               ~lr:(Tuple.lineage tp) ~rspan:(Tuple.iv tp))
+               ~lr:(Tuple.lineage tp) ~rspan:(Tuple.iv tp) ())
         end)
       (List.init (Array.length tracker.s_tuples) Fun.id)
   in

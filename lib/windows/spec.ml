@@ -65,8 +65,8 @@ let per_tuple_windows ~theta r s =
       List.map
         (fun (iv, state) ->
           match state with
-          | None -> Window.unmatched ~fr ~iv ~lr ~rspan
-          | Some ls -> Window.negating ~fr ~iv ~lr ~ls ~rspan)
+          | None -> Window.unmatched ~fr ~iv ~lr ~rspan ()
+          | Some ls -> Window.negating ~fr ~iv ~lr ~ls ~rspan ())
         (runs_of_tuple ~theta ~s r_tuple))
     (Relation.tuples r)
 
@@ -84,7 +84,7 @@ let overlapping_windows ~theta r s =
                    Window.overlapping ~fr:(Tuple.fact r_tuple)
                      ~fs:(Tuple.fact s_tuple) ~iv ~lr:(Tuple.lineage r_tuple)
                      ~ls:(Tuple.lineage s_tuple) ~rspan:(Tuple.iv r_tuple)
-                     ~sspan:(Tuple.iv s_tuple))
+                     ~sspan:(Tuple.iv s_tuple) ())
           else None)
         (Relation.tuples s))
     (Relation.tuples r)

@@ -13,6 +13,7 @@ type t = {
   ls : Formula.t option;
   rspan : Interval.t;
   sspan : Interval.t option;
+  p : float;
 }
 
 let check_span name span iv =
@@ -21,7 +22,7 @@ let check_span name span iv =
       (Printf.sprintf "Window: %s %s does not cover window interval %s" name
          (Interval.to_string span) (Interval.to_string iv))
 
-let overlapping ~fr ~fs ~iv ~lr ~ls ~rspan ~sspan =
+let overlapping ?(p = Float.nan) ~fr ~fs ~iv ~lr ~ls ~rspan ~sspan () =
   check_span "rspan" rspan iv;
   check_span "sspan" sspan iv;
   {
@@ -33,15 +34,18 @@ let overlapping ~fr ~fs ~iv ~lr ~ls ~rspan ~sspan =
     ls = Some ls;
     rspan;
     sspan = Some sspan;
+    p;
   }
 
-let unmatched ~fr ~iv ~lr ~rspan =
+let unmatched ?(p = Float.nan) ~fr ~iv ~lr ~rspan () =
   check_span "rspan" rspan iv;
-  { kind = Unmatched; fr; fs = None; iv; lr; ls = None; rspan; sspan = None }
+  let fs = None and ls = None and sspan = None in
+  { kind = Unmatched; fr; fs; iv; lr; ls; rspan; sspan; p }
 
-let negating ~fr ~iv ~lr ~ls ~rspan =
+let negating ?(p = Float.nan) ~fr ~iv ~lr ~ls ~rspan () =
   check_span "rspan" rspan iv;
-  { kind = Negating; fr; fs = None; iv; lr; ls = Some ls; rspan; sspan = None }
+  let ls = Some ls in
+  { kind = Negating; fr; fs = None; iv; lr; ls; rspan; sspan = None; p }
 
 let kind w = w.kind
 let fr w = w.fr
@@ -50,6 +54,7 @@ let iv w = w.iv
 let lr w = w.lr
 let ls w = w.ls
 let rspan w = w.rspan
+let p w = w.p
 
 let mirror w =
   match (w.kind, w.fs, w.ls, w.sspan) with
@@ -63,6 +68,7 @@ let mirror w =
         ls = Some w.lr;
         rspan = sspan;
         sspan = Some w.rspan;
+        p = Float.nan;
       }
   | _ -> invalid_arg "Window.mirror: not an overlapping window"
 

@@ -13,8 +13,12 @@
 
     Windows additionally carry [rspan], the original interval of the
     spanning [r] tuple (and [sspan] for overlapping windows): LAWAU needs
-    it to find coverage gaps, and mirroring an overlapping window for the
-    right-hand side of a full outer join needs the [s] span. *)
+    it to find coverage gaps, and the sanitizer checks a WO window
+    against [rspan ∩ sspan]. [p] is the probability of the window's
+    output lineage when the flat sweep computed it from its build side's
+    tuple probabilities (static-safe plans, see
+    {!Tpdb_joins.Nj.options}), and [nan] otherwise; output formation
+    computes the missing ones. *)
 
 module Interval = Tpdb_interval.Interval
 module Formula = Tpdb_lineage.Formula
@@ -31,9 +35,11 @@ type t = private {
   ls : Formula.t option;
   rspan : Interval.t;
   sspan : Interval.t option;
+  p : float;
 }
 
 val overlapping :
+  ?p:float ->
   fr:Fact.t ->
   fs:Fact.t ->
   iv:Interval.t ->
@@ -41,19 +47,28 @@ val overlapping :
   ls:Formula.t ->
   rspan:Interval.t ->
   sspan:Interval.t ->
+  unit ->
   t
 (** Raises [Invalid_argument] unless [rspan] and [sspan] both cover
-    [iv]. *)
+    [iv]. [p] defaults to [nan] (not computed), here and below. *)
 
 val unmatched :
-  fr:Fact.t -> iv:Interval.t -> lr:Formula.t -> rspan:Interval.t -> t
+  ?p:float ->
+  fr:Fact.t ->
+  iv:Interval.t ->
+  lr:Formula.t ->
+  rspan:Interval.t ->
+  unit ->
+  t
 
 val negating :
+  ?p:float ->
   fr:Fact.t ->
   iv:Interval.t ->
   lr:Formula.t ->
   ls:Formula.t ->
   rspan:Interval.t ->
+  unit ->
   t
 
 val kind : t -> kind
@@ -64,10 +79,14 @@ val lr : t -> Formula.t
 val ls : t -> Formula.t option
 val rspan : t -> Interval.t
 
+val p : t -> float
+(** The precomputed output probability, or [nan]. *)
+
 val mirror : t -> t
 (** Swaps the two sides of an {e overlapping} window, so that the result
-    is grouped and spanned by the original [s] tuple. Raises
-    [Invalid_argument] on unmatched/negating windows. *)
+    is grouped and spanned by the original [s] tuple ([p] resets to
+    [nan]: the conjunction's order changes). Raises [Invalid_argument]
+    on unmatched/negating windows. *)
 
 val same_group : t -> t -> bool
 (** Two windows belong to the same LAWAU/LAWAN group iff they stem from
@@ -87,7 +106,8 @@ val compare_group_start : t -> t -> int
 
 val equal : t -> t -> bool
 (** Structural, with [ls] compared after {!Formula.normalize} (the
-    disjunction order in a negating window is not semantic). *)
+    disjunction order in a negating window is not semantic); [p] is not
+    compared. *)
 
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

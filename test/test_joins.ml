@@ -19,16 +19,16 @@ let test_concat_functions () =
   let fr = Fact.of_strings [ "x" ] and lr = Formula.of_string "a1" in
   let overl =
     Window.overlapping ~fr ~fs:(Fact.of_strings [ "y" ]) ~iv:(iv 1 3) ~lr
-      ~ls:(Formula.of_string "b1") ~rspan:(iv 0 4) ~sspan:(iv 1 3)
+      ~ls:(Formula.of_string "b1") ~rspan:(iv 0 4) ~sspan:(iv 1 3) ()
   in
   Alcotest.(check string) "and" "a1 & b1"
     (Formula.to_string_ascii (Concat.output_lineage overl));
-  let unm = Window.unmatched ~fr ~iv:(iv 1 3) ~lr ~rspan:(iv 0 4) in
+  let unm = Window.unmatched ~fr ~iv:(iv 1 3) ~lr ~rspan:(iv 0 4) () in
   Alcotest.(check string) "pass-through" "a1"
     (Formula.to_string_ascii (Concat.output_lineage unm));
   let negw =
     Window.negating ~fr ~iv:(iv 1 3) ~lr
-      ~ls:(Formula.of_string "b1 | b2") ~rspan:(iv 0 4)
+      ~ls:(Formula.of_string "b1 | b2") ~rspan:(iv 0 4) ()
   in
   Alcotest.(check string) "andNot" "a1 & !(b1 | b2)"
     (Formula.to_string_ascii (Concat.output_lineage negw));
@@ -198,24 +198,24 @@ let test_sanitizer_detects_violations () =
   (* A WO window that is not rspan ∩ sspan ([1,3) vs [1,4)). *)
   let broken_wo =
     Window.overlapping ~fr ~fs ~iv:(iv 1 3) ~lr ~ls ~rspan:(iv 0 4)
-      ~sspan:(iv 1 4)
+      ~sspan:(iv 1 4) ()
   in
   expect_violation "a WO window that is not the interval intersection"
     (Invariant.wrap ~stage:Invariant.Overlap (List.to_seq [ broken_wo ]));
   (* A WU set that does not cover r.T ([0,2) leaves [2,4) uncovered). *)
-  let partial_wu = Window.unmatched ~fr ~iv:(iv 0 2) ~lr ~rspan:(iv 0 4) in
+  let partial_wu = Window.unmatched ~fr ~iv:(iv 0 2) ~lr ~rspan:(iv 0 4) () in
   expect_violation "a WU set that does not cover r.T"
     (Invariant.wrap ~stage:Invariant.Wuo (List.to_seq [ partial_wu ]));
   (* A WN window before the LAWAN stage. *)
-  let premature_wn = Window.negating ~fr ~iv:(iv 0 2) ~lr ~ls ~rspan:(iv 0 4) in
+  let premature_wn = Window.negating ~fr ~iv:(iv 0 2) ~lr ~ls ~rspan:(iv 0 4) () in
   expect_violation "a negating window before LAWAN"
     (Invariant.wrap ~stage:Invariant.Wuo
        (List.to_seq
-          [ Window.unmatched ~fr ~iv:(iv 0 4) ~lr ~rspan:(iv 0 4); premature_wn ]));
+          [ Window.unmatched ~fr ~iv:(iv 0 4) ~lr ~rspan:(iv 0 4) (); premature_wn ]));
   (* A θ-mismatched WO pair. *)
   let mismatched =
     Window.overlapping ~fr ~fs ~iv:(iv 0 4) ~lr ~ls ~rspan:(iv 0 4)
-      ~sspan:(iv 0 4)
+      ~sspan:(iv 0 4) ()
   in
   expect_violation "a WO pair that does not satisfy θ"
     (Invariant.wrap ~stage:Invariant.Overlap ~theta:theta_k
@@ -223,7 +223,7 @@ let test_sanitizer_detects_violations () =
   (* Descending group order across the merged stream. *)
   let group_of name span =
     Window.unmatched ~fr:(Fact.of_strings [ name ]) ~iv:span
-      ~lr:(Formula.of_string "a1") ~rspan:span
+      ~lr:(Formula.of_string "a1") ~rspan:span ()
   in
   (match Invariant.check_group_order [ group_of "b" (iv 0 4); group_of "a" (iv 0 4) ] with
   | exception Invariant.Violation _ -> ()
@@ -231,7 +231,7 @@ let test_sanitizer_detects_violations () =
   (* And the valid counterparts all pass. *)
   let ok =
     Window.overlapping ~fr ~fs ~iv:(iv 1 3) ~lr ~ls ~rspan:(iv 0 4)
-      ~sspan:(iv 1 3)
+      ~sspan:(iv 1 3) ()
   in
   let checked =
     List.of_seq (Invariant.wrap ~stage:Invariant.Overlap (List.to_seq [ ok ]))
@@ -462,6 +462,71 @@ let prop_composed_joins_match_oracle =
         (Reference.left_outer ~env ~theta derived s)
         (Nj.left_outer ~env ~theta derived s))
 
+let prop_static_safe_probabilities_bit_identical =
+  (* A statically safe plan takes its probabilities from the sweep (or,
+     for a window whose partner lineage is not a bare variable, from
+     [Prob.factorize] through the cache): either way each output p has
+     the bits of [Prob.factorize] on the output lineage — on base
+     relations for every kind, and on a right outer join over an inner
+     join's output, whose preserved side's lineages are conjunctions. *)
+  let bits = Int64.bits_of_float in
+  Test.make ~name:"static-safe join p = Prob.factorize bits (all kinds)"
+    ~count:80 ~print:Tp_gen.print_triple
+    (Tp_gen.scenario_gen ())
+    (fun (theta, r, s) ->
+      let t =
+        Relation.of_tuples
+          (Tpdb_relation.Schema.make ~name:"t" [ "K"; "Sub" ])
+          (List.mapi
+             (fun i tp ->
+               Tuple.make ~fact:(Tuple.fact tp)
+                 ~lineage:(Formula.var (Tpdb_lineage.Var.make "t" (i + 1)))
+                 ~iv:(Tuple.iv tp) ~p:(1.0 -. Tuple.p tp))
+             (Relation.tuples s))
+      in
+      let env = Relation.prob_env [ r; s; t ] in
+      let exact rel =
+        List.for_all
+          (fun tp ->
+            Int64.equal (bits (Tuple.p tp))
+              (bits (Prob.factorize env (Tuple.lineage tp))))
+          (Relation.tuples rel)
+      in
+      let derived = Nj.join ~env ~kind:Nj.Inner ~theta s t in
+      List.for_all
+        (fun options ->
+          List.for_all
+            (fun kind ->
+              let safe = Nj.join ~options ~env ~kind ~theta r s in
+              exact safe
+              && List.equal Tuple.equal
+                   (Relation.tuples (Nj.join ~env ~kind ~theta r s))
+                   (Relation.tuples safe))
+            all_kinds
+          && exact (Nj.join ~options ~env ~kind:Nj.Right ~theta r derived))
+        [
+          Nj.options ~static_safe:true ();
+          Nj.options ~static_safe:true ~prob_cache:false ();
+          Nj.options ~static_safe:true ~parallelism:2 ();
+          Nj.options ~static_safe:true ~mem_budget:1 ();
+        ])
+
+let test_join_spilled_counts_tuples_in () =
+  let r = Fixtures.relation_a () and s = Fixtures.relation_b () in
+  let m = Tpdb_obs.Metrics.create () in
+  ignore
+    (Tpdb_obs.Metrics.with_sink m (fun () ->
+         Nj.join_spilled
+           ~options:(Nj.options ~mem_budget:1 ())
+           ~env:(Relation.prob_env [ r; s ])
+           ~kind:Nj.Full ~theta:Fixtures.theta_loc
+           ~left:(Relation.schema r, Relation.to_seq r)
+           ~right:(Relation.schema s, Relation.to_seq s)
+           ()));
+  Alcotest.(check int) "tuples_in = |r| + |s|"
+    (Relation.cardinality r + Relation.cardinality s)
+    (Tpdb_obs.Metrics.get m Tpdb_obs.Metrics.Tuples_in)
+
 let suite =
   [
     Alcotest.test_case "lineage concatenation functions" `Quick test_concat_functions;
@@ -492,4 +557,7 @@ let suite =
     qtest prop_spilled_equals_in_ram;
     qtest prop_join_spilled_streams_equal_join;
     qtest prop_composed_joins_match_oracle;
+    qtest prop_static_safe_probabilities_bit_identical;
+    Alcotest.test_case "join_spilled counts its input tuples" `Quick
+      test_join_spilled_counts_tuples_in;
   ]

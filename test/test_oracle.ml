@@ -186,6 +186,28 @@ let differential_full_matrix =
                (List.map (Oracle.report ~theta) ds
                @ [ print_scenario (theta, r, s) ])))
 
+(* The statically safe path — probabilities taken from the sweep — in
+   RAM, domain-parallel and spilled. The generated inputs meet the
+   classifier's precondition; a self-join (a tag on both sides) does
+   not, so [check] leaves the safe configurations out of it. *)
+let differential_static_safe =
+  let configs = List.filter (fun c -> c.Oracle.static_safe) Oracle.default_configs in
+  Test.make ~name:"differential: all kinds on the statically safe path"
+    ~count:40 ~print:print_scenario
+    (Tp_gen.scenario_gen ())
+    (fun (theta, r, s) ->
+      List.length configs = 3
+      && Oracle.static_safe_inputs r s
+      && (not (Oracle.static_safe_inputs r r))
+      &&
+      match Oracle.check ~configs ~theta r s with
+      | [] -> true
+      | ds ->
+          Test.fail_report
+            (String.concat "\n\n"
+               (List.map (Oracle.report ~theta) ds
+               @ [ print_scenario (theta, r, s) ])))
+
 (* Every Allen relation as θ's temporal component, on the paper example,
    across all five join kinds and jobs 1/2/4 — the deterministic
    end-to-end matrix the flat Allen kernels are gated on. Sequential and
@@ -228,4 +250,5 @@ let suite =
     qtest (differential Nj.Right);
     qtest (differential Nj.Full);
     qtest differential_full_matrix;
+    qtest differential_static_safe;
   ]

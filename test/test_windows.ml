@@ -9,6 +9,9 @@ module Lawau = Tpdb_windows.Lawau
 module Lawan = Tpdb_windows.Lawan
 module Flat_join = Tpdb_windows.Flat_join
 module Spec = Tpdb_windows.Spec
+module Tuple = Tpdb_relation.Tuple
+module Value = Tpdb_relation.Value
+module Var = Tpdb_lineage.Var
 
 let iv = Interval.make
 
@@ -59,12 +62,12 @@ let test_theta_swap () =
 
 let test_window_invariants () =
   let fr = Fact.of_strings [ "x" ] and lr = Formula.of_string "a1" in
-  (match Window.unmatched ~fr ~iv:(iv 0 9) ~lr ~rspan:(iv 2 5) with
+  (match Window.unmatched ~fr ~iv:(iv 0 9) ~lr ~rspan:(iv 2 5) () with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "window outside rspan accepted");
   let w =
     Window.overlapping ~fr ~fs:(Fact.of_strings [ "y" ]) ~iv:(iv 3 5) ~lr
-      ~ls:(Formula.of_string "b1") ~rspan:(iv 2 5) ~sspan:(iv 3 8)
+      ~ls:(Formula.of_string "b1") ~rspan:(iv 2 5) ~sspan:(iv 3 8) ()
   in
   let m = Window.mirror w in
   Alcotest.(check bool) "mirror swaps facts" true
@@ -72,7 +75,7 @@ let test_window_invariants () =
   Alcotest.(check bool) "mirror swaps spans" true
     (Interval.equal (Window.rspan m) (iv 3 8));
   Alcotest.(check bool) "mirror involutive" true (Window.equal w (Window.mirror m));
-  match Window.mirror (Window.unmatched ~fr ~iv:(iv 2 5) ~lr ~rspan:(iv 2 5)) with
+  match Window.mirror (Window.unmatched ~fr ~iv:(iv 2 5) ~lr ~rspan:(iv 2 5) ()) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "mirrored unmatched window"
 
@@ -187,7 +190,7 @@ let test_flat_equals_legacy_unit () =
     List.of_seq (Lawan.extend (Lawau.extend (Overlap.left ~theta:theta_k r s)))
   in
   let flat =
-    List.of_seq (Flat_join.left ~stage:`Wuon ~theta:theta_k r s)
+    Array.to_list (Flat_join.windows ~stage:`Wuon ~theta:theta_k r s)
   in
   Alcotest.(check int) "same count" (List.length legacy) (List.length flat);
   Alcotest.(check bool) "same windows" true
@@ -251,6 +254,89 @@ let test_spec_lambda () =
   Alcotest.(check string) "t=4: b3" "b3" (lambda 4);
   Alcotest.(check string) "t=5: b2 or b3" "b2 | b3" (lambda 5);
   Alcotest.(check string) "t=7: b2" "b2" (lambda 7)
+
+(* --- the flat right pass against the mirrored legacy sweep --- *)
+
+(* The right side of an outer join as the executor derived it before the
+   flat right pass, kept as the oracle: the tracking sweep's overlapping
+   windows, mirrored, re-sorted and extended by LAWAU/LAWAN, then the
+   spanning windows of the s tuples the tracker never saw match. *)
+let legacy_right ?sanitize ~theta r s =
+  let stream, tracker = Overlap.left_tracking ?sanitize ~theta r s in
+  let gaps =
+    List.of_seq stream
+    |> List.filter (fun w -> Window.kind w = Window.Overlapping)
+    |> List.map Window.mirror
+    |> List.sort Window.compare_group_start
+    |> List.to_seq |> Lawau.extend ?sanitize |> Lawan.extend ?sanitize
+    |> Seq.filter (fun w -> Window.kind w <> Window.Overlapping)
+    |> List.of_seq
+  in
+  (gaps, List.of_seq (Overlap.unmatched_right tracker))
+
+(* Equality down to the disjunct order of a negating window's λs. *)
+let same_window a b =
+  Window.kind a = Window.kind b
+  && Fact.equal (Window.fr a) (Window.fr b)
+  && Option.equal Fact.equal (Window.fs a) (Window.fs b)
+  && Interval.equal (Window.iv a) (Window.iv b)
+  && Formula.equal (Window.lr a) (Window.lr b)
+  && Option.equal Formula.equal (Window.ls a) (Window.ls b)
+  && Interval.equal (Window.rspan a) (Window.rspan b)
+
+let same_windows expected actual =
+  let actual = Array.to_list actual in
+  List.length expected = List.length actual
+  && List.for_all2 same_window expected actual
+
+let right_matches_legacy ?sanitize ~theta r s =
+  let gaps, spanning = legacy_right ?sanitize ~theta r s in
+  let gaps', spanning' = Flat_join.right ?sanitize ~theta r s in
+  same_windows gaps gaps' && same_windows spanning spanning'
+
+(* Null keys never match, on either side; an r fact repeated with
+   overlapping intervals (not duplicate-free, on purpose) puts two
+   partners on one intersection interval, where the legacy sort orders
+   them by normalized lineage rather than by interval. *)
+let test_flat_right_nulls_and_ties () =
+  let tuple tag i key ts te =
+    Tuple.make
+      ~fact:(Fact.of_values [ key; Value.S "x" ])
+      ~lineage:(Formula.var (Var.make tag i))
+      ~iv:(iv ts te) ~p:0.5
+  in
+  let schema = Tpdb_relation.Schema.make ~name:"r" [ "K"; "Sub" ] in
+  let r =
+    Relation.of_tuples schema
+      [
+        tuple "r" 1 Value.Null 0 5;
+        tuple "r" 2 (Value.S "a") 3 8;
+        tuple "r" 3 (Value.S "a") 1 10;
+      ]
+  and s =
+    Relation.of_tuples schema
+      [
+        tuple "s" 1 (Value.S "a") 4 6;
+        tuple "s" 2 Value.Null 2 7;
+        tuple "s" 3 (Value.S "b") 0 3;
+      ]
+  in
+  List.iter
+    (fun theta ->
+      Alcotest.(check bool) "right pass = legacy" true
+        (right_matches_legacy ~theta r s);
+      Alcotest.(check bool) "sanitized right pass = legacy" true
+        (right_matches_legacy ~sanitize:true ~theta r s);
+      let gaps, spanning = Flat_join.right ~theta r s in
+      Alcotest.(check (list string))
+        "one negating window, partners in the legacy order"
+        [ "r2 | r3" ]
+        (List.filter_map
+           (fun w -> Option.map Formula.to_string_ascii (Window.ls w))
+           (Array.to_list gaps));
+      Alcotest.(check int) "null and unmatched keys span" 2
+        (Array.length spanning))
+    [ theta_k; Theta.conj theta_k (Theta.eq 1 1) ]
 
 (* --- properties: pipeline output = Table I definitions --- *)
 
@@ -342,7 +428,7 @@ let prop_flat_equals_legacy =
       let legacy_wuon =
         List.of_seq (Lawan.extend (List.to_seq legacy_wuo))
       in
-      let flat stage = List.of_seq (Flat_join.left ~stage ~theta r s) in
+      let flat stage = Array.to_list (Flat_join.windows ~stage ~theta r s) in
       windows_equal legacy_wo (flat `Wo)
       && windows_equal legacy_wuo (flat `Wuo)
       && windows_equal legacy_wuon (flat `Wuon))
@@ -355,8 +441,87 @@ let prop_flat_count_equals_length =
       List.for_all
         (fun stage ->
           Flat_join.count ~stage ~theta r s
-          = Seq.length (Flat_join.left ~stage ~theta r s))
+          = Array.length (Flat_join.windows ~stage ~theta r s))
         [ `Wo; `Wuo; `Wuon ])
+
+(* The same on a Meteo pair, whose long chains make negating windows
+   with many live partners — where the order of the multiplications
+   shows in the last bits. *)
+let test_sweep_prices_meteo () =
+  let r, s = Tpdb_workload.Datasets.Meteo.pair ~seed:7 500 in
+  let theta = Theta.eq 1 1 in
+  let env = Relation.prob_env [ r; s ] in
+  let mismatches = ref 0 in
+  let check w =
+    let expected =
+      Tpdb_lineage.Prob.factorize env (Tpdb_joins.Concat.output_lineage w)
+    in
+    if
+      not
+        (Int64.equal
+           (Int64.bits_of_float (Window.p w))
+           (Int64.bits_of_float expected))
+    then incr mismatches
+  in
+  Array.iter check (Flat_join.windows ~env ~theta r s);
+  let gaps, spanning = Flat_join.right ~env ~theta r s in
+  Array.iter check gaps;
+  Array.iter check spanning;
+  Alcotest.(check int) "windows whose p differs from Prob.factorize" 0
+    !mismatches
+
+(* θs for the right pass: the scenario space plus an equi key with a
+   residual atom, under every temporal component. *)
+let right_theta_gen =
+  let open Gen in
+  let* theta =
+    oneof
+      [
+        Tp_gen.theta_gen;
+        return (Theta.conj theta_k (Theta.of_atoms [ Theta.Cols (`Ne, 1, 1) ]));
+      ]
+  in
+  let* temporal =
+    oneofl (`Overlap :: List.map (fun a -> `Allen a) Interval.all_allen)
+  in
+  return (Theta.with_temporal temporal theta)
+
+let prop_flat_right_equals_legacy =
+  Test.make ~name:"flat right pass = legacy mirrored sweep, in order"
+    ~count:200 ~print:Tp_gen.print_triple
+    Gen.(
+      map
+        (fun (theta, (r, s)) -> (theta, r, s))
+        (pair right_theta_gen (Tp_gen.pair_gen ())))
+    (fun (theta, r, s) ->
+      right_matches_legacy ~theta r s
+      && right_matches_legacy ~sanitize:true ~theta r s)
+
+(* Every window the sweep prices carries the very float
+   [Prob.factorize] returns for its output lineage; over base relations
+   (bare-variable lineages) that is every window of every pass. *)
+let prop_sweep_prices_bit_identical =
+  let bits = Int64.bits_of_float in
+  Test.make ~name:"in-sweep p = Prob.factorize bits (every pass)" ~count:150
+    ~print:Tp_gen.print_triple
+    (Tp_gen.scenario_gen ())
+    (fun (theta, r, s) ->
+      let env = Relation.prob_env [ r; s ] in
+      let priced w =
+        let p = Window.p w in
+        (not (Float.is_nan p))
+        && Int64.equal (bits p)
+             (bits
+                (Tpdb_lineage.Prob.factorize env
+                   (Tpdb_joins.Concat.output_lineage w)))
+      in
+      List.for_all
+        (fun stage ->
+          Array.for_all priced (Flat_join.windows ~stage ~env ~theta r s))
+        [ `Wo; `Wuo; `Wuon; `Wun ]
+      &&
+      let gaps, spanning = Flat_join.right ~env ~theta r s in
+      Array.for_all priced gaps && Array.for_all priced spanning)
 
 let suite =
   [
@@ -378,6 +543,8 @@ let suite =
     Alcotest.test_case "LAWAN: nested validity" `Quick test_lawan_nested;
     Alcotest.test_case "LAWAN: clipped by r" `Quick test_lawan_clipped_by_r;
     Alcotest.test_case "flat = legacy (unit)" `Quick test_flat_equals_legacy_unit;
+    Alcotest.test_case "flat right pass: null keys and ties" `Quick
+      test_flat_right_nulls_and_ties;
     Alcotest.test_case "Spec lambda_s_theta" `Quick test_spec_lambda;
     Alcotest.test_case "render join picture" `Quick test_render_picture;
     Alcotest.test_case "render scaling" `Quick test_render_scaling;
@@ -387,4 +554,8 @@ let suite =
     qtest prop_hash_equals_nested_loop;
     qtest prop_flat_equals_legacy;
     qtest prop_flat_count_equals_length;
+    qtest prop_flat_right_equals_legacy;
+    qtest prop_sweep_prices_bit_identical;
+    Alcotest.test_case "in-sweep p = Prob.factorize bits (Meteo)" `Quick
+      test_sweep_prices_meteo;
   ]
