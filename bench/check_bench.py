@@ -35,6 +35,7 @@ Usage: check_bench.py BASELINE CURRENT [--hit-rate-floor F]
                       [--qps-floor F] [--p99-ceiling-ms F]
                       [--render-words-per-byte-ceiling F]
                       [--join-words-per-row-ceiling F]
+                      [--csv-words-per-byte-ceiling F]
 Exits non-zero on the first class of failure, printing every diff.
 
 Result rendering: the current report's "render" block carries the
@@ -52,6 +53,13 @@ the joins take the statically safe path), and the minor words spent
 executing it. --join-words-per-row-ceiling F fails when executing
 allocates more than F minor words per output row, or when the block is
 missing.
+
+CSV loading: the "csv" block carries the bytes of a Webkit pair's CSV
+files at a fixed seed and the minor words Csv.load spends reading them.
+--csv-words-per-byte-ceiling F fails when loading allocates more than F
+minor words per input byte, or when the block is missing. The
+line-list parser spent about 5.5 words per byte; the in-place parser
+spends about 1.
 
 Server reports (bench/main.exe --server --json) carry a "server" block
 with client-side latency and throughput plus the plan-/result-cache
@@ -184,6 +192,14 @@ def main():
         metavar="F",
         help="fail unless executing the join block's queries allocates at "
         "most F minor words per output row",
+    )
+    parser.add_argument(
+        "--csv-words-per-byte-ceiling",
+        type=float,
+        default=None,
+        metavar="F",
+        help="fail unless loading the csv block's files allocates at most "
+        "F minor words per input byte",
     )
     args = parser.parse_args()
 
@@ -356,6 +372,18 @@ def main():
                 f"above ceiling {args.join_words_per_row_ceiling}"
             )
 
+    csv = current.get("csv")
+    if args.csv_words_per_byte_ceiling is not None:
+        if csv is None:
+            failures.append("csv ceiling set but the report has no csv block")
+        elif csv["words_per_byte"] > args.csv_words_per_byte_ceiling:
+            failures.append(
+                f"loading the csv block allocates "
+                f"{csv['words_per_byte']:.3f} minor words per byte "
+                f"({csv['minor_words']} words for {csv['bytes']} bytes), "
+                f"above ceiling {args.csv_words_per_byte_ceiling}"
+            )
+
     if failures:
         print(f"bench regression check FAILED ({len(failures)} diffs):")
         for failure in failures:
@@ -384,6 +412,8 @@ def main():
         )
     if join is not None:
         summary.append(f"join {join['words_per_row']:.1f} words per row")
+    if csv is not None:
+        summary.append(f"csv {csv['words_per_byte']:.3f} words per byte")
     if server is not None:
         summary.append(
             f"server {server['qps']:.0f} q/s p99 {server['p99_ms']:.2f} ms "

@@ -22,9 +22,11 @@
                    pipeline's metrics snapshot (windows per class,
                    partition skew, quantile distributions) and the
                    render block (minor words per rendered byte of the
-                   four-operator Meteo output) and the join block (minor
-                   words per output row of the same round, planned) as
-                   a JSON report, led by a self-describing meta block
+                   four-operator Meteo output), the join block (minor
+                   words per output row of the same round, planned) and
+                   the csv block (minor words per input byte of Csv.load
+                   over a Webkit pair) as a JSON report, led by a
+                   self-describing meta block
      --openmetrics FILE
                    additionally write the metrics snapshot in the
                    OpenMetrics (Prometheus) text format *)
@@ -437,6 +439,45 @@ let run_join metrics_installed =
     (float_of_int words /. float_of_int rows);
   join_report := Some (rows, words)
 
+(* --- CSV load allocation ---
+
+   Minor words per input byte of [Csv.load] over the webkit-spill pair
+   (Webkit, 4000 tuples per side, seed 7), written by [Csv.save] to
+   temporary files. The pair's lineage variables are already interned
+   when it loads, as in any process that generated its data, so bytes
+   and words are deterministic and words per byte is a property of the
+   code: check_bench.py --csv-words-per-byte-ceiling gates it. *)
+
+let csv_report : (int * int) option ref = ref None
+
+let run_csv metrics_installed =
+  let r, s = Tpdb.Datasets.Webkit.pair ~seed:7 4000 in
+  let save rel =
+    let path = Filename.temp_file "tpdb_bench" ".csv" in
+    Tpdb.Csv.save path rel;
+    path
+  in
+  let paths = [ save r; save s ] in
+  Fun.protect ~finally:(fun () -> List.iter Sys.remove paths) @@ fun () ->
+  let bytes =
+    List.fold_left (fun n path -> n + (Unix.stat path).Unix.st_size) 0 paths
+  in
+  let measure () =
+    let before = Gc.minor_words () in
+    List.iter (fun path -> ignore (Tpdb.Csv.load ~name:"r" path)) paths;
+    int_of_float (Gc.minor_words () -. before)
+  in
+  let words =
+    match metrics_installed with
+    | None -> measure ()
+    | Some metrics ->
+        Metrics.uninstall ();
+        Fun.protect ~finally:(fun () -> Metrics.install metrics) measure
+  in
+  Printf.printf "csv: %d bytes; minor words %d (%.3f per byte)\n%!" bytes words
+    (float_of_int words /. float_of_int bytes);
+  csv_report := Some (bytes, words)
+
 (* --- the JSON report --- *)
 
 (* Self-describing provenance for committed BENCH_*.json files. Nothing
@@ -572,6 +613,19 @@ let json_report metrics =
                   ("minor_words", J.int words);
                   ( "words_per_row",
                     J.float (float_of_int words /. float_of_int rows) );
+                ] );
+          ])
+    @ (match !csv_report with
+      | None -> []
+      | Some (bytes, words) ->
+          [
+            ( "csv",
+              J.obj
+                [
+                  ("bytes", J.int bytes);
+                  ("minor_words", J.int words);
+                  ( "words_per_byte",
+                    J.float (float_of_int words /. float_of_int bytes) );
                 ] );
           ])
     (* the full snapshot, verbatim from the sink *)
@@ -800,7 +854,8 @@ let () =
     end;
     if has "--paper" then run_paper_scale ();
     run_render (Metrics.active ());
-    run_join (Metrics.active ())
+    run_join (Metrics.active ());
+    run_csv (Metrics.active ())
   end;
   Metrics.uninstall ();
   (match json_out with

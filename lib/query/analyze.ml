@@ -874,15 +874,25 @@ let scan_safe ~stats r =
    shared across the two sides of a join breaks read-once factorization
    regardless of what the scans are called. *)
 let scan_base_tags r =
-  List.filter_map
+  (* consecutive tuples mostly share their tag: only a change of tag
+     touches the table *)
+  let seen = Hashtbl.create 4 and last = ref None in
+  Relation.iter
     (fun tp ->
       match Formula.view (Tuple.lineage tp) with
-      | Formula.Var v -> Some (Var.rel v)
+      | Formula.Var v -> (
+          let tag = Var.rel v in
+          match !last with
+          | Some l when String.equal l tag -> ()
+          | Some _ | None ->
+              last := Some tag;
+              Hashtbl.replace seen tag ())
       | Formula.True | Formula.False | Formula.Not _ | Formula.And _
       | Formula.Or _ ->
-          None)
-    (Relation.tuples r)
-  |> List.sort_uniq String.compare
+          ())
+    r;
+  Hashtbl.fold (fun tag () acc -> tag :: acc) seen []
+  |> List.sort String.compare
 
 let rec plan_shape ~stats node =
   match (node : Physical.t) with

@@ -1,9 +1,12 @@
 module Relation = Tpdb_relation.Relation
 module Prob = Tpdb_lineage.Prob
 
+(* One registered version of a name. Its statistics are computed on
+   first use and shared by every snapshot that copied the entry. *)
+type entry = { relation : Relation.t; stats : Stats.t Once.t }
+
 type t = {
-  relations : (string, Relation.t) Hashtbl.t;
-  stats : (string, Stats.t) Hashtbl.t;  (* memo, invalidated per name *)
+  relations : (string, entry) Hashtbl.t;
   mutable stats_dir : string option;
   versions : (string, int) Hashtbl.t;  (* bumped on every register *)
   mutable generation : int;  (* bumped on any register *)
@@ -12,17 +15,43 @@ type t = {
 let create () =
   {
     relations = Hashtbl.create 16;
-    stats = Hashtbl.create 16;
     stats_dir = None;
     versions = Hashtbl.create 16;
     generation = 0;
   }
 
+(* A persisted [<dir>/<name>.stats] whose [relation] field names [name];
+   a file describing another relation, or failing to parse, is ignored
+   rather than trusted. *)
+let persisted ~stats_dir name =
+  match stats_dir with
+  | None -> None
+  | Some dir -> (
+      let path = Stats.file ~dir name in
+      if not (Sys.file_exists path) then None
+      else
+        match Stats.load path with
+        | Ok s when s.Stats.relation = name -> Some s
+        | Ok _ | Error _ -> None)
+
+(* Persisted files serve cost estimation only. The safety-critical flags
+   ([duplicate_free], [lineage_safe]) let the safe-plan tag route
+   probability computation around the runtime read-once check, so they
+   are always recomputed from the registered relation — a file written
+   before the data changed must not vouch for it. A file that disagrees
+   with the live data on cardinality or hull is discarded as stale
+   outright. *)
+let entry ~stats_dir relation =
+  let resolve () =
+    match persisted ~stats_dir (Relation.name relation) with
+    | Some s when Stats.describes s relation -> Stats.refresh_safety s relation
+    | Some _ | None -> Stats.of_relation relation
+  in
+  { relation; stats = Once.make resolve }
+
 let register t r =
   let name = Relation.name r in
-  Hashtbl.replace t.relations name r;
-  (* the data changed; any memoized statistics are stale *)
-  Hashtbl.remove t.stats name;
+  Hashtbl.replace t.relations name (entry ~stats_dir:t.stats_dir r);
   t.generation <- t.generation + 1;
   Hashtbl.replace t.versions name
     (1 + Option.value ~default:0 (Hashtbl.find_opt t.versions name))
@@ -31,18 +60,19 @@ let version t name = Option.value ~default:0 (Hashtbl.find_opt t.versions name)
 let generation t = t.generation
 
 (* Relations are immutable values, so a snapshot only needs to copy the
-   tables, not the data: O(names), and the copy shares every relation
-   with the original until either side re-registers a name. *)
+   tables, not the data: O(names), and the copy shares every relation —
+   and its statistics — with the original until either side
+   re-registers a name. *)
 let copy t =
   {
     relations = Hashtbl.copy t.relations;
-    stats = Hashtbl.copy t.stats;
     stats_dir = t.stats_dir;
     versions = Hashtbl.copy t.versions;
     generation = t.generation;
   }
 
-let find t name = Hashtbl.find_opt t.relations name
+let find t name =
+  Option.map (fun e -> e.relation) (Hashtbl.find_opt t.relations name)
 
 let find_exn t name =
   match find t name with Some r -> r | None -> raise Not_found
@@ -52,49 +82,24 @@ let names t =
   |> List.sort String.compare
 
 let env t =
-  let relations = Hashtbl.fold (fun _ r acc -> r :: acc) t.relations [] in
+  let relations = Hashtbl.fold (fun _ e acc -> e.relation :: acc) t.relations [] in
   Relation.prob_env relations
 
-let set_stats_dir t dir = t.stats_dir <- Some dir
+(* Statistics resolved against the old directory are stale: give every
+   entry of this catalog a fresh memo (other snapshots keep theirs). *)
+let set_stats_dir t dir =
+  t.stats_dir <- Some dir;
+  Hashtbl.filter_map_inplace
+    (fun _ e -> Some (entry ~stats_dir:t.stats_dir e.relation))
+    t.relations
 
-(* Resolution order: memo, then a persisted [<dir>/<name>.stats] matching
-   the registered relation's name, then fresh computation from the data.
-   A persisted file whose [relation] field disagrees with its file name
-   (or that fails to parse) is ignored rather than trusted.
-
-   Persisted files serve cost estimation only. The safety-critical flags
-   ([duplicate_free], [lineage_safe]) let the safe-plan tag route
-   probability computation around the runtime read-once check, so they
-   are always recomputed from the registered relation — a file written
-   before the data changed must not vouch for it. A file that disagrees
-   with the live data on cardinality or hull is discarded as stale
-   outright, and one for an unregistered name keeps its cost fields but
-   has both safety flags forced off (nothing to validate against). *)
+(* A name with a persisted file but no registered relation keeps the
+   file's cost fields with both safety flags forced off: there is
+   nothing to validate them against. *)
 let stats t name =
-  match Hashtbl.find_opt t.stats name with
-  | Some s -> Some s
+  match Hashtbl.find_opt t.relations name with
+  | Some e -> Some (Once.force e.stats)
   | None ->
-      let live = find t name in
-      let loaded =
-        match t.stats_dir with
-        | None -> None
-        | Some dir -> (
-            let path = Stats.file ~dir name in
-            if Sys.file_exists path then
-              match Stats.load path with
-              | Ok s when s.Stats.relation = name -> Some s
-              | Ok _ | Error _ -> None
-            else None)
-      in
-      let computed =
-        match (loaded, live) with
-        | Some s, Some r ->
-            if Stats.describes s r then Some (Stats.refresh_safety s r)
-            else Some (Stats.of_relation r)
-        | Some s, None ->
-            Some { s with Stats.duplicate_free = false; lineage_safe = false }
-        | None, Some r -> Some (Stats.of_relation r)
-        | None, None -> None
-      in
-      Option.iter (Hashtbl.replace t.stats name) computed;
-      computed
+      Option.map
+        (fun s -> { s with Stats.duplicate_free = false; lineage_safe = false })
+        (persisted ~stats_dir:t.stats_dir name)

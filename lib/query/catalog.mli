@@ -22,8 +22,8 @@ val generation : t -> int
 
 val copy : t -> t
 (** A copy-on-write snapshot: O(number of names), sharing the immutable
-    relation values. Mutations on either side ({!register},
-    {!set_stats_dir}) never show through to the other. *)
+    relation values and their statistics memos. Mutations on either side
+    ({!register}, {!set_stats_dir}) never show through to the other. *)
 
 val find : t -> string -> Relation.t option
 val find_exn : t -> string -> Relation.t
@@ -37,15 +37,19 @@ val env : t -> Prob.env
 
 val set_stats_dir : t -> string -> unit
 (** Directory where persisted statistics ([<name>.stats], written by
-    [tpdb_cli stats]) are looked up before computing fresh ones. *)
+    [tpdb_cli stats]) are looked up before computing fresh ones. Resets
+    this catalog's statistics memos. *)
 
 val stats : t -> string -> Stats.t option
-(** Statistics for a registered relation, memoized per catalog:
-    resolution order is memo → persisted file in the stats directory
+(** Statistics for a registered relation, memoized per registered
+    version: the memo is created by {!register}, computed on the first
+    call (never by {!register} itself; safe when several domains call
+    at once) and shared by every {!copy} taken while the version is
+    current. Resolution order is persisted file in the stats directory
     (ignored if unparseable or describing a different relation) → fresh
-    {!Stats.of_relation} on the registered data. [None] only for names
-    that are not registered and have no stats file. {!register}
-    invalidates the memo for that name.
+    {!Stats.of_relation} on the registered data; either way the
+    {!Stats.detail} block is computed only when read. [None] only for
+    names that are not registered and have no stats file.
 
     Persisted files are advisory (cost estimation) only: the
     safety-critical [duplicate_free]/[lineage_safe] flags are always

@@ -86,10 +86,11 @@ let take_sample n a =
   if Array.length a <= n then a else Array.sub a 0 n
 
 let of_stats (s : Stats.t) =
+  let d = Stats.detail s in
   {
     rows = float_of_int s.Stats.cardinality;
-    distinct = s.Stats.distinct;
-    sample = s.Stats.sample;
+    distinct = d.Stats.distinct;
+    sample = d.Stats.sample;
     cost = float_of_int s.Stats.cardinality;
   }
 

@@ -9,9 +9,7 @@ module Var = Tpdb_lineage.Var
 let buckets = 16
 let sample_size = 256
 
-type t = {
-  relation : string;
-  cardinality : int;
+type detail = {
   distinct : int array;
   tmin : int;
   tmax : int;
@@ -22,9 +20,17 @@ type t = {
   p_min : float;
   p_max : float;
   p_mean : float;
+}
+
+type t = {
+  relation : string;
+  cardinality : int;
   duplicate_free : bool;
   lineage_safe : bool;
+  detail : detail Once.t;
 }
+
+let detail t = Once.force t.detail
 
 (* Distinct count by explicit sort on [Value.compare] — the polymorphic
    compare is banned on values (see the poly-compare lint), and values
@@ -41,19 +47,18 @@ let distinct_count values =
 
 (* Every lineage a bare variable, no variable twice: the base-relation
    shape the safe-plan rule builds on. *)
-let lineage_safe tuples =
-  let seen = Hashtbl.create 64 in
-  List.for_all
-    (fun tp ->
-      match Formula.view (Tuple.lineage tp) with
-      | Var v ->
-          if Hashtbl.mem seen v then false
-          else begin
-            Hashtbl.add seen v ();
-            true
-          end
-      | True | False | Not _ | And _ | Or _ -> false)
-    tuples
+let lineage_safe r =
+  let seen = Hashtbl.create (Relation.cardinality r) in
+  match
+    Relation.iter
+      (fun tp ->
+        match Formula.view (Tuple.lineage tp) with
+        | Var v when not (Hashtbl.mem seen v) -> Hashtbl.add seen v ()
+        | Var _ | True | False | Not _ | And _ | Or _ -> raise_notrace Exit)
+      r
+  with
+  | () -> true
+  | exception Exit -> false
 
 let bucket_of ~tmin ~tmax x =
   if tmax <= tmin then 0
@@ -61,7 +66,16 @@ let bucket_of ~tmin ~tmax x =
     let b = (x - tmin) * buckets / (tmax - tmin) in
     if b < 0 then 0 else if b >= buckets then buckets - 1 else b
 
-let of_relation r =
+let hull r =
+  match Relation.active_domain r with
+  | Some hull -> (Interval.ts hull, Interval.te hull)
+  | None -> (0, 0)
+
+(* Everything but the cardinality and the safety flags: the (fact,
+   start) sort, a sort per column for its distinct count, the
+   histograms, the sample and the probability moments. Only cost
+   estimation reads these, so they wait until it does. *)
+let detail_of r =
   let tuples = Relation.sorted_by_fact_start r in
   let n = List.length tuples in
   let arity = Tpdb_relation.Schema.arity (Relation.schema r) in
@@ -69,11 +83,7 @@ let of_relation r =
     Array.init arity (fun col ->
         distinct_count (List.map (fun tp -> Fact.get (Tuple.fact tp) col) tuples))
   in
-  let tmin, tmax =
-    match Relation.active_domain r with
-    | Some hull -> (Interval.ts hull, Interval.te hull)
-    | None -> (0, 0)
-  in
+  let tmin, tmax = hull r in
   let start_hist = Array.make buckets 0 in
   let end_hist = Array.make buckets 0 in
   let span_sum = ref 0 in
@@ -104,8 +114,6 @@ let of_relation r =
       (1.0, 0.0, 0.0) tuples
   in
   {
-    relation = Relation.name r;
-    cardinality = n;
     distinct;
     tmin;
     tmax;
@@ -116,8 +124,15 @@ let of_relation r =
     p_min = (if n = 0 then 0.0 else p_min);
     p_max = (if n = 0 then 0.0 else p_max);
     p_mean = (if n = 0 then 0.0 else p_sum /. float_of_int n);
+  }
+
+let of_relation r =
+  {
+    relation = Relation.name r;
+    cardinality = Relation.cardinality r;
     duplicate_free = Relation.is_duplicate_free r;
-    lineage_safe = lineage_safe tuples;
+    lineage_safe = lineage_safe r;
+    detail = Once.make (fun () -> detail_of r);
   }
 
 (* The safe-plan rule routes probability computation around the runtime
@@ -128,7 +143,7 @@ let refresh_safety t r =
   {
     t with
     duplicate_free = Relation.is_duplicate_free r;
-    lineage_safe = lineage_safe (Relation.tuples r);
+    lineage_safe = lineage_safe r;
   }
 
 (* Cheap staleness test of persisted stats against live data: the
@@ -136,12 +151,8 @@ let refresh_safety t r =
    the file current — it gates only the advisory cost fields; the
    safety flags go through [refresh_safety] regardless. *)
 let describes t r =
-  let tmin, tmax =
-    match Relation.active_domain r with
-    | Some hull -> (Interval.ts hull, Interval.te hull)
-    | None -> (0, 0)
-  in
-  t.cardinality = Relation.cardinality r && t.tmin = tmin && t.tmax = tmax
+  let d = detail t and tmin, tmax = hull r in
+  t.cardinality = Relation.cardinality r && d.tmin = tmin && d.tmax = tmax
 
 (* {2 Persistence}
 
@@ -155,6 +166,7 @@ let ints_to_line a =
   String.concat " " (Array.to_list (Array.map string_of_int a))
 
 let save t path =
+  let d = detail t in
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
@@ -163,19 +175,19 @@ let save t path =
       p "tpdb-stats %d\n" version;
       p "relation %s\n" t.relation;
       p "cardinality %d\n" t.cardinality;
-      p "distinct %s\n" (ints_to_line t.distinct);
-      p "tmin %d\n" t.tmin;
-      p "tmax %d\n" t.tmax;
-      p "mean_span %.17g\n" t.mean_span;
-      p "start_hist %s\n" (ints_to_line t.start_hist);
-      p "end_hist %s\n" (ints_to_line t.end_hist);
-      p "p_min %.17g\n" t.p_min;
-      p "p_max %.17g\n" t.p_max;
-      p "p_mean %.17g\n" t.p_mean;
+      p "distinct %s\n" (ints_to_line d.distinct);
+      p "tmin %d\n" d.tmin;
+      p "tmax %d\n" d.tmax;
+      p "mean_span %.17g\n" d.mean_span;
+      p "start_hist %s\n" (ints_to_line d.start_hist);
+      p "end_hist %s\n" (ints_to_line d.end_hist);
+      p "p_min %.17g\n" d.p_min;
+      p "p_max %.17g\n" d.p_max;
+      p "p_mean %.17g\n" d.p_mean;
       p "duplicate_free %b\n" t.duplicate_free;
       p "lineage_safe %b\n" t.lineage_safe;
-      p "sample %d\n" (Array.length t.sample);
-      Array.iter (fun (ts, te) -> p "%d %d\n" ts te) t.sample)
+      p "sample %d\n" (Array.length d.sample);
+      Array.iter (fun (ts, te) -> p "%d %d\n" ts te) d.sample)
 
 exception Malformed of string
 
@@ -257,18 +269,22 @@ let load path =
     {
       relation;
       cardinality;
-      distinct;
-      tmin;
-      tmax;
-      mean_span;
-      start_hist;
-      end_hist;
-      sample;
-      p_min;
-      p_max;
-      p_mean;
       duplicate_free;
       lineage_safe;
+      detail =
+        Once.of_value
+          {
+            distinct;
+            tmin;
+            tmax;
+            mean_span;
+            start_hist;
+            end_hist;
+            sample;
+            p_min;
+            p_max;
+            p_mean;
+          };
     }
   in
   match
@@ -290,12 +306,13 @@ let load path =
 let file ~dir name = Filename.concat dir (name ^ ".stats")
 
 let to_string t =
+  let d = detail t in
   let b = Buffer.create 256 in
   let p fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   p "relation %s: %d tuple(s)\n" t.relation t.cardinality;
-  p "  temporal hull [%d,%d), mean span %.2f\n" t.tmin t.tmax t.mean_span;
-  p "  distinct per column: %s\n" (ints_to_line t.distinct);
-  p "  probability min %.3f max %.3f mean %.3f\n" t.p_min t.p_max t.p_mean;
+  p "  temporal hull [%d,%d), mean span %.2f\n" d.tmin d.tmax d.mean_span;
+  p "  distinct per column: %s\n" (ints_to_line d.distinct);
+  p "  probability min %.3f max %.3f mean %.3f\n" d.p_min d.p_max d.p_mean;
   p "  duplicate-free %b, lineage-safe %b, sample %d interval(s)"
-    t.duplicate_free t.lineage_safe (Array.length t.sample);
+    t.duplicate_free t.lineage_safe (Array.length d.sample);
   Buffer.contents b

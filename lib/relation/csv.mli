@@ -23,5 +23,7 @@ val to_string : Relation.t -> string
     writes. Used to embed reproducible inputs in fuzzer and qcheck
     counterexample reports. *)
 
-val of_lines : name:string -> ?path:string -> string list -> Relation.t
-(** [path] (default ["<csv>"]) is only used in {!Error} diagnostics. *)
+val of_string : name:string -> ?path:string -> string -> Relation.t
+(** Parses a whole document: lines end in ['\n'] (a final one is
+    optional), empty lines are skipped but counted. [path] (default
+    ["<csv>"]) is only used in {!Error} diagnostics. Raises {!Error}. *)

@@ -43,7 +43,10 @@ let iter f r = Array.iter f r.tuples
 let to_array r = Array.copy r.tuples
 
 let prob_env relations =
-  let table = Hashtbl.create 256 in
+  let table =
+    Hashtbl.create
+      (List.fold_left (fun n r -> n + Array.length r.tuples) 0 relations)
+  in
   List.iter
     (fun r ->
       Array.iter
@@ -58,27 +61,40 @@ let prob_env relations =
     | Some p -> p
     | None -> raise (Tpdb_lineage.Prob.Unbound_variable v)
 
+(* Tuples are chained by fact hash in int arrays — an open-addressing
+   table of chain heads over [next] links — so the check allocates
+   nothing per tuple; only tuples of one chain are compared, each pair
+   once. *)
 let is_duplicate_free r =
-  let by_fact = Hashtbl.create (Array.length r.tuples) in
-  Array.iter
-    (fun tp ->
-      let key = Fact.hash (Tuple.fact tp) in
-      let existing = Option.value (Hashtbl.find_opt by_fact key) ~default:[] in
-      Hashtbl.replace by_fact key (tp :: existing))
-    r.tuples;
-  Hashtbl.fold
-    (fun _ group ok ->
-      ok
-      && List.for_all
-           (fun tp ->
-             List.for_all
-               (fun other ->
-                 tp == other
-                 || (not (Fact.equal (Tuple.fact tp) (Tuple.fact other)))
-                 || not (Interval.overlaps (Tuple.iv tp) (Tuple.iv other)))
-               group)
-           group)
-    by_fact true
+  let tuples = r.tuples in
+  let n = Array.length tuples in
+  let hashes = Array.map (fun tp -> Fact.hash (Tuple.fact tp)) tuples in
+  let next = Array.make n (-1) in
+  let size =
+    let rec grow s = if s >= 2 * n then s else grow (2 * s) in
+    grow 16
+  in
+  let mask = size - 1 in
+  (* slot content: 1 + index of the chain's latest tuple, 0 when empty *)
+  let slots = Array.make size 0 in
+  for i = 0 to n - 1 do
+    let h = hashes.(i) in
+    let pos = ref (h land mask) in
+    while slots.(!pos) <> 0 && hashes.(slots.(!pos) - 1) <> h do
+      pos := (!pos + 1) land mask
+    done;
+    if slots.(!pos) <> 0 then next.(i) <- slots.(!pos) - 1;
+    slots.(!pos) <- i + 1
+  done;
+  let clash i j =
+    let a = tuples.(i) and b = tuples.(j) in
+    a != b
+    && Fact.equal (Tuple.fact a) (Tuple.fact b)
+    && Interval.overlaps (Tuple.iv a) (Tuple.iv b)
+  in
+  let rec chain_free i j = j < 0 || ((not (clash i j)) && chain_free i next.(j)) in
+  let rec from i = i >= n || (chain_free i next.(i) && from (i + 1)) in
+  from 0
 
 let active_domain r =
   Timeline.span (Array.to_list (Array.map Tuple.iv r.tuples))

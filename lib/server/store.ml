@@ -12,24 +12,27 @@ type t = {
   db : Db.t option;
 }
 
+(* One FNV-1a 64 step per byte of [s]. The accumulator is a local
+   mutable that no closure captures, so it stays an unboxed int64. *)
+let fnv1a h s =
+  let h = ref h in
+  for i = 0 to String.length s - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        0x100000001b3L
+  done;
+  !h
+
 (* FNV-1a 64 over the relation's canonical CSV rendering (values,
    intervals, probabilities and the ASCII lineage formulas — so a
    change of hash-cons lineage structure changes the digest even at
    equal cardinality). Computed once per registration; the rendering is
    deterministic and domain-independent, unlike [Formula.id]. *)
 let digest_of relation =
-  let h = ref 0xcbf29ce484222325L in
-  let mix s =
-    String.iter
-      (fun ch ->
-        h :=
-          Int64.mul (Int64.logxor !h (Int64.of_int (Char.code ch))) 0x100000001b3L)
-      s
-  in
-  mix (Relation.name relation);
-  mix "\x00";
-  mix (Csv.to_string relation);
-  Printf.sprintf "%016Lx" !h
+  let h = fnv1a 0xcbf29ce484222325L (Relation.name relation) in
+  let h = fnv1a h "\x00" in
+  Printf.sprintf "%016Lx" (fnv1a h (Csv.to_string relation))
 
 let register_locked t relation =
   Catalog.register t.catalog relation;
@@ -67,15 +70,7 @@ let locked t f =
 let register t relation = locked t (fun () -> register_locked t relation)
 
 let load_csv t ~name ~csv =
-  (* Tolerate a trailing newline: CSV documents end lines with '\n',
-     so a split yields one final empty string that is not a row. *)
-  let lines =
-    match List.rev (String.split_on_char '\n' csv) with
-    | "" :: rest -> List.rev rest
-    | _ -> String.split_on_char '\n' csv
-  in
-  let relation = Csv.of_lines ~name ~path:(Printf.sprintf "<load %s>" name) lines in
-  register t relation
+  register t (Csv.of_string ~name ~path:(Printf.sprintf "<load %s>" name) csv)
 
 let snapshot t = locked t (fun () -> Catalog.copy t.catalog)
 let generation t = locked t (fun () -> Catalog.generation t.catalog)

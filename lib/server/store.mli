@@ -5,7 +5,9 @@
     Writers ({!register}, {!load_csv}) replace a name under the mutex
     and bump its catalog version; readers take an O(names) {!snapshot}
     ({!Tpdb_query.Catalog.copy} — relations are immutable, so the copy
-    shares them) and then never touch the master again. A running query
+    shares them, and with them each version's statistics, computed by
+    the first plan that reads them and never on the LOAD path) and then
+    never touch the master again. A running query
     therefore keeps the exact set of relations it started with while
     concurrent LOADs move the master forward: readers never block
     writers and vice versa beyond the O(names) critical section.

@@ -10,6 +10,10 @@ module Planner = Tpdb_query.Planner
 module Physical = Tpdb_query.Physical
 module Analyze = Tpdb_query.Analyze
 
+(* A document given as its lines, without a final newline. *)
+let csv_of_lines ~name ?path lines =
+  Csv.of_string ~name ?path (String.concat "\n" lines)
+
 let iv = Interval.make
 
 let catalog () =
@@ -155,7 +159,7 @@ let test_diagnostic_rendering () =
     (Analyze.to_string d);
   (* typed exceptions map onto diagnostics *)
   (match
-     Csv.of_lines ~name:"bad" ~path:"bad.csv" [ "K,lineage,ts,te,p"; "k,x1,5,3,1.0" ]
+     csv_of_lines ~name:"bad" ~path:"bad.csv" [ "K,lineage,ts,te,p"; "k,x1,5,3,1.0" ]
    with
   | exception (Csv.Error _ as exn) -> (
       match Analyze.diagnostic_of_exn exn with

@@ -16,6 +16,10 @@ module Cost = Tpdb_query.Cost
 module Datasets = Tpdb_workload.Datasets
 module Metrics = Tpdb_obs.Metrics
 
+(* A document given as its lines, without a final newline. *)
+let csv_of_lines ~name ?path lines =
+  Csv.of_string ~name ?path (String.concat "\n" lines)
+
 let iv = Interval.make
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
@@ -49,14 +53,15 @@ let test_stats_roundtrip () =
       Alcotest.(check string)
         "summary round-trips" (Stats.to_string s) (Stats.to_string s');
       Alcotest.(check int) "cardinality" s.Stats.cardinality s'.Stats.cardinality;
-      Alcotest.(check (array int)) "distinct" s.Stats.distinct s'.Stats.distinct;
-      Alcotest.(check (array int)) "start hist" s.Stats.start_hist
-        s'.Stats.start_hist;
-      Alcotest.(check (array int)) "end hist" s.Stats.end_hist s'.Stats.end_hist;
-      Alcotest.(check bool) "sample" true (s.Stats.sample = s'.Stats.sample);
-      Alcotest.(check (float 1e-9)) "p_mean" s.Stats.p_mean s'.Stats.p_mean;
-      Alcotest.(check (float 1e-9)) "mean span" s.Stats.mean_span
-        s'.Stats.mean_span;
+      let d = Stats.detail s and d' = Stats.detail s' in
+      Alcotest.(check (array int)) "distinct" d.Stats.distinct d'.Stats.distinct;
+      Alcotest.(check (array int)) "start hist" d.Stats.start_hist
+        d'.Stats.start_hist;
+      Alcotest.(check (array int)) "end hist" d.Stats.end_hist d'.Stats.end_hist;
+      Alcotest.(check bool) "sample" true (d.Stats.sample = d'.Stats.sample);
+      Alcotest.(check (float 1e-9)) "p_mean" d.Stats.p_mean d'.Stats.p_mean;
+      Alcotest.(check (float 1e-9)) "mean span" d.Stats.mean_span
+        d'.Stats.mean_span;
       Alcotest.(check bool) "flags" true
         (s.Stats.duplicate_free = s'.Stats.duplicate_free
         && s.Stats.lineage_safe = s'.Stats.lineage_safe)
@@ -70,6 +75,37 @@ let test_stats_load_rejects_garbage () =
   match Stats.load path with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "garbage accepted"
+
+(* A plan with one join reads only the cardinality and the safety
+   flags: the sorts behind distinct counts, histograms and the sample
+   stay suspended through planning and execution, in RAM or spilled,
+   until an estimate reads them. *)
+let test_single_join_plan_leaves_detail_lazy () =
+  List.iter
+    (fun (op, mem_budget) ->
+      let c = webkit_catalog () in
+      let p =
+        Planner.plan ~sanitize:false ~mem_budget c
+          (Parser.parse (Printf.sprintf "SELECT * FROM r %s s ON r.File = s.File" op))
+      in
+      ignore (Planner.run p);
+      let computed () =
+        List.map
+          (fun name ->
+            match Catalog.stats c name with
+            | Some s -> Tpdb_query.Once.is_computed s.Stats.detail
+            | None -> Alcotest.failf "no stats for %s" name)
+          [ "r"; "s" ]
+      in
+      Alcotest.(check (list bool)) (op ^ ": detail untouched") [ false; false ]
+        (computed ());
+      ignore (Planner.explain p);
+      Alcotest.(check (list bool)) (op ^ ": explain reads it") [ true; true ]
+        (computed ()))
+    [
+      ("TPJOIN", 0); ("LEFT TPJOIN", 0); ("RIGHT TPJOIN", 0);
+      ("FULL TPJOIN", 0); ("ANTIJOIN", 0); ("FULL TPJOIN", 4096);
+    ]
 
 (* --- cost model -------------------------------------------------------- *)
 
@@ -177,11 +213,11 @@ let test_codes_registered () =
    stay on. *)
 let shared_lineage_catalog () =
   let r =
-    Csv.of_lines ~name:"r" ~path:"r.csv"
+    csv_of_lines ~name:"r" ~path:"r.csv"
       [ "File,lineage,ts,te,p"; "a,x1,0,10,0.5"; "b,x1,2,12,0.5" ]
   in
   let s =
-    Csv.of_lines ~name:"s" ~path:"s.csv"
+    csv_of_lines ~name:"s" ~path:"s.csv"
       [ "File,lineage,ts,te,p"; "a,y1,1,8,0.7" ]
   in
   let c = Catalog.create () in
@@ -209,11 +245,11 @@ let test_unsafe_plan_keeps_runtime_check () =
    the tag: side disjointness is decided on variable tags, not names. *)
 let test_cross_side_shared_variable_blocks_tag () =
   let r =
-    Csv.of_lines ~name:"r" ~path:"r.csv"
+    csv_of_lines ~name:"r" ~path:"r.csv"
       [ "File,lineage,ts,te,p"; "a,x1,0,10,0.5"; "b,x2,2,12,0.5" ]
   in
   let s =
-    Csv.of_lines ~name:"s" ~path:"s.csv"
+    csv_of_lines ~name:"s" ~path:"s.csv"
       [ "File,lineage,ts,te,p"; "a,x1,1,8,0.7" ]
   in
   let c = Catalog.create () in
@@ -238,12 +274,12 @@ let test_stale_stats_never_vouch_safety () =
   (* same cardinality and hull as the later registration, so the file
      passes the cheap staleness test — only the flag refresh defends *)
   let once_safe =
-    Csv.of_lines ~name:"r" ~path:"r.csv"
+    csv_of_lines ~name:"r" ~path:"r.csv"
       [ "File,lineage,ts,te,p"; "a,x1,0,10,0.5"; "b,x2,2,12,0.5" ]
   in
   Stats.save (Stats.of_relation once_safe) (Stats.file ~dir "r");
   let now_unsafe =
-    Csv.of_lines ~name:"r" ~path:"r.csv"
+    csv_of_lines ~name:"r" ~path:"r.csv"
       [ "File,lineage,ts,te,p"; "a,x1,0,10,0.5"; "b,x1,2,12,0.5" ]
   in
   let c = Catalog.create () in
@@ -256,7 +292,7 @@ let test_stale_stats_never_vouch_safety () =
         s.Stats.lineage_safe);
   (* and the plan built on the stale file stays untagged *)
   let s =
-    Csv.of_lines ~name:"s" ~path:"s.csv"
+    csv_of_lines ~name:"s" ~path:"s.csv"
       [ "File,lineage,ts,te,p"; "a,y1,1,8,0.7" ]
   in
   Catalog.register c s;
@@ -266,7 +302,7 @@ let test_stale_stats_never_vouch_safety () =
   (* a file disagreeing on cardinality is discarded outright *)
   Stats.save (Stats.of_relation s) (Stats.file ~dir "t");
   let t3 =
-    Csv.of_lines ~name:"t" ~path:"t.csv"
+    csv_of_lines ~name:"t" ~path:"t.csv"
       [
         "File,lineage,ts,te,p";
         "a,z1,1,8,0.7";
@@ -287,11 +323,11 @@ let test_stale_stats_never_vouch_safety () =
    it — only the Fréchet bounds are sound). *)
 let test_shared_variable_bounds_sound () =
   let r =
-    Csv.of_lines ~name:"r" ~path:"r.csv"
+    csv_of_lines ~name:"r" ~path:"r.csv"
       [ "File,lineage,ts,te,p"; "a,x1,0,10,0.5" ]
   in
   let s =
-    Csv.of_lines ~name:"s" ~path:"s.csv"
+    csv_of_lines ~name:"s" ~path:"s.csv"
       [ "File,lineage,ts,te,p"; "a,x1,0,10,0.5" ]
   in
   let c = Catalog.create () in
@@ -386,7 +422,7 @@ let prop_pruned_subplans_empty =
     (fun (size, shape) ->
       let r, s = Datasets.Webkit.pair ~seed:(size * 31) size in
       let env = Relation.prob_env [ r; s ] in
-      let hull_end = (Stats.of_relation r).Stats.tmax in
+      let hull_end = (Stats.detail (Stats.of_relation r)).Stats.tmax in
       let empty =
         Relation.of_rows ~name:"mt" ~columns:[ "File"; "Rev" ] ~tag:"mt" []
       in
@@ -474,6 +510,8 @@ let prop_q_error_finite =
 let suite =
   [
     Alcotest.test_case "stats save/load round-trip" `Quick test_stats_roundtrip;
+    Alcotest.test_case "single-join plans leave stats detail lazy" `Quick
+      test_single_join_plan_leaves_detail_lazy;
     Alcotest.test_case "stats load rejects garbage" `Quick
       test_stats_load_rejects_garbage;
     Alcotest.test_case "cost model covers every plan node" `Quick

@@ -287,6 +287,30 @@ let prop_runs_maximal =
       in
       List.for_all (fun run -> run <> []) runs && ok runs)
 
+(* The heap merge against the pairwise fold it replaced, on sorted
+   streams whose keys tie within and across streams; the tags tell
+   equal keys apart, so any reordering of a tie shows. *)
+let prop_merge_grouped_is_fold =
+  Test.make ~name:"merge_grouped = left fold of List.merge" ~count:500
+    ~print:Print.(array (list (pair int int)))
+    Gen.(
+      map
+        (fun lists ->
+          Array.of_list
+            (List.mapi
+               (fun s keys ->
+                 List.mapi (fun i k -> (k, (100 * s) + i)) (List.sort Int.compare keys))
+               lists))
+        (list_size (int_range 0 12)
+           (list_size (int_range 0 20) (int_range 0 8))))
+    (fun streams ->
+      let compare_group (a, _) (b, _) = Int.compare a b in
+      let fold = Array.fold_left (List.merge compare_group) [] streams in
+      List.equal
+        (fun (k, t) (k', t') -> k = k' && t = t')
+        fold
+        (Parallel.merge_grouped ~compare_group streams))
+
 let qcheck = QCheck_alcotest.to_alcotest ~speed_level:`Quick
 
 let suite =
@@ -308,6 +332,7 @@ let suite =
     Alcotest.test_case "partitioned equi join" `Quick test_parallel_equi_join;
     qcheck prop_interval_tree_matches_naive;
     qcheck prop_heap_sorts;
+    qcheck prop_merge_grouped_is_fold;
     qcheck prop_runs_concat;
     qcheck prop_runs_maximal;
   ]

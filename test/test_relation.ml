@@ -8,6 +8,10 @@ module Tuple = Tpdb_relation.Tuple
 module Relation = Tpdb_relation.Relation
 module Csv = Tpdb_relation.Csv
 
+(* A document given as its lines, without a final newline. *)
+let csv_of_lines ~name ?path lines =
+  Csv.of_string ~name ?path (String.concat "\n" lines)
+
 let iv = Interval.make
 
 (* --- Value --- *)
@@ -241,14 +245,14 @@ let test_csv_derived_lineage () =
         (Relation.equal_as_sets r (Csv.load ~name:"d" path)))
 
 let test_csv_malformed () =
-  (match Csv.of_lines ~name:"x" [ "A,lineage,ts,te,p"; "v,a1,3" ] with
+  (match csv_of_lines ~name:"x" [ "A,lineage,ts,te,p"; "v,a1,3" ] with
   | exception Csv.Error { line = Some 2; _ } -> ()
   | exception Csv.Error _ -> Alcotest.fail "error lost the line number"
   | _ -> Alcotest.fail "short row accepted");
-  (match Csv.of_lines ~name:"x" [] with
+  (match csv_of_lines ~name:"x" [] with
   | exception Csv.Error { line = None; _ } -> ()
   | _ -> Alcotest.fail "empty input accepted");
-  match Csv.of_lines ~name:"x" ~path:"p.csv" [ "A,lineage,ts,te,p"; "v,a1,9,3,0.5" ] with
+  match csv_of_lines ~name:"x" ~path:"p.csv" [ "A,lineage,ts,te,p"; "v,a1,9,3,0.5" ] with
   | exception Csv.Error { path = "p.csv"; line = Some 2; _ } -> ()
   | _ -> Alcotest.fail "empty interval accepted"
 
@@ -259,7 +263,7 @@ let test_csv_malformed () =
    CSV errors naming the line. *)
 let test_csv_bad_probability () =
   let load p =
-    Csv.of_lines ~name:"x" ~path:"p.csv"
+    csv_of_lines ~name:"x" ~path:"p.csv"
       [ "A,lineage,ts,te,p"; Printf.sprintf "v,a1,0,3,%s" p ]
   in
   let expect_error what p =
@@ -305,7 +309,7 @@ let edge_csv =
    hashes exactly this text, so any drift would invalidate every cached
    result of a reloaded relation. *)
 let test_csv_golden () =
-  let r = Csv.of_lines ~name:"edge" edge_csv in
+  let r = csv_of_lines ~name:"edge" edge_csv in
   Alcotest.(check string) "Csv.to_string"
     (String.concat ""
        [
@@ -335,6 +339,56 @@ let prop_coalesce_idempotent =
     (fun r ->
       let once = Relation.coalesce r in
       Relation.equal_as_sets once (Relation.coalesce once))
+
+(* The chained-array check against the list-bucket one it replaced, on
+   relations whose facts collide often (including I/F pairs that are
+   [Fact.equal]) and whose tuples may repeat physically. *)
+let oracle_duplicate_free r =
+  let by_fact = Hashtbl.create 16 in
+  List.iter
+    (fun tp ->
+      let key = Fact.hash (Tpdb_relation.Tuple.fact tp) in
+      let existing = Option.value (Hashtbl.find_opt by_fact key) ~default:[] in
+      Hashtbl.replace by_fact key (tp :: existing))
+    (Relation.tuples r);
+  Hashtbl.fold
+    (fun _ group ok ->
+      ok
+      && List.for_all
+           (fun (tp : Tpdb_relation.Tuple.t) ->
+             List.for_all
+               (fun (other : Tpdb_relation.Tuple.t) ->
+                 tp == other
+                 || (not (Fact.equal tp.fact other.fact))
+                 || not (Interval.overlaps tp.iv other.iv))
+               group)
+           group)
+    by_fact true
+
+let prop_duplicate_free_matches_oracle =
+  Test.make ~name:"is_duplicate_free matches the list-bucket check"
+    ~count:500
+    Gen.(
+      pair
+        (list_size (int_range 0 30)
+           (triple
+              (oneofl [ Value.I 1; Value.F 1.0; Value.I 2; Value.S "x"; Value.Null ])
+              (int_range 0 20) (int_range 1 4)))
+        (list_size (int_range 0 3) (int_range 0 29)))
+    (fun (rows, repeats) ->
+      let tuples =
+        List.map
+          (fun (v, ts, d) ->
+            Tpdb_relation.Tuple.make ~fact:[| v |] ~lineage:Formula.true_
+              ~iv:(iv ts (ts + d)) ~p:0.5)
+          rows
+      in
+      let tuples =
+        tuples
+        @ List.filter_map (fun i -> List.nth_opt tuples i) repeats
+      in
+      let r = Relation.of_tuples (Schema.make ~name:"d" [ "K" ]) tuples in
+      Bool.equal (oracle_duplicate_free r) (Relation.is_duplicate_free r))
 
 let prop_csv_roundtrip =
   Test.make ~name:"csv round-trip preserves relations" ~count:50
@@ -502,7 +556,7 @@ let prop_csv_writer =
    formatter reset. A narrow margin makes any difference in box state
    show up as a different line break. *)
 let test_pp_formatter_state () =
-  let r = Csv.of_lines ~name:"edge" edge_csv in
+  let r = csv_of_lines ~name:"edge" edge_csv in
   let small = sample () in
   let render margin pp =
     let buf = Buffer.create 256 in
@@ -545,6 +599,271 @@ let test_render_chunked () =
       let saved = really_input_string ic (in_channel_length ic) in
       close_in ic;
       Alcotest.(check string) "Csv.save = Csv.to_string" (oracle_csv r) saved)
+
+(* --- the in-place CSV parser against the line-list parser ---
+
+   A copy of the original parser, kept as the oracle for
+   [Csv.of_string]: the text split into lines as [input_line] split a
+   file, each row split into a list of cells, every cell through the
+   general parsers. Accepted documents must give identical tuples
+   (values, hash-consed lineage, interval, the bits of p); rejected
+   ones the identical [Csv.Error]. *)
+
+let oracle_error ~path ?line fmt =
+  Printf.ksprintf
+    (fun message -> raise (Csv.Error { path; line; message }))
+    fmt
+
+let oracle_of_lines ~name ~path lines =
+  let error = oracle_error in
+  match lines with
+  | [] -> error ~path "empty input: expected a header line"
+  | header :: rows ->
+      let fields = String.split_on_char ',' header in
+      let ncols = List.length fields - 4 in
+      if ncols < 0 then
+        error ~path ~line:1
+          "header too short: expected [col1,...,colN,lineage,ts,te,p], got \
+           %d field(s)"
+          (List.length fields);
+      let columns = List.filteri (fun i _ -> i < ncols) fields in
+      let schema =
+        try Schema.make ~name columns
+        with Invalid_argument msg -> error ~path ~line:1 "bad header: %s" msg
+      in
+      let parse_row lineno line =
+        let fail fmt = error ~path ~line:lineno fmt in
+        let cells = String.split_on_char ',' line in
+        if List.length cells <> ncols + 4 then
+          fail "wrong field count: expected %d, got %d" (ncols + 4)
+            (List.length cells);
+        let values = List.filteri (fun i _ -> i < ncols) cells in
+        match List.filteri (fun i _ -> i >= ncols) cells with
+        | [ lineage; ts; te; p ] ->
+            let int_field what s =
+              match int_of_string_opt (String.trim s) with
+              | Some n -> n
+              | None -> fail "%s is not an integer: '%s'" what s
+            in
+            let lineage =
+              try Formula.of_string lineage
+              with _ -> fail "unparsable lineage: '%s'" lineage
+            in
+            let iv =
+              let ts = int_field "ts" ts and te = int_field "te" te in
+              try Interval.make ts te with
+              | Invalid_argument msg -> fail "bad interval: %s" msg
+              | Interval.Empty_interval (a, b) ->
+                  fail "empty interval [%d,%d): ts must be below te" a b
+            in
+            let p =
+              match float_of_string_opt (String.trim p) with
+              | None -> fail "probability is not a number: '%s'" p
+              | Some v when Float.is_nan v -> fail "probability is NaN: '%s'" p
+              | Some v when not (Float.is_finite v) ->
+                  fail "probability is infinite: '%s'" p
+              | Some v when v < 0.0 || v > 1.0 ->
+                  fail "probability %g out of [0,1]" v
+              | Some v -> v
+            in
+            Tpdb_relation.Tuple.make ~fact:(Fact.of_strings values) ~lineage ~iv ~p
+        | _ ->
+            fail "wrong field count: expected %d, got %d" (ncols + 4)
+              (List.length cells)
+      in
+      Relation.of_tuples schema
+        (List.concat
+           (List.mapi
+              (fun i line ->
+                if String.equal line "" then [] else [ parse_row (i + 2) line ])
+              rows))
+
+(* The lines [input_line] returns for a file holding [text]. *)
+let input_lines text =
+  match List.rev (String.split_on_char '\n' text) with
+  | "" :: rest -> List.rev rest
+  | lines -> List.rev lines
+
+let same_value (a : Value.t) (b : Value.t) =
+  match (a, b) with
+  | Null, Null -> true
+  | S x, S y -> String.equal x y
+  | I x, I y -> x = y
+  | F x, F y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | (Null | S _ | I _ | F _), _ -> false
+
+let same_tuple (a : Tpdb_relation.Tuple.t) (b : Tpdb_relation.Tuple.t) =
+  Array.length a.fact = Array.length b.fact
+  && Array.for_all2 same_value a.fact b.fact
+  && a.lineage == b.lineage
+  && Interval.equal a.iv b.iv
+  && Int64.equal (Int64.bits_of_float a.p) (Int64.bits_of_float b.p)
+
+type parsed = Rows of Relation.t | Failed of string * int option * string | Raised of string
+
+let parse f =
+  match f () with
+  | r -> Rows r
+  | exception Csv.Error { path; line; message } -> Failed (path, line, message)
+  | exception exn -> Raised (Printexc.to_string exn)
+
+let same_parse a b =
+  match (a, b) with
+  | Rows r, Rows s ->
+      Schema.name (Relation.schema r) = Schema.name (Relation.schema s)
+      && List.equal String.equal
+           (Schema.columns (Relation.schema r))
+           (Schema.columns (Relation.schema s))
+      && List.equal same_tuple (Relation.tuples r) (Relation.tuples s)
+  | Failed (p, l, m), Failed (p', l', m') ->
+      String.equal p p' && Option.equal Int.equal l l' && String.equal m m'
+  | Raised x, Raised y -> String.equal x y
+  | (Rows _ | Failed _ | Raised _), _ -> false
+
+let digits n = Gen.(map (String.concat "") (list_repeat n (map string_of_int (int_range 0 9))))
+
+(* Documents mixing every cell shape the parser special-cases. Half of
+   them draw lineage, interval and probability cells only from valid
+   shapes, so most of those load and their tuples are compared; the
+   other half draw from everything and mostly fail somewhere. Value
+   cells always parse. *)
+let csv_doc_gen =
+  let open Gen in
+  let value =
+    oneof
+      [
+        oneofl
+          [ "-"; ""; " 1.5"; "1_000"; "0x1F"; "nan"; "inf"; "infinity"; "_1";
+            "i7"; "n0"; "NaN"; "Infinity"; "INF"; "e5"; "+3"; ".5"; "5.";
+            "-0"; "abc"; "Zed"; "x y"; "007"; "2.5"; "-0.125"; "1e-07";
+            "4611686018427387903"; "-4611686018427387904";
+            "4611686018427387904"; "0b101"; "0o17"; "-a" ];
+        map string_of_int int;
+        map string_of_int (int_range (-50) 50);
+        int_range 15 22 >>= digits;
+        map (fun s -> "-" ^ s) (int_range 15 22 >>= digits);
+      ]
+  in
+  let good_lineage =
+    oneof
+      [
+        oneofl
+          [ "a1"; "x12"; "tag_9"; "T"; "F"; "a1 & !(b2 | c3)";
+            "(a3 | b4) & (c1 | !d2)"; " a1"; "a1 "; "1a2"; "_1"; "!a5";
+            "(a1)"; "a007"; "a0b1"; "T & a1"; "a1|b2" ];
+        map (fun n -> "r" ^ string_of_int n) (int_range 0 1000);
+        map (fun s -> "tag_" ^ s) (int_range 1 18 >>= digits);
+      ]
+  and bad_lineage =
+    oneof
+      [
+        oneofl [ "b"; "12"; ""; "a1 &"; "r1-"; "a1 b2"; "(a1" ];
+        map (fun s -> "s" ^ s) (int_range 19 24 >>= digits);
+      ]
+  and good_time =
+    oneof
+      [
+        map string_of_int (int_range (-20) 40);
+        oneofl [ " 3"; "3 "; "+4"; "0x10"; "1_0"; "-5"; "0o7"; "-0" ];
+      ]
+  and bad_time =
+    oneof
+      [
+        oneofl
+          [ ""; "abc"; "-"; "4611686018427387903"; "-4611686018427387904";
+            "0u12"; "1.5" ];
+        int_range 17 22 >>= digits;
+      ]
+  and good_prob =
+    oneof
+      [
+        oneofl
+          [ "0"; "1"; "0.5"; "0.123456789012"; "1e-05"; "0.00001"; "-0";
+            "-0.0"; " 0.25"; "0.25 "; ".5"; "0."; "00.5"; "0x0.8p0";
+            "1.0"; "1.0000000000000000001"; "0.1234567890123456789";
+            "9007199254740993e-16"; "0.9007199254740993" ];
+        map (fun s -> "0." ^ s) (int_range 1 25 >>= digits);
+        map (fun s -> "0.0000" ^ s) (int_range 1 14 >>= digits);
+        map (Printf.sprintf "%.12g") (float_range 0.0 1.0);
+        map (Printf.sprintf "%.17g") (float_range 0.0 1.0);
+      ]
+  and bad_prob =
+    oneofl
+      [ "nan"; "inf"; "-inf"; "1.5"; "5."; "."; "1_0"; "abc"; ""; "-0.25";
+        "2" ]
+  in
+  let header ncols =
+    frequency
+      [
+        ( 9,
+          return
+            (String.concat ","
+               (List.init ncols (fun i -> [| "A"; "B"; "K" |].(i))
+               @ [ "lineage"; "ts"; "te"; "p" ])) );
+        (1, oneofl [ "A,lineage,ts"; "A,A,lineage,ts,te,p"; ""; "A,lineage,ts,te,p,extra" ]);
+      ]
+  in
+  let row ~clean ncols =
+    let pick good bad = if clean then good else oneof [ good; bad ] in
+    frequency
+      [
+        ( 12,
+          map4
+            (fun vs l (ts, te) p -> String.concat "," (vs @ [ l; ts; te; p ]))
+            (list_repeat ncols value)
+            (pick good_lineage bad_lineage)
+            (if clean then
+               map
+                 (fun (a, d) -> (string_of_int a, string_of_int (a + d)))
+                 (pair (int_range (-20) 40) (int_range 1 9))
+             else pair (pick good_time bad_time) (pick good_time bad_time))
+            (pick good_prob bad_prob) );
+        (* a Webkit-like row: the fast path on every cell *)
+        ( 8,
+          map3
+            (fun vs (i, n) p ->
+              String.concat ","
+                (vs @ [ Printf.sprintf "r%d" i; string_of_int n;
+                        string_of_int (n + 1 + i); p ]))
+            (list_repeat ncols value)
+            (pair (int_range 0 99) (int_range 0 99))
+            (map (Printf.sprintf "%.12g") (float_range 0.0 1.0)) );
+        (1, return "");
+        ( (if clean then 0 else 1),
+          map (String.concat ",") (list_size (int_range 0 8) value) );
+      ]
+  in
+  bool >>= fun clean ->
+  int_range 0 3 >>= fun ncols ->
+  quad (header ncols)
+    (list_size (int_range 0 8) (row ~clean ncols))
+    (oneofl [ "\n"; "\r\n" ]) bool
+  >|= fun (h, rows, eol, final) ->
+  let body = String.concat eol (h :: rows) in
+  if final then body ^ eol else body
+
+let prop_csv_of_string =
+  Test.make ~name:"Csv.of_string matches the line-list parser" ~count:3000
+    ~print:String.escaped csv_doc_gen (fun text ->
+      same_parse
+        (parse (fun () -> oracle_of_lines ~name:"d" ~path:"d.csv" (input_lines text)))
+        (parse (fun () -> Csv.of_string ~name:"d" ~path:"d.csv" text)))
+
+(* The file path reads the whole text and parses it the same way. *)
+let test_csv_load_whole_file () =
+  let text = "A,lineage,ts,te,p\r\nx,a1,0,3,0.5\r\n\r\n-,b2,1,2,1" in
+  let path = Filename.temp_file "tpdb_test" ".csv" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      Alcotest.(check bool) "load = of_string" true
+        (same_parse
+           (parse (fun () -> Csv.of_string ~name:"d" ~path text))
+           (parse (fun () -> Csv.load ~name:"d" path))));
+  match Csv.load ~name:"d" (Filename.concat path "missing") with
+  | exception Csv.Error { line = None; _ } -> ()
+  | _ -> Alcotest.fail "a missing file loaded"
 
 (* --- number writers --- *)
 
@@ -598,12 +917,16 @@ let suite =
     Alcotest.test_case "csv rejects non-probability p" `Quick
       test_csv_bad_probability;
     Alcotest.test_case "csv golden bytes" `Quick test_csv_golden;
+    Alcotest.test_case "csv load reads the whole file" `Quick
+      test_csv_load_whole_file;
     qcheck prop_generated_duplicate_free;
+    qcheck prop_duplicate_free_matches_oracle;
     qcheck prop_coalesce_idempotent;
     qcheck prop_csv_roundtrip;
     qcheck prop_render_generated;
     qcheck prop_render_wide;
     qcheck prop_csv_writer;
+    qcheck prop_csv_of_string;
     Alcotest.test_case "pp leaves the formatter as @. did" `Quick
       test_pp_formatter_state;
     Alcotest.test_case "chunked rendering of a large relation" `Quick

@@ -414,8 +414,95 @@ let test_server_stats_and_openmetrics () =
       "tpdb_plan_cache_hits_total"; "tpdb_sessions_opened_total"; "# EOF";
     ]
 
+(* --- the store: digests and per-version statistics --- *)
+
+module Stats = Tpdb_query.Stats
+module Webkit = Tpdb_workload.Datasets.Webkit
+
+(* Cached results are keyed on these digests, so they must not drift
+   between releases: the values below are those of the original
+   closure-based FNV loop. *)
+let test_store_digest_pinned () =
+  let store = Store.create () in
+  ignore
+    (Store.load_csv store ~name:"edge"
+       ~csv:
+         (String.concat "\n"
+            [
+              "K,N,X,lineage,ts,te,p";
+              "-,-7,2.5,a1 & !(b2 | c3),-10,-3,0";
+              "alpha,0,-0.125,!(a2 & b1) | c4,-5,4,1";
+              "beta,12,1e-07,(a3 | b4) & (c1 | !d2),0,1,0.00001";
+              "gamma,4611686018427387903,-,!a5,-4611686018427387904,4611686018427387903,0.123456";
+              "delta,-4611686018427387904,100000,T,7,9,0.5";
+              "";
+            ]));
+  ignore (Store.register store (fst (Webkit.pair ~seed:7 50)));
+  Alcotest.(check (option (list (triple string int string))))
+    "digests"
+    (Some [ ("edge", 1, "bc8405f5534b61b2"); ("r", 1, "ff35a64d1ed66eb6") ])
+    (Store.digests store [ "edge"; "r" ])
+
+let stats_of catalog name =
+  match Catalog.stats catalog name with
+  | Some s -> s
+  | None -> Alcotest.failf "no statistics for %s" name
+
+let test_store_views_share_stats () =
+  let store = Store.create () in
+  let r, s = Webkit.pair ~seed:3 200 in
+  ignore (Store.load_csv store ~name:"r" ~csv:(Csv.to_string r));
+  ignore (Store.register store s);
+  let a, _ = Store.view store [ "r"; "s" ] and b, _ = Store.view store [ "r"; "s" ] in
+  Alcotest.(check bool) "one version, one stats value" true
+    (stats_of a "r" == stats_of b "r");
+  (* a snapshot taken after the first use shares it too *)
+  let c = Store.snapshot store in
+  Alcotest.(check bool) "later snapshot shares it" true
+    (stats_of a "r" == stats_of c "r");
+  ignore (Store.load_csv store ~name:"r" ~csv:(Csv.to_string r));
+  let d, _ = Store.view store [ "r" ] in
+  Alcotest.(check bool) "a re-LOAD gets fresh stats" false
+    (stats_of a "r" == stats_of d "r");
+  Alcotest.(check bool) "the untouched name keeps its stats" true
+    (stats_of a "s" == stats_of d "s");
+  Alcotest.(check bool) "the old snapshot keeps the old version" true
+    (stats_of a "r" == stats_of b "r")
+
+(* Fresh snapshots share one version's unforced statistics; two domains
+   planning and estimating over them at once force the same
+   suspensions. Both must finish, with the same plans. *)
+let test_store_concurrent_planning () =
+  let store = Store.create () in
+  let r, s = Webkit.pair ~seed:5 300 in
+  ignore (Store.register store s);
+  let sql =
+    Parser.parse "SELECT * FROM r LEFT TPJOIN s ON r.File = s.File"
+  in
+  for _ = 1 to 10 do
+    ignore (Store.register store r);
+    let ready = Atomic.make 0 in
+    let plan_once () =
+      let catalog, _ = Store.view store [ "r"; "s" ] in
+      Atomic.incr ready;
+      while Atomic.get ready < 2 do
+        Domain.cpu_relax ()
+      done;
+      let p = Planner.plan ~sanitize:false catalog sql in
+      (Planner.explain p, Stats.to_string (stats_of catalog "r"))
+    in
+    let other = Domain.spawn plan_once in
+    let mine = plan_once () in
+    Alcotest.(check (pair string string)) "domains agree" mine (Domain.join other)
+  done
+
 let suite =
   [
+    Alcotest.test_case "store: digests pinned" `Quick test_store_digest_pinned;
+    Alcotest.test_case "store: views share stats per version" `Quick
+      test_store_views_share_stats;
+    Alcotest.test_case "store: concurrent planning over snapshots" `Quick
+      test_store_concurrent_planning;
     Alcotest.test_case "protocol: requests round-trip" `Quick
       test_protocol_request_roundtrip;
     Alcotest.test_case "protocol: responses round-trip" `Quick
