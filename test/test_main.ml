@@ -5,7 +5,7 @@ let () =
       ("lineage", Test_lineage.suite);
       ("relation", Test_relation.suite);
       ("engine", Test_engine.suite);
-      ("storage", Test_storage.suite);
+      ("storage", Test_storage.suite @ Test_codec.suite);
       ("windows", Test_windows.suite);
       ("joins", Test_joins.suite);
       ("oracle", Test_oracle.suite);
