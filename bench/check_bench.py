@@ -36,6 +36,7 @@ Usage: check_bench.py BASELINE CURRENT [--hit-rate-floor F]
                       [--render-words-per-byte-ceiling F]
                       [--join-words-per-row-ceiling F]
                       [--csv-words-per-byte-ceiling F]
+                      [--spill-words-per-tuple-ceiling F]
 Exits non-zero on the first class of failure, printing every diff.
 
 Result rendering: the current report's "render" block carries the
@@ -60,6 +61,14 @@ files at a fixed seed and the minor words Csv.load spends reading them.
 minor words per input byte, or when the block is missing. The
 line-list parser spent about 5.5 words per byte; the in-place parser
 spends about 1.
+
+Spilling: the "spill" block carries the tuples of the same Webkit pair
+and the minor words spent partitioning it into a spill file at a
+256 KiB budget, reading every partition back and finishing the spill.
+--spill-words-per-tuple-ceiling F fails when that allocates more than F
+minor words per tuple, or when the block is missing. The per-partition
+files with a list-building reader spent about 180 words per tuple; the
+single held-open file with the array decoder spends about 67.
 
 Server reports (bench/main.exe --server --json) carry a "server" block
 with client-side latency and throughput plus the plan-/result-cache
@@ -200,6 +209,14 @@ def main():
         metavar="F",
         help="fail unless loading the csv block's files allocates at most "
         "F minor words per input byte",
+    )
+    parser.add_argument(
+        "--spill-words-per-tuple-ceiling",
+        type=float,
+        default=None,
+        metavar="F",
+        help="fail unless spilling the spill block's pair and reading it "
+        "back allocates at most F minor words per tuple",
     )
     args = parser.parse_args()
 
@@ -384,6 +401,18 @@ def main():
                 f"above ceiling {args.csv_words_per_byte_ceiling}"
             )
 
+    spill = current.get("spill")
+    if args.spill_words_per_tuple_ceiling is not None:
+        if spill is None:
+            failures.append("spill ceiling set but the report has no spill block")
+        elif spill["words_per_tuple"] > args.spill_words_per_tuple_ceiling:
+            failures.append(
+                f"spilling the spill block allocates "
+                f"{spill['words_per_tuple']:.1f} minor words per tuple "
+                f"({spill['minor_words']} words for {spill['tuples']} tuples), "
+                f"above ceiling {args.spill_words_per_tuple_ceiling}"
+            )
+
     if failures:
         print(f"bench regression check FAILED ({len(failures)} diffs):")
         for failure in failures:
@@ -414,6 +443,8 @@ def main():
         summary.append(f"join {join['words_per_row']:.1f} words per row")
     if csv is not None:
         summary.append(f"csv {csv['words_per_byte']:.3f} words per byte")
+    if spill is not None:
+        summary.append(f"spill {spill['words_per_tuple']:.1f} words per tuple")
     if server is not None:
         summary.append(
             f"server {server['qps']:.0f} q/s p99 {server['p99_ms']:.2f} ms "

@@ -25,8 +25,10 @@
                    four-operator Meteo output), the join block (minor
                    words per output row of the same round, planned) and
                    the csv block (minor words per input byte of Csv.load
-                   over a Webkit pair) as a JSON report, led by a
-                   self-describing meta block
+                   over a Webkit pair) and the spill block (minor words
+                   per tuple of spilling that pair to disk and reading
+                   it back) as a JSON report, led by a self-describing
+                   meta block
      --openmetrics FILE
                    additionally write the metrics snapshot in the
                    OpenMetrics (Prometheus) text format *)
@@ -478,6 +480,65 @@ let run_csv metrics_installed =
     (float_of_int words /. float_of_int bytes);
   csv_report := Some (bytes, words)
 
+(* --- spill allocation ---
+
+   Minor words per spilled tuple of the spill I/O layer on its own:
+   [Spill.partition_pair] over the webkit-spill pair (Webkit, 4000
+   tuples per side, seed 7) at that workload's 256 KiB budget, reading
+   every partition back through the pool, and [Spill.finish]. The
+   partitioner keys on the join's equi-columns exactly as [Nj] does.
+   Tuples and words are deterministic, so words per tuple is a property
+   of the code: check_bench.py --spill-words-per-tuple-ceiling gates
+   it. *)
+
+let spill_report : (int * int * int) option ref = ref None
+
+let run_spill_alloc metrics_installed =
+  let r, s = Tpdb.Datasets.Webkit.pair ~seed:7 4000 in
+  let budget = 256 * 1024 in
+  let left_cols, right_cols =
+    match Tpdb.Theta.equi_keys (E.theta E.Webkit) with
+    | Some keys -> keys
+    | None -> invalid_arg "run_spill_alloc: Webkit θ has no equi-key"
+  in
+  let partitions =
+    Tpdb.Spill.partitions_for ~budget
+      ~est:(Tpdb.Spill.estimate_bytes r + Tpdb.Spill.estimate_bytes s)
+  in
+  let bucket cols tp =
+    Tpdb.Parallel.bucket_of ~partitions
+      (Tpdb.Fact.hash (Tpdb.Fact.key cols (Tpdb.Tuple.fact tp)))
+  in
+  let measure () =
+    let before = Gc.minor_words () in
+    let spill =
+      Tpdb.Spill.partition_pair ~partitions
+        ~pool_pages:(Tpdb.Spill.pool_pages ~budget)
+        ~left_key:(bucket left_cols) ~right_key:(bucket right_cols)
+        (Relation.schema r, Relation.to_seq r)
+        (Relation.schema s, Relation.to_seq s)
+    in
+    Fun.protect ~finally:(fun () -> Tpdb.Spill.finish spill) (fun () ->
+        for i = 0 to partitions - 1 do
+          ignore (Tpdb.Spill.read_left spill i);
+          ignore (Tpdb.Spill.read_right spill i)
+        done);
+    int_of_float (Gc.minor_words () -. before)
+  in
+  let words =
+    match metrics_installed with
+    | None -> measure ()
+    | Some metrics ->
+        Metrics.uninstall ();
+        Fun.protect ~finally:(fun () -> Metrics.install metrics) measure
+  in
+  let tuples = Relation.cardinality r + Relation.cardinality s in
+  Printf.printf
+    "spill: %d tuples in %d partitions; minor words %d (%.1f per tuple)\n%!"
+    tuples partitions words
+    (float_of_int words /. float_of_int tuples);
+  spill_report := Some (tuples, partitions, words)
+
 (* --- the JSON report --- *)
 
 (* Self-describing provenance for committed BENCH_*.json files. Nothing
@@ -626,6 +687,20 @@ let json_report metrics =
                   ("minor_words", J.int words);
                   ( "words_per_byte",
                     J.float (float_of_int words /. float_of_int bytes) );
+                ] );
+          ])
+    @ (match !spill_report with
+      | None -> []
+      | Some (tuples, partitions, words) ->
+          [
+            ( "spill",
+              J.obj
+                [
+                  ("tuples", J.int tuples);
+                  ("partitions", J.int partitions);
+                  ("minor_words", J.int words);
+                  ( "words_per_tuple",
+                    J.float (float_of_int words /. float_of_int tuples) );
                 ] );
           ])
     (* the full snapshot, verbatim from the sink *)
@@ -855,7 +930,8 @@ let () =
     if has "--paper" then run_paper_scale ();
     run_render (Metrics.active ());
     run_join (Metrics.active ());
-    run_csv (Metrics.active ())
+    run_csv (Metrics.active ());
+    run_spill_alloc (Metrics.active ())
   end;
   Metrics.uninstall ();
   (match json_out with

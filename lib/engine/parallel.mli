@@ -40,13 +40,15 @@ val map : pool:Pool.t -> ('a -> 'b) -> 'a array -> 'b array
 val merge_grouped :
   ?check:('w -> 'w -> unit) ->
   compare_group:('w -> 'w -> int) ->
-  'w list array ->
-  'w list
-(** K-way merge of per-partition streams under the contract above. Each
-    input list must have its groups in nondecreasing [compare_group]
-    order; elements of one group must not occur in two lists. [?check]
-    is called on every adjacent pair of the merged result — a sanitizer
-    hook that can assert the nondecreasing-group postcondition. *)
+  'w array array ->
+  'w array
+(** K-way merge of per-partition streams under the contract above, a
+    heap over one cursor per stream. Each input array must have its
+    groups in nondecreasing [compare_group] order; elements of one group
+    must not occur in two arrays. The result is a fresh array (inputs
+    are not modified). [?check] is called on every adjacent pair of the
+    merged result — a sanitizer hook that can assert the
+    nondecreasing-group postcondition. *)
 
 val equi_join :
   ?check:('w -> 'w -> unit) ->

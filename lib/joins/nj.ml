@@ -108,19 +108,17 @@ let merge ~options parts =
   let run () =
     Parallel.merge_grouped
       ?check:(if options.sanitize then Some Invariant.merge_check else None)
-      ~compare_group:Window.compare_group (Array.map Array.to_list parts)
+      ~compare_group:Window.compare_group parts
   in
-  Array.of_list
-    (if Trace.enabled () then Trace.with_span ~cat:"merge" "merge-grouped" run
-     else run ())
+  if Trace.enabled () then Trace.with_span ~cat:"merge" "merge-grouped" run
+  else run ()
 
 (* --- out-of-core spilling at the partition boundary -------------------
 
    When a memory budget is set and the estimated working set exceeds it,
-   both inputs are hash-partitioned on the equi-key to columnar heap
-   files (Spill / Heap_file.Writer), then each partition pair is read
-   back through a budget-sized buffer pool and swept one pair at a
-   time, strictly sequentially — peak memory is one partition pair plus
+   both inputs are hash-partitioned on the equi-key into one columnar
+   spill file (Spill), then each partition pair is read back through a
+   budget-sized buffer pool and swept one pair at a time, strictly sequentially — peak memory is one partition pair plus
    the accumulated window output, the Grace bound. The partitioner
    composes the same fact-key hash and Parallel.bucket_of as the in-RAM
    parallel path and the per-partition streams go through the same

@@ -2,7 +2,19 @@ module Metrics = Tpdb_obs.Metrics
 
 type key = string * int
 
-type entry = { bytes : Bytes.t; mutable stamp : int; mutable pins : int }
+(* Resident pages sit on an intrusive doubly linked recency list,
+   most recently used first, closed into a ring by a sentinel. A hit
+   moves its entry to the front; the victim is the entry nearest the
+   back that is not pinned. That is exact LRU — the same victims the
+   former stamp scan over the whole table chose — at the cost of
+   stepping over pinned pages only. *)
+type entry = {
+  key : key;
+  bytes : Bytes.t;
+  mutable pins : int;
+  mutable prev : entry;
+  mutable next : entry;
+}
 
 exception
   Pinned_eviction of { path : string; index : int; capacity : int; pinned : int }
@@ -10,47 +22,65 @@ exception
 type t = {
   capacity : int;
   table : (key, entry) Hashtbl.t;
-  mutable clock : int;
+  ring : entry;  (** sentinel: [ring.next] is the most recent page *)
+  mutable files : (string * Unix.file_descr) list;
+      (** open descriptors that pages of these paths load from *)
   mutable hits : int;
   mutable misses : int;
 }
 
 let create ~capacity =
   if capacity <= 0 then invalid_arg "Buffer_pool.create: capacity must be positive";
-  { capacity; table = Hashtbl.create (2 * capacity); clock = 0; hits = 0; misses = 0 }
+  let rec ring =
+    { key = ("", -1); bytes = Bytes.empty; pins = 0; prev = ring; next = ring }
+  in
+  {
+    capacity;
+    table = Hashtbl.create (2 * capacity);
+    ring;
+    files = [];
+    hits = 0;
+    misses = 0;
+  }
 
-let tick pool =
-  pool.clock <- pool.clock + 1;
-  pool.clock
+let attach pool ~path fd =
+  pool.files <- (path, fd) :: List.remove_assoc path pool.files
+
+let unlink e =
+  e.prev.next <- e.next;
+  e.next.prev <- e.prev
+
+let push_front pool e =
+  e.prev <- pool.ring;
+  e.next <- pool.ring.next;
+  pool.ring.next.prev <- e;
+  pool.ring.next <- e
 
 let pinned_pages pool =
   Hashtbl.fold (fun _ e acc -> if e.pins > 0 then acc + 1 else acc) pool.table 0
 
 (* Evict the least-recently-used unpinned page to make room for
-   [~for_]. A pinned page is never a victim: if every resident page is
-   pinned the pool cannot honor the read without breaking a pin, which
-   is a caller bug (pool sized below the number of concurrently pinned
-   pages) — surfaced as the typed {!Pinned_eviction}, which
-   [Analyze.diagnostic_of_exn] renders. *)
+   [~for_], handing back its bytes for reuse. A pinned page is never a
+   victim: if every resident page is pinned the pool cannot honor the
+   read without breaking a pin, which is a caller bug (pool sized below
+   the number of concurrently pinned pages) — surfaced as the typed
+   {!Pinned_eviction}, which [Analyze.diagnostic_of_exn] renders. *)
 let evict_lru pool ~for_:(path, index) =
-  let victim =
-    Hashtbl.fold
-      (fun key entry acc ->
-        if entry.pins > 0 then acc
-        else
-          match acc with
-          | Some (_, best) when best <= entry.stamp -> acc
-          | _ -> Some (key, entry.stamp))
-      pool.table None
-  in
-  match victim with
-  | Some (key, _) -> Hashtbl.remove pool.table key
-  | None ->
+  let rec victim e =
+    if e == pool.ring then
       raise
         (Pinned_eviction
            { path; index; capacity = pool.capacity; pinned = pinned_pages pool })
+    else if e.pins > 0 then victim e.prev
+    else e
+  in
+  let e = victim pool.ring.prev in
+  unlink e;
+  Hashtbl.remove pool.table e.key;
+  e.bytes
 
-let load path index size =
+let load_path path index bytes =
+  let size = Bytes.length bytes in
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
@@ -62,39 +92,65 @@ let load path index size =
           (Printf.sprintf "Buffer_pool: page %d beyond end of %s" index path);
       seek_in ic offset;
       let available = min size (file_len - offset) in
-      let bytes = Bytes.make size '\000' in
       really_input ic bytes 0 available;
-      bytes)
+      Bytes.fill bytes available (size - available) '\000')
+
+(* One seek and as many reads as the page needs, on a descriptor the
+   caller holds open. A page that starts at or past the end of the
+   file raises [End_of_file]. *)
+let load_fd fd index bytes =
+  let size = Bytes.length bytes in
+  ignore (Unix.lseek fd (index * size) Unix.SEEK_SET);
+  let rec fill got =
+    if got < size then
+      match Unix.read fd bytes got (size - got) with
+      | 0 -> got
+      | n -> fill (got + n)
+    else got
+  in
+  let got = fill 0 in
+  if got = 0 then raise End_of_file;
+  Bytes.fill bytes got (size - got) '\000'
 
 let entry_for pool ~path ~index ~size =
   let key = (path, index) in
   match Hashtbl.find_opt pool.table key with
-  | Some entry ->
+  | Some e ->
       pool.hits <- pool.hits + 1;
       Metrics.incr Metrics.Pool_hits;
-      entry.stamp <- tick pool;
-      entry
+      if pool.ring.next != e then begin
+        unlink e;
+        push_front pool e
+      end;
+      e
   | None ->
       pool.misses <- pool.misses + 1;
       Metrics.incr Metrics.Pool_misses;
-      let bytes = load path index size in
-      if Hashtbl.length pool.table >= pool.capacity then
-        evict_lru pool ~for_:key;
-      let entry = { bytes; stamp = tick pool; pins = 0 } in
-      Hashtbl.replace pool.table key entry;
-      entry
+      let bytes =
+        if Hashtbl.length pool.table >= pool.capacity then
+          let reused = evict_lru pool ~for_:key in
+          if Bytes.length reused = size then reused else Bytes.create size
+        else Bytes.create size
+      in
+      (match List.assoc_opt path pool.files with
+      | Some fd -> load_fd fd index bytes
+      | None -> load_path path index bytes);
+      let e = { key; bytes; pins = 0; prev = pool.ring; next = pool.ring } in
+      push_front pool e;
+      Hashtbl.replace pool.table key e;
+      e
 
 let read_page pool ~path ~index ~size =
   (entry_for pool ~path ~index ~size).bytes
 
 let pin pool ~path ~index ~size =
-  let entry = entry_for pool ~path ~index ~size in
-  entry.pins <- entry.pins + 1;
-  entry.bytes
+  let e = entry_for pool ~path ~index ~size in
+  e.pins <- e.pins + 1;
+  e.bytes
 
 let unpin pool ~path ~index =
   match Hashtbl.find_opt pool.table (path, index) with
-  | Some entry when entry.pins > 0 -> entry.pins <- entry.pins - 1
+  | Some e when e.pins > 0 -> e.pins <- e.pins - 1
   | _ -> invalid_arg "Buffer_pool.unpin: page not pinned"
 
 let with_pin pool ~path ~index ~size f =
@@ -106,10 +162,14 @@ let stats pool = (pool.hits, pool.misses)
 let cached_pages pool = Hashtbl.length pool.table
 
 let invalidate pool ~path =
-  let keys =
+  let stale =
     Hashtbl.fold
-      (fun ((p, _) as key) entry acc ->
-        if String.equal p path && entry.pins = 0 then key :: acc else acc)
+      (fun (p, _) e acc ->
+        if String.equal p path && e.pins = 0 then e :: acc else acc)
       pool.table []
   in
-  List.iter (Hashtbl.remove pool.table) keys
+  List.iter
+    (fun e ->
+      unlink e;
+      Hashtbl.remove pool.table e.key)
+    stale

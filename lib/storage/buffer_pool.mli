@@ -23,12 +23,21 @@ exception
 val create : capacity:int -> t
 (** [capacity] in pages (> 0). *)
 
+val attach : t -> path:string -> Unix.file_descr -> unit
+(** Pages of [path] that miss from now on load from [fd] — one seek
+    and one read on a descriptor the caller keeps open and closes after
+    its last read through the pool — instead of opening [path] per
+    miss. A page that starts at or past the end of the file raises
+    [End_of_file]. *)
+
 val read_page : t -> path:string -> index:int -> size:int -> Bytes.t
 (** Page [index] (0-based) of [path], [size] bytes ([Heap_file.page_size]
     for all callers; short final pages come back zero-padded). Cached;
-    eviction is least-recently-used among unpinned pages. The returned
-    bytes must not be mutated and may be evicted (reused) by any later
-    [read_page] — {!pin} to keep them resident. *)
+    eviction is exact least-recently-used among unpinned pages, in time
+    proportional to the number of pinned pages it steps over. The
+    returned bytes must not be mutated and may be evicted — and then
+    overwritten with the next page loaded — by any later [read_page]:
+    {!pin} to keep them resident. *)
 
 val pin : t -> path:string -> index:int -> size:int -> Bytes.t
 (** Like {!read_page} but increments the page's pin count: the page is

@@ -54,9 +54,26 @@ val read_zigzag : reader -> int
     variables; facts through the tagged value codec. [decode ∘ encode]
     is the identity on tuple arrays (lineages are rebuilt through the
     smart constructors, which is the identity on the invariant-respecting
-    formulas {!Tpdb_lineage.Formula} produces). *)
+    formulas {!Tpdb_lineage.Formula} produces).
+
+    The relation tags of the dictionary appear in order of first use;
+    within one tuple, new tags appear in {!Tpdb_lineage.Formula.vars}
+    order. Malformed input of any kind raises {!Corrupt}. *)
 
 module Column : sig
   val encode : Buffer.t -> Tpdb_relation.Tuple.t array -> unit
+
+  val encode_sub : Buffer.t -> Tpdb_relation.Tuple.t array -> int -> unit
+  (** [encode_sub buf tuples n] encodes the first [n] tuples: the bytes
+      of [encode buf (Array.sub tuples 0 n)]. *)
+
   val decode : reader -> Tpdb_relation.Tuple.t array
+
+  val decode_into : reader -> Tpdb_relation.Tuple.t array -> int -> int
+  (** [decode_into r dst off] decodes one block into [dst] from index
+      [off] on and returns its tuple count. Raises {!Corrupt} on
+      malformed input, including a block that does not fit in [dst]. *)
+
+  val placeholder : Tpdb_relation.Tuple.t
+  (** A tuple to fill arrays that {!decode_into} will overwrite. *)
 end

@@ -9,7 +9,6 @@ let corrupt fmt = Printf.ksprintf (fun msg -> raise (Corrupt msg)) fmt
 let page_size = 4096
 let magic = "TPHF"
 let version = 1
-let columnar_version = 2
 
 (* Data-page layout: u16 record count, then that many self-delimiting
    tuple records. A record larger than one page's capacity is stored as an
@@ -23,7 +22,7 @@ let pad_to_page buf =
   let remainder = Buffer.length buf mod page_size in
   if remainder > 0 then Buffer.add_string buf (String.make (page_size - remainder) '\000')
 
-let header_bytes ~version ~schema ~tuple_count ~data_pages =
+let header_bytes ~schema ~tuple_count ~data_pages =
   let buf = Buffer.create page_size in
   Buffer.add_string buf magic;
   Codec.write_uint16 buf version;
@@ -82,7 +81,7 @@ let encode_data_pages relation =
 let write path relation =
   let data, data_pages = encode_data_pages relation in
   let header =
-    header_bytes ~version ~schema:(Relation.schema relation)
+    header_bytes ~schema:(Relation.schema relation)
       ~tuple_count:(Relation.cardinality relation) ~data_pages
   in
   let tmp = path ^ ".tmp" in
@@ -96,123 +95,6 @@ let write path relation =
      (try Sys.remove tmp with Sys_error _ -> ());
      raise e);
   Sys.rename tmp path
-
-(* --- streaming columnar writer (format version 2) --- *)
-
-(* Version-2 data region: a byte stream of length-prefixed columnar
-   blocks (u64 length, then [Codec.Column] payload) laid over the pages
-   with no per-block padding — adjacent blocks share their boundary
-   pages, which is what makes the buffer pool earn hits on a sequential
-   partition sweep. Only the final partial page is zero-padded. *)
-module Writer = struct
-  type t = {
-    path : string;
-    tmp : string;
-    oc : out_channel;
-    schema : Schema.t;
-    mutable pending : Tuple.t list;  (* reversed *)
-    mutable pending_count : int;
-    tail : Buffer.t;  (* bytes of the page being assembled *)
-    mutable data_pages : int;
-    mutable tuple_count : int;
-    mutable bytes_written : int;
-    mutable closed : bool;
-  }
-
-  let block_tuples = 512
-
-  let create path schema =
-    let tmp = path ^ ".tmp" in
-    let oc = open_out_bin tmp in
-    (* header placeholder, rewritten on close once the counts are known *)
-    output_string oc (String.make page_size '\000');
-    {
-      path;
-      tmp;
-      oc;
-      schema;
-      pending = [];
-      pending_count = 0;
-      tail = Buffer.create (2 * page_size);
-      data_pages = 0;
-      tuple_count = 0;
-      bytes_written = 0;
-      closed = false;
-    }
-
-  let flush_full_pages w =
-    let len = Buffer.length w.tail in
-    let full = len / page_size in
-    if full > 0 then begin
-      output_string w.oc (Buffer.sub w.tail 0 (full * page_size));
-      let rest = Buffer.sub w.tail (full * page_size) (len - (full * page_size)) in
-      Buffer.clear w.tail;
-      Buffer.add_string w.tail rest;
-      w.data_pages <- w.data_pages + full
-    end
-
-  let flush_block w =
-    if w.pending_count > 0 then begin
-      let tuples = Array.of_list (List.rev w.pending) in
-      w.pending <- [];
-      w.pending_count <- 0;
-      let block = Buffer.create 4096 in
-      Codec.Column.encode block tuples;
-      Codec.write_int64 w.tail (Buffer.length block);
-      Buffer.add_buffer w.tail block;
-      w.bytes_written <- w.bytes_written + 8 + Buffer.length block;
-      flush_full_pages w
-    end
-
-  let add w tp =
-    if w.closed then invalid_arg "Heap_file.Writer.add: closed";
-    w.pending <- tp :: w.pending;
-    w.pending_count <- w.pending_count + 1;
-    w.tuple_count <- w.tuple_count + 1;
-    if w.pending_count >= block_tuples then flush_block w
-
-  let tuple_count w = w.tuple_count
-  let bytes_written w = w.bytes_written
-
-  let close w =
-    if not w.closed then begin
-      w.closed <- true;
-      (try
-         flush_block w;
-         if Buffer.length w.tail > 0 then begin
-           pad_to_page w.tail;
-           output_string w.oc (Buffer.contents w.tail);
-           w.data_pages <- w.data_pages + (Buffer.length w.tail / page_size);
-           Buffer.clear w.tail
-         end;
-         seek_out w.oc 0;
-         output_string w.oc
-           (header_bytes ~version:columnar_version ~schema:w.schema
-              ~tuple_count:w.tuple_count ~data_pages:w.data_pages);
-         close_out w.oc
-       with e ->
-         close_out_noerr w.oc;
-         (try Sys.remove w.tmp with Sys_error _ -> ());
-         raise e);
-      Sys.rename w.tmp w.path
-    end
-
-  let abort w =
-    if not w.closed then begin
-      w.closed <- true;
-      close_out_noerr w.oc;
-      try Sys.remove w.tmp with Sys_error _ -> ()
-    end
-end
-
-let write_columnar path relation =
-  let w = Writer.create path (Relation.schema relation) in
-  try
-    List.iter (Writer.add w) (Relation.tuples relation);
-    Writer.close w
-  with e ->
-    Writer.abort w;
-    raise e
 
 let get_page ?pool ~path index =
   match pool with
@@ -238,8 +120,7 @@ let read_header ?pool path =
   if not (String.equal m magic) then corrupt "%s: bad magic %S" path m;
   r.Codec.pos <- 4;
   let v = Codec.read_uint16 r in
-  if v <> version && v <> columnar_version then
-    corrupt "%s: unsupported format version %d" path v;
+  if v <> version then corrupt "%s: unsupported format version %d" path v;
   let name = Codec.read_string r in
   let n_columns = Codec.read_uint16 r in
   let columns = List.init n_columns (fun _ -> Codec.read_string r) in
@@ -296,79 +177,6 @@ let read_rows ?pool path schema tuple_count data_pages =
     corrupt "%s: header claims %d tuples, found %d" path tuple_count !decoded;
   Relation.of_tuples schema (List.rev !tuples)
 
-(* Version-2 read: walk the block stream with a byte cursor over the
-   data region; blocks that lie wholly within one page decode in place
-   from the pooled page (pinned for the duration of the decode), larger
-   blocks are reassembled page by page. *)
-let read_columnar ?pool path schema tuple_count data_pages =
-  let total = data_pages * page_size in
-  let pos = ref 0 in
-  (* With a pool, every page request goes through it — the pool is the
-     cache, and the boundary pages adjacent blocks share are where the
-     sequential sweep earns its hits. Without one, a one-page memo
-     stands in so the raw fallback doesn't reopen the file once per
-     chunk. *)
-  let page =
-    match pool with
-    | Some _ -> fun i -> get_page ?pool ~path (1 + i)
-    | None ->
-        let memo_index = ref (-1) in
-        let memo_bytes = ref Bytes.empty in
-        fun i ->
-          if !memo_index <> i then begin
-            memo_bytes := get_page ~path (1 + i);
-            memo_index := i
-          end;
-          !memo_bytes
-  in
-  let read_bytes n =
-    if n < 0 || !pos + n > total then corrupt "%s: truncated block stream" path;
-    let out = Bytes.create n in
-    let copied = ref 0 in
-    while !copied < n do
-      let p = (!pos + !copied) / page_size in
-      let off = (!pos + !copied) mod page_size in
-      let chunk = min (n - !copied) (page_size - off) in
-      Bytes.blit (page p) off out !copied chunk;
-      copied := !copied + chunk
-    done;
-    pos := !pos + n;
-    out
-  in
-  let tuples = ref [] in
-  let decoded = ref 0 in
-  (try
-     while !decoded < tuple_count do
-       let len = Codec.read_int64 (Codec.reader (read_bytes 8)) in
-       if len <= 0 || !pos + len > total then
-         corrupt "%s: bad block length %d" path len;
-       let block =
-         let p = !pos / page_size in
-         let off = !pos mod page_size in
-         if off + len <= page_size then begin
-           let decode_in bytes = Codec.Column.decode (Codec.reader_at bytes off) in
-           let arr =
-             match pool with
-             | Some pool ->
-                 Buffer_pool.with_pin pool ~path ~index:(1 + p) ~size:page_size
-                   decode_in
-             | None -> decode_in (page p)
-           in
-           pos := !pos + len;
-           arr
-         end
-         else Codec.Column.decode (Codec.reader (read_bytes len))
-       in
-       if Array.length block = 0 then corrupt "%s: empty block" path;
-       Array.iter (fun tp -> tuples := tp :: !tuples) block;
-       decoded := !decoded + Array.length block
-     done
-   with Codec.Corrupt msg -> corrupt "%s: %s" path msg);
-  if !decoded <> tuple_count then
-    corrupt "%s: header claims %d tuples, found %d" path tuple_count !decoded;
-  Relation.of_tuples schema (List.rev !tuples)
-
 let read ?pool path =
-  let v, schema, tuple_count, data_pages = read_header ?pool path in
-  if v = columnar_version then read_columnar ?pool path schema tuple_count data_pages
-  else read_rows ?pool path schema tuple_count data_pages
+  let _, schema, tuple_count, data_pages = read_header ?pool path in
+  read_rows ?pool path schema tuple_count data_pages

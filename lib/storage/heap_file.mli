@@ -1,23 +1,19 @@
-(** Paged heap files for TP relations.
+(** Paged heap files for TP relations, the format of {!Db}.
 
-    Layout: a header page (magic, format version, schema, tuple and page
-    counts) followed by fixed-size data pages. Two data formats share
-    the header:
-
-    - {b version 1} (row format, {!write}): each data page holds a
-      record count and a run of self-delimiting tuple records; a tuple
-      never spans pages unless it is larger than a page, in which case
-      it gets a private oversized chain (length-prefixed).
-    - {b version 2} (columnar format, {!Writer} / {!write_columnar}):
-      the data region is a byte stream of length-prefixed
-      {!Codec.Column} blocks packed back-to-back over the pages —
-      adjacent blocks share boundary pages, so sequential scans through
-      a {!Buffer_pool} get genuine cache hits. This is the spill-file
-      format of the out-of-core executor.
+    Layout: a header page (magic, format version 1, schema, tuple and
+    page counts) followed by fixed-size data pages. Each data page holds
+    a record count and a run of self-delimiting tuple records; a tuple
+    never spans pages unless it is larger than a page, in which case it
+    gets a private oversized chain (length-prefixed).
 
     Relations are immutable, so files are written once (atomically, via
-    a temp file and rename) and only read afterwards. {!read} dispatches
-    on the header's version. *)
+    a temp file and rename) and only read afterwards.
+
+    The out-of-core executor does not use this format: its spill file
+    ({!Spill}) is a private stream of {!Codec.Column} blocks that lives
+    only as long as one join, so it needs no header, no page padding
+    and no rename. A file of the former columnar format (version 2) is
+    rejected as an unsupported version. *)
 
 val page_size : int
 (** 4096 bytes. *)
@@ -28,39 +24,8 @@ val write : string -> Tpdb_relation.Relation.t -> unit
 (** [write path relation] — row format; atomic: the file appears
     complete or not at all. *)
 
-(** Streaming writer for the columnar format: tuples are buffered into
-    blocks of a few hundred, encoded with {!Codec.Column.encode} and
-    flushed page by page, so writing needs memory proportional to one
-    block, not the relation — the property the spill partitioner
-    depends on. *)
-module Writer : sig
-  type t
-
-  val create : string -> Tpdb_relation.Schema.t -> t
-  (** Opens [path ^ ".tmp"]; the target file appears only on {!close}. *)
-
-  val add : t -> Tpdb_relation.Tuple.t -> unit
-
-  val tuple_count : t -> int
-  (** Tuples added so far. *)
-
-  val bytes_written : t -> int
-  (** Encoded data bytes so far (length prefixes included, page padding
-      and header excluded) — what the spill accounting reports. *)
-
-  val close : t -> unit
-  (** Flushes, writes the header, renames into place. Idempotent. *)
-
-  val abort : t -> unit
-  (** Drops the temp file without producing [path]. Idempotent; no-op
-      after {!close}. *)
-end
-
-val write_columnar : string -> Tpdb_relation.Relation.t -> unit
-(** {!Writer} over a materialized relation (columnar format, atomic). *)
-
 val read : ?pool:Buffer_pool.t -> string -> Tpdb_relation.Relation.t
-(** Reads the whole relation (either format); with [pool], pages come
+(** Reads the whole relation; with [pool], pages come
     through the buffer pool (and stay cached for subsequent reads).
     Raises {!Corrupt} on bad magic, version, or page contents;
     [Sys_error] on I/O failure. *)

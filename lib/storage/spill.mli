@@ -1,11 +1,21 @@
 (** Grace-style spill partitioning for the out-of-core join executor.
 
-    [partition_pair] streams both inputs of an equi-θ join into
-    per-partition columnar heap files ({!Heap_file.Writer}, format
-    version 2) under a private temp directory; the executor then reads
-    the partitions back one at a time through a budget-sized
-    {!Buffer_pool} ([read_left]/[read_right]), sweeps each pair, and
-    calls {!finish} to record the pool hit rate and drop the files.
+    [partition_pair] streams both inputs of an equi-θ join into one
+    spill file under a private temp directory: a stream of
+    length-prefixed {!Codec.Column} blocks of up to 512 tuples, each of
+    one side of one partition, appended as they fill. An in-memory
+    extent list per side and partition records where its blocks are;
+    at the end each partition's last left and last right blocks are
+    written side by side. The file descriptor stays open until
+    {!finish} or {!cleanup}, and the executor reads the partitions back
+    one at a time through a budget-sized {!Buffer_pool} that loads
+    missing pages from that descriptor ([read_left]/[read_right]),
+    sweeps each pair, and calls {!finish} to record the pool hit rate,
+    close the descriptor and drop the file and directory.
+
+    The file is private and dies with the join, so it has no header, no
+    temp name and no rename: nothing ever opens it by name but this
+    module.
 
     This module knows nothing about θ or join keys: callers pass
     [left_key]/[right_key] functions that map a tuple directly to its
@@ -44,20 +54,21 @@ val partition_pair :
   Tpdb_relation.Schema.t * Tpdb_relation.Tuple.t Seq.t ->
   Tpdb_relation.Schema.t * Tpdb_relation.Tuple.t Seq.t ->
   t
-(** Streams both inputs to [partitions] columnar files per side.
-    [?dir] defaults to a fresh private directory claimed atomically
-    (mkdir-as-claim, mkdtemp-style), so concurrent spilling joins in
-    the same or different processes never share a directory.
-    [left_key]/[right_key]
+(** Streams both inputs into one spill file, [partitions] runs per
+    side. [?dir] defaults to a fresh private directory claimed
+    atomically (mkdir-as-claim, mkdtemp-style), so concurrent spilling
+    joins in the same or different processes never share a directory;
+    the file inside is created with [O_EXCL]. [left_key]/[right_key]
     must return an index in [\[0, partitions)]. Memory use is one
-    encoder block per open file. On exception the temp files are
-    removed and the exception re-raised. *)
+    pending block per side and partition. On exception the file and
+    directory are removed, the descriptor closed, and the exception
+    re-raised; I/O failures surface as [Sys_error]. *)
 
 val partitions : t -> int
 
 val dir : t -> string
-(** The private directory holding this spill's partition files — unique
-    per live spill (the claim is the directory's creation). *)
+(** The private directory holding this spill's file — unique per live
+    spill (the claim is the directory's creation). *)
 
 val bytes : t -> int
 (** Total encoded bytes written (the amount added to [Spill_bytes]). *)
@@ -66,11 +77,15 @@ val pool : t -> Buffer_pool.t
 
 val read_left : t -> int -> Tpdb_relation.Relation.t
 val read_right : t -> int -> Tpdb_relation.Relation.t
-(** Materialize one partition, pages through the spill's buffer pool. *)
+(** Materialize one partition, pages through the spill's buffer pool,
+    decoded straight into one tuple array. Raises {!Heap_file.Corrupt}
+    on a truncated or damaged file and [Invalid_argument] after
+    {!finish}/{!cleanup}. *)
 
 val finish : t -> unit
-(** Observes the pool hit rate ([Pool_hit_rate], permille) and deletes
-    the partition files and directory. *)
+(** Observes the pool hit rate ([Pool_hit_rate], permille), closes the
+    descriptor and deletes the file and directory. *)
 
 val cleanup : t -> unit
-(** Deletes the files without recording anything (error paths). *)
+(** Closes and deletes without recording anything (error paths).
+    Idempotent, as is {!finish}'s cleanup. *)

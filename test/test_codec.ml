@@ -360,8 +360,43 @@ let prop_decode_matches_old =
     block_gen
     (fun tuples -> agrees (Bytes.of_string (encode tuples)))
 
+(* Malformed blocks: a valid encoding truncated, with bytes overwritten
+   or inserted, or plain noise. *)
+let prop_malformed_matches_old =
+  let open QCheck2.Gen in
+  let mutated =
+    let* tuples = block_gen in
+    let bytes = Bytes.of_string (encode tuples) in
+    let len = Bytes.length bytes in
+    let* cut = int_bound len in
+    let* pos = int_bound (max 0 (len - 1)) in
+    let* byte = oneof [ int_bound 255; oneofl [ 0x00; 0x7F; 0x80; 0xFF ] ] in
+    let* run = int_range 1 10 in
+    oneofl
+      [
+        Bytes.sub bytes 0 cut;
+        (let b = Bytes.copy bytes in
+         for i = pos to min (len - 1) (pos + run - 1) do
+           Bytes.set b i (Char.chr byte)
+         done;
+         b);
+        Bytes.cat (Bytes.sub bytes 0 pos)
+          (Bytes.cat (Bytes.make run (Char.chr byte))
+             (Bytes.sub bytes pos (len - pos)));
+      ]
+  in
+  let noise = map Bytes.of_string (string_size (int_range 0 64)) in
+  QCheck2.Test.make ~name:"column decode rejects what the original rejected"
+    ~count:2000
+    ~print:(fun b ->
+      Printf.sprintf "%d bytes: %S" (Bytes.length b)
+        (Bytes.sub_string b 0 (min 96 (Bytes.length b))))
+    (frequency [ (4, mutated); (1, noise) ])
+    agrees
+
 let suite =
   [
     Alcotest.test_case "column codec bytes pinned" `Quick test_golden_bytes;
     QCheck_alcotest.to_alcotest ~speed_level:`Quick prop_decode_matches_old;
+    QCheck_alcotest.to_alcotest ~speed_level:`Quick prop_malformed_matches_old;
   ]

@@ -199,16 +199,17 @@ let test_merge_grouped () =
   let merged =
     Parallel.merge_grouped ~compare_group
       [|
-        [ (1, "a"); (1, "b"); (4, "c") ];
-        [ (2, "d"); (5, "e"); (5, "f") ];
-        [ (3, "g") ];
+        [| (1, "a"); (1, "b"); (4, "c") |];
+        [| (2, "d"); (5, "e"); (5, "f") |];
+        [| (3, "g") |];
       |]
   in
   Alcotest.(check (list string)) "grouped merge"
     [ "a"; "b"; "d"; "g"; "c"; "e"; "f" ]
-    (List.map snd merged);
+    (Array.to_list (Array.map snd merged));
   Alcotest.(check (list string)) "empty streams" []
-    (List.map snd (Parallel.merge_grouped ~compare_group [| []; [] |]))
+    (Array.to_list
+       (Array.map snd (Parallel.merge_grouped ~compare_group [| [||]; [||] |])))
 
 let test_parallel_equi_join () =
   let pool = Pool.create ~num_domains:2 () in
@@ -309,7 +310,9 @@ let prop_merge_grouped_is_fold =
       List.equal
         (fun (k, t) (k', t') -> k = k' && t = t')
         fold
-        (Parallel.merge_grouped ~compare_group streams))
+        (Array.to_list
+           (Parallel.merge_grouped ~compare_group
+              (Array.map Array.of_list streams))))
 
 let qcheck = QCheck_alcotest.to_alcotest ~speed_level:`Quick
 

@@ -255,58 +255,101 @@ let test_heap_file_page_boundary () =
     [ tuple_of_blob (exact ^ "y"); tuple_of_blob "next" ]
     3
 
+(* --- Spill file --- *)
+
+module Spill = Tpdb_storage.Spill
+
+let spill_input r = (Relation.schema r, List.to_seq (Relation.tuples r))
+
+let spill_file spill =
+  match Sys.readdir (Spill.dir spill) with
+  | [| name |] -> Filename.concat (Spill.dir spill) name
+  | names ->
+      Alcotest.failf "expected one spill file, found %d" (Array.length names)
+
+(* Tuple identity as the codec promises it: equal values, the same
+   interned lineage, the same interval and probability bits. *)
+let same_tuple a b =
+  Fact.equal (Tuple.fact a) (Tuple.fact b)
+  && Tuple.lineage a == Tuple.lineage b
+  && Interval.equal (Tuple.iv a) (Tuple.iv b)
+  && Int64.equal
+       (Int64.bits_of_float (Tuple.p a))
+       (Int64.bits_of_float (Tuple.p b))
+
+let same_tuples expected got =
+  List.length expected = List.length got && List.for_all2 same_tuple expected got
+
 let test_columnar_writer_roundtrip () =
   with_temp_dir (fun dir ->
-      let path = Filename.concat dir "col.tpr" in
-      let r = big_relation 2_000 in
-      Heap_file.write_columnar path r;
-      let back = Heap_file.read path in
-      Alcotest.(check bool) "columnar roundtrip" true
-        (Relation.equal_as_sets r back);
+      let r = big_relation 2_000 and s = big_relation 300 in
+      let spill =
+        Spill.partition_pair ~partitions:1 ~pool_pages:64
+          ~left_key:(fun _ -> 0)
+          ~right_key:(fun _ -> 0)
+          (spill_input r) (spill_input s)
+      in
+      Fun.protect ~finally:(fun () -> Spill.finish spill) @@ fun () ->
+      let left = Spill.read_left spill 0 in
+      Alcotest.(check bool) "left roundtrip, in input order" true
+        (same_tuples (Relation.tuples r) (Relation.tuples left));
       Alcotest.(check (list string))
         "schema" [ "K"; "Payload" ]
-        (Schema.columns (Heap_file.schema_of path));
-      (* the columnar region is denser than the row format *)
+        (Schema.columns (Relation.schema left));
+      Alcotest.(check bool) "right roundtrip" true
+        (same_tuples (Relation.tuples s)
+           (Relation.tuples (Spill.read_right spill 0)));
+      (* the columnar blocks are denser than the row format *)
       let row = Filename.concat dir "row.tpr" in
       Heap_file.write row r;
+      let size = (Unix.stat (spill_file spill)).Unix.st_size in
+      Alcotest.(check int) "the file is the blocks, nothing else" size
+        (Spill.bytes spill);
+      let pages = (size + Heap_file.page_size - 1) / Heap_file.page_size in
       Alcotest.(check bool) "columnar is smaller" true
-        (Heap_file.page_count path < Heap_file.page_count row);
+        (pages < Heap_file.page_count row);
       (* a pooled sequential scan earns hits on the boundary pages
          adjacent blocks share *)
-      let pool = Buffer_pool.create ~capacity:64 in
-      let pooled = Heap_file.read ~pool path in
-      Alcotest.(check bool) "pooled read agrees" true
-        (Relation.equal_as_sets r pooled);
-      let hits, misses = Buffer_pool.stats pool in
+      let hits, misses = Buffer_pool.stats (Spill.pool spill) in
       Alcotest.(check bool) "cold columnar scan still hits" true (hits > 0);
-      Alcotest.(check int)
-        "every page missed exactly once"
-        (1 + Heap_file.page_count path)
-        misses)
+      Alcotest.(check int) "every page missed exactly once" pages misses)
 
+(* The partitioner consumes each input sequence once, lazily, and the
+   spill's cleanup is idempotent. *)
 let test_columnar_writer_streams () =
-  with_temp_dir (fun dir ->
-      let path = Filename.concat dir "s.tpr" in
-      let r = big_relation 700 in
-      let w = Heap_file.Writer.create path (Relation.schema r) in
-      Alcotest.(check bool) "invisible until close" false (Sys.file_exists path);
-      List.iter (Heap_file.Writer.add w) (Relation.tuples r);
-      Alcotest.(check int) "tuple count" 700 (Heap_file.Writer.tuple_count w);
-      Alcotest.(check bool) "bytes accounted" true
-        (Heap_file.Writer.bytes_written w > 0);
-      Heap_file.Writer.close w;
-      Heap_file.Writer.close w;
-      (* idempotent *)
-      Alcotest.(check bool) "roundtrip" true
-        (Relation.equal_as_sets r (Heap_file.read path));
-      (* abort drops the temp file and never produces the target *)
-      let dropped = Filename.concat dir "dropped.tpr" in
-      let w = Heap_file.Writer.create dropped (Relation.schema r) in
-      Heap_file.Writer.add w (List.hd (Relation.tuples r));
-      Heap_file.Writer.abort w;
-      Alcotest.(check bool) "aborted file absent" false (Sys.file_exists dropped);
-      Alcotest.(check bool) "temp gone too" false
-        (Sys.file_exists (dropped ^ ".tmp")))
+  let r = big_relation 700 in
+  let forced = ref 0 in
+  let counted =
+    Seq.map
+      (fun tp ->
+        incr forced;
+        tp)
+      (List.to_seq (Relation.tuples r))
+  in
+  let spill =
+    Spill.partition_pair ~partitions:3 ~pool_pages:16
+      ~left_key:(fun tp -> Fact.hash (Tuple.fact tp) land 0xFFFF mod 3)
+      ~right_key:(fun _ -> 2)
+      (Relation.schema r, counted)
+      (spill_input (Fixtures.relation_b ()))
+  in
+  Alcotest.(check int) "each input tuple forced once" 700 !forced;
+  Alcotest.(check bool) "bytes accounted" true (Spill.bytes spill > 0);
+  let back =
+    List.concat_map
+      (fun i -> Relation.tuples (Spill.read_left spill i))
+      [ 0; 1; 2 ]
+  in
+  Alcotest.(check bool) "every tuple read back" true
+    (Relation.equal_as_sets r (Relation.of_tuples (Relation.schema r) back));
+  let dir = Spill.dir spill in
+  Spill.finish spill;
+  Spill.finish spill;
+  Spill.cleanup spill;
+  Alcotest.(check bool) "directory gone" false (Sys.file_exists dir);
+  match Spill.read_left spill 0 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "read after finish accepted"
 
 (* --- Buffer pool --- *)
 
@@ -490,16 +533,6 @@ let prop_column_block_roundtrip =
       Array.length back = Array.length arr
       && Array.for_all2 Tuple.equal arr back)
 
-let prop_columnar_file_roundtrip =
-  Test.make ~name:"columnar heap files round-trip random relations" ~count:60
-    ~print:Tp_gen.print_relation
-    (Tp_gen.relation_gen ~name:"r" ())
-    (fun r ->
-      with_temp_dir (fun dir ->
-          let path = Filename.concat dir "r.tpr" in
-          Heap_file.write_columnar path r;
-          Relation.equal_as_sets r (Heap_file.read path)))
-
 let prop_join_results_survive_storage =
   Test.make ~name:"derived relations survive storage" ~count:40
     ~print:Tp_gen.print_triple
@@ -518,9 +551,6 @@ let prop_join_results_survive_storage =
    the two joins would interleave partition files in one directory.
    The fix makes directory creation itself the claim, so no two live
    spills may ever observe the same directory. *)
-
-let spill_input r =
-  (Relation.schema r, List.to_seq (Relation.tuples r))
 
 let small_spill () =
   Tpdb_storage.Spill.partition_pair ~partitions:2 ~pool_pages:16
@@ -630,6 +660,304 @@ let test_spill_bytes_counted () =
     (Tpdb_obs.Metrics.dist_stats metrics Tpdb_obs.Metrics.Spill_partition_bytes)
       .Tpdb_obs.Metrics.sum
 
+
+(* --- spill round trip, damage and leaks ------------------------------- *)
+
+(* A spill input row: (partition, payload width, start, duration, p,
+   lineage index). Wide payloads make blocks that straddle pages. *)
+let spill_tuple name (part, width, ts, d, p, idx) =
+  Tuple.make
+    ~fact:
+      (Fact.of_values
+         [ Value.I part; Value.S (String.init width (fun i -> Char.chr (97 + ((i + idx) mod 26)))) ])
+    ~lineage:(Formula.var (Tpdb_lineage.Var.make name idx))
+    ~iv:(iv ts (ts + d)) ~p
+
+let spill_part tp =
+  match Fact.get (Tuple.fact tp) 0 with
+  | Value.I part -> part
+  | _ -> invalid_arg "spill_part"
+
+let spill_relation name rows =
+  Relation.of_tuples (Schema.make ~name [ "P"; "Payload" ]) (List.map (spill_tuple name) rows)
+
+let spill_case_gen =
+  let open QCheck2.Gen in
+  let* partitions = int_range 1 40 in
+  let* used = int_range 1 partitions in
+  let* heavy = bool in
+  let row =
+    let* part =
+      if heavy then frequency [ (1, return 0); (1, int_bound (used - 1)) ]
+      else int_bound (used - 1)
+    in
+    let* width = frequency [ (3, int_range 0 12); (1, int_range 100 900) ] in
+    let* ts = int_range (-100) 100 in
+    let* d = int_range 1 20 in
+    let* p = float_bound_inclusive 1.0 in
+    let* idx = int_bound 10_000 in
+    return (part, width, ts, d, p, idx)
+  in
+  let side =
+    let* n =
+      frequency [ (2, int_range 0 50); (2, int_range 50 600); (1, int_range 600 1500) ]
+    in
+    list_repeat n row
+  in
+  let* left = side in
+  let* right = side in
+  return (partitions, spill_relation "l" left, spill_relation "r" right)
+
+let spill_of ?(pool_pages = 16) ~partitions r s =
+  Spill.partition_pair ~partitions ~pool_pages ~left_key:spill_part
+    ~right_key:spill_part (spill_input r) (spill_input s)
+
+let prop_spill_roundtrip =
+  Test.make ~name:"spill round-trips random relations" ~count:30
+    ~print:(fun (partitions, r, s) ->
+      Printf.sprintf "%d partitions, %d left and %d right tuples" partitions
+        (Relation.cardinality r) (Relation.cardinality s))
+    spill_case_gen
+    (fun (partitions, r, s) ->
+      let spill = spill_of ~partitions r s in
+      Fun.protect ~finally:(fun () -> Spill.finish spill) @@ fun () ->
+      let side read rel i =
+        same_tuples
+          (List.filter (fun tp -> spill_part tp = i) (Relation.tuples rel))
+          (Relation.tuples (read spill i))
+      in
+      List.for_all
+        (fun i -> side Spill.read_left r i && side Spill.read_right s i)
+        (List.init partitions Fun.id)
+      && Buffer_pool.pinned_pages (Spill.pool spill) = 0)
+
+(* Reads every partition of both sides; [Ok ()] or the first exception. *)
+let read_everything spill =
+  match
+    for i = 0 to Spill.partitions spill - 1 do
+      ignore (Spill.read_left spill i);
+      ignore (Spill.read_right spill i)
+    done
+  with
+  | () -> Ok ()
+  | exception e -> Error e
+
+let damage_input () =
+  let rows name n =
+    List.init n (fun i ->
+        (i mod 3, (if i mod 5 = 0 then 300 else i mod 9), i mod 50, 1 + (i mod 7),
+         float_of_int (i mod 11) /. 10.0, i))
+    |> spill_relation name
+  in
+  (rows "l" 1200, rows "r" 400)
+
+let test_spill_damage () =
+  let r, s = damage_input () in
+  let corrupt = function
+    | Heap_file.Corrupt _ | Codec.Corrupt _ -> true
+    | _ -> false
+  in
+  let with_damaged damage check =
+    let spill = spill_of ~partitions:3 r s in
+    Fun.protect ~finally:(fun () -> Spill.finish spill) @@ fun () ->
+    let path = spill_file spill in
+    damage path (Unix.stat path).Unix.st_size;
+    check (read_everything spill)
+  in
+  (* any cut, down to an empty file, is caught *)
+  List.iter
+    (fun cut ->
+      with_damaged
+        (fun path size -> Unix.truncate path (max 0 (cut size)))
+        (function
+          | Ok () -> Alcotest.fail "truncated spill file read back clean"
+          | Error e when corrupt e -> ()
+          | Error e -> Alcotest.failf "truncation raised %s" (Printexc.to_string e)))
+    [ (fun _ -> 0); (fun _ -> 1); (fun _ -> 8); (fun _ -> 9); (fun n -> n / 3);
+      (fun n -> n / 2); (fun n -> n - 4096); (fun n -> n - 1) ];
+  (* overwritten bytes either decode (a payload byte changed) or raise
+     Corrupt, never another exception *)
+  let rng = Random.State.make [| 18 |] in
+  for _ = 1 to 120 do
+    let hits = 1 + Random.State.int rng 6 in
+    let edits =
+      List.init hits (fun _ -> (Random.State.float rng 1.0, Random.State.int rng 256))
+    in
+    with_damaged
+      (fun path size ->
+        let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
+        Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+        List.iter
+          (fun (at, byte) ->
+            ignore (Unix.lseek fd (int_of_float (at *. float_of_int size)) Unix.SEEK_SET);
+            ignore (Unix.write fd (Bytes.make 1 (Char.chr byte)) 0 1))
+          edits)
+      (function
+        | Ok () -> ()
+        | Error e when corrupt e -> ()
+        | Error e -> Alcotest.failf "damaged spill raised %s" (Printexc.to_string e))
+  done
+
+let open_fds () =
+  match Sys.readdir "/proc/self/fd" with
+  | fds -> Some (Array.length fds)
+  | exception Sys_error _ -> None
+
+let spill_dirs () =
+  Sys.readdir (Filename.get_temp_dir_name ())
+  |> Array.to_list
+  |> List.filter (String.starts_with ~prefix:"tpdb-spill-")
+  |> List.sort String.compare
+
+let test_spill_no_leaks () =
+  let r, s = damage_input () in
+  let fds = open_fds () and dirs = spill_dirs () in
+  let check what =
+    Alcotest.(check (option int)) (what ^ ": descriptors") fds (open_fds ());
+    Alcotest.(check (list string)) (what ^ ": directories") dirs (spill_dirs ())
+  in
+  let spill = spill_of ~partitions:3 r s in
+  ignore (read_everything spill);
+  Spill.finish spill;
+  check "after finish";
+  Spill.cleanup (spill_of ~partitions:3 r s);
+  check "after cleanup";
+  let raising_after n =
+    let seen = ref 0 in
+    fun tp ->
+      incr seen;
+      if !seen > n then failwith "key exploded" else spill_part tp
+  in
+  List.iter
+    (fun (left_key, right_key) ->
+      match
+        Spill.partition_pair ~partitions:3 ~pool_pages:16 ~left_key ~right_key
+          (spill_input r) (spill_input s)
+      with
+      | _ -> Alcotest.fail "expected the key exception to propagate"
+      | exception Failure _ -> ())
+    [ (raising_after 0, spill_part); (raising_after 1100, spill_part);
+      (spill_part, raising_after 300) ];
+  check "after key-function exceptions";
+  let spill = spill_of ~partitions:3 r s in
+  Unix.truncate (spill_file spill) 100;
+  (match read_everything spill with
+  | Error (Heap_file.Corrupt _) -> ()
+  | _ -> Alcotest.fail "expected Corrupt");
+  Spill.finish spill;
+  check "after a corrupt read"
+
+(* The pool against a reference LRU: a list of resident pages, most
+   recent first, with pin counts. Same hits, same misses, the same
+   Pinned_eviction (payload included), the same unpin errors, and every
+   page read returns its own contents, whether pages load by path or
+   from an attached descriptor. *)
+type pool_op = Read of int | Pin of int | Unpin of int
+
+let pool_pages_in_file = 10
+
+let prop_pool_is_lru =
+  let open QCheck2.Gen in
+  let op =
+    let* page = int_bound (pool_pages_in_file - 1) in
+    frequency [ (6, return (Read page)); (2, return (Pin page)); (2, return (Unpin page)) ]
+  in
+  Test.make ~name:"buffer pool evicts like a reference LRU" ~count:300
+    ~print:(fun (capacity, attach, ops) ->
+      Printf.sprintf "capacity %d, %s: %s" capacity
+        (if attach then "descriptor" else "path")
+        (String.concat " "
+           (List.map
+              (function
+                | Read i -> Printf.sprintf "r%d" i
+                | Pin i -> Printf.sprintf "p%d" i
+                | Unpin i -> Printf.sprintf "u%d" i)
+              ops)))
+    (triple (int_range 1 6) bool (list_size (int_range 0 120) op))
+    (fun (capacity, attach, ops) ->
+      with_temp_dir @@ fun dir ->
+      let path = Filename.concat dir "pages" in
+      Out_channel.with_open_bin path (fun oc ->
+          for i = 0 to pool_pages_in_file - 1 do
+            output_string oc (String.make Heap_file.page_size (Char.chr (65 + i)))
+          done);
+      let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+      let pool = Buffer_pool.create ~capacity in
+      if attach then Buffer_pool.attach pool ~path fd;
+      let resident = ref [] (* (page, pins), most recent first *)
+      and hits = ref 0
+      and misses = ref 0 in
+      let model_access page =
+        match List.assoc_opt page !resident with
+        | Some pins ->
+            incr hits;
+            resident := (page, pins) :: List.remove_assoc page !resident;
+            `Ok
+        | None -> (
+            incr misses;
+            if List.length !resident < capacity then begin
+              resident := (page, 0) :: !resident;
+              `Ok
+            end
+            else
+              match List.rev (List.filter (fun (_, pins) -> pins = 0) !resident) with
+              | (victim, _) :: _ ->
+                  resident := (page, 0) :: List.remove_assoc victim !resident;
+                  `Ok
+              | [] -> `Pinned (List.length !resident))
+      in
+      let pool_access f page =
+        match f pool ~path ~index:page ~size:Heap_file.page_size with
+        | bytes ->
+            if Bytes.get bytes 0 <> Char.chr (65 + page)
+               || Bytes.get bytes (Heap_file.page_size - 1) <> Char.chr (65 + page)
+            then Test.fail_reportf "page %d came back with other contents" page;
+            `Ok
+        | exception Buffer_pool.Pinned_eviction { index; capacity = c; pinned; _ } ->
+            if index <> page || c <> capacity then Test.fail_report "eviction payload";
+            `Pinned pinned
+      in
+      let step op =
+        let expected, got =
+          match op with
+          | Read page -> (model_access page, pool_access Buffer_pool.read_page page)
+          | Pin page ->
+              let m = model_access page in
+              (match m with
+              | `Ok ->
+                  resident :=
+                    List.map
+                      (fun (p, pins) -> if p = page then (p, pins + 1) else (p, pins))
+                      !resident
+              | `Pinned _ -> ());
+              (m, pool_access Buffer_pool.pin page)
+          | Unpin page ->
+              let m =
+                match List.assoc_opt page !resident with
+                | Some pins when pins > 0 ->
+                    resident :=
+                      List.map
+                        (fun (p, n) -> if p = page then (p, n - 1) else (p, n))
+                        !resident;
+                    `Ok
+                | _ -> `Pinned (-1)
+              in
+              let g =
+                match Buffer_pool.unpin pool ~path ~index:page with
+                | () -> `Ok
+                | exception Invalid_argument _ -> `Pinned (-1)
+              in
+              (m, g)
+        in
+        expected = got
+        && Buffer_pool.stats pool = (!hits, !misses)
+        && Buffer_pool.cached_pages pool = List.length !resident
+        && Buffer_pool.pinned_pages pool
+           = List.length (List.filter (fun (_, n) -> n > 0) !resident)
+      in
+      List.for_all step ops)
+
 let suite =
   [
     Alcotest.test_case "codec scalars" `Quick test_codec_scalars;
@@ -660,6 +988,10 @@ let suite =
       test_spill_bytes_counted;
     qtest prop_heap_file_roundtrip;
     qtest prop_column_block_roundtrip;
-    qtest prop_columnar_file_roundtrip;
     qtest prop_join_results_survive_storage;
+    Alcotest.test_case "spill damage raises Corrupt" `Quick test_spill_damage;
+    Alcotest.test_case "spill leaks no descriptors or directories" `Quick
+      test_spill_no_leaks;
+    qtest prop_spill_roundtrip;
+    qtest prop_pool_is_lru;
   ]
