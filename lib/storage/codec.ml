@@ -245,9 +245,11 @@ module Column = struct
       write_zigzag buf (ts - !prev);
       prev := ts
     done;
+    (* raw bits: an interval longer than [max_int] wraps here and wraps
+       back when decoded *)
     for i = 0 to n - 1 do
       let iv = Tuple.iv tuples.(i) in
-      write_varint buf (Interval.te iv - Interval.ts iv - 1)
+      write_varint_bits buf (Interval.te iv - Interval.ts iv - 1)
     done;
     (* probability column: raw IEEE f64, little-endian *)
     for i = 0 to n - 1 do
@@ -281,17 +283,17 @@ module Column = struct
 
   (* A dictionary tag is checked once, when first used by a variable
      ([Var.make]'s rules); its variables are then built directly. *)
-  type tags = { names : string array; valid : int array (* 0 unknown, 1 ok *) }
+  type tags = { names : string array; checked : bool array }
 
   let var_of tags i idx =
     if i < 0 || i >= Array.length tags.names then
       corrupt "lineage dictionary index %d out of range" i;
     let rel = tags.names.(i) in
-    if tags.valid.(i) = 0 then begin
+    if not tags.checked.(i) then begin
       (match Var.make rel 0 with
       | _ -> ()
       | exception Invalid_argument msg -> corrupt "bad lineage var: %s" msg);
-      tags.valid.(i) <- 1
+      tags.checked.(i) <- true
     end;
     if idx < 0 then corrupt "bad lineage var: negative index";
     { Var.rel; idx }
@@ -362,7 +364,7 @@ module Column = struct
       names.(i) <- Bytes.sub_string r.bytes r.pos len;
       r.pos <- r.pos + len
     done;
-    let tags = { names; valid = Array.make ntags 0 } in
+    let tags = { names; checked = Array.make ntags false } in
     let lineage = Array.make n Formula.true_ in
     for i = 0 to n - 1 do
       lineage.(i) <- read_formula r tags

@@ -7,21 +7,18 @@ module Column = Codec.Column
 let expansion_factor = 8
 let sample_tuples = 64
 
-let mean_tuple_bytes tuples =
+let mean_tuple_bytes relation =
   let n = ref 0 and bytes = ref 0 in
-  (try
-     List.iter
-       (fun tp ->
-         if !n >= sample_tuples then raise Exit;
-         incr n;
-         bytes := !bytes + Codec.tuple_size tp)
-       tuples
-   with Exit -> ());
+  Seq.iter
+    (fun tp ->
+      incr n;
+      bytes := !bytes + Codec.tuple_size tp)
+    (Seq.take sample_tuples (Relation.to_seq relation));
   if !n = 0 then 0 else !bytes / !n
 
 let estimate_bytes ?rows relation =
   let rows = Option.value rows ~default:(Relation.cardinality relation) in
-  rows * mean_tuple_bytes (Relation.tuples relation) * expansion_factor
+  rows * mean_tuple_bytes relation * expansion_factor
 
 let partitions_for ~budget ~est =
   if budget <= 0 then invalid_arg "Spill.partitions_for: budget must be positive";

@@ -142,7 +142,10 @@ let test_column_block_edges () =
       tp ~lineage:"a1 & !(b2 | b3)" ~ts:0 ~te:100 0.25 [ Value.F 2.5 ];
       tp ~lineage:"!x9" ~ts:50 ~te:51 1.0 [ Value.S ""; Value.I (-3) ];
     ];
-  column_roundtrip "empty block" []
+  column_roundtrip "empty block" [];
+  (* a duration beyond max_int: its varint carries the wrapped bits *)
+  column_roundtrip "whole time line"
+    [ tp ~ts:min_int ~te:max_int 0.5 [ Value.I 1 ]; tp ~ts:0 ~te:1 0.5 [] ]
 
 (* --- Heap file --- *)
 
