@@ -118,8 +118,9 @@ let merge ~options parts =
    When a memory budget is set and the estimated working set exceeds it,
    both inputs are hash-partitioned on the equi-key into one columnar
    spill file (Spill), then each partition pair is read back through a
-   budget-sized buffer pool and swept one pair at a time, strictly sequentially — peak memory is one partition pair plus
-   the accumulated window output, the Grace bound. The partitioner
+   budget-sized buffer pool and swept one pair at a time, strictly
+   sequentially — peak memory is one partition pair plus the
+   accumulated window output, the Grace bound. The partitioner
    composes the same fact-key hash and Parallel.bucket_of as the in-RAM
    parallel path and the per-partition streams go through the same
    group-order merge, so spilled output is tuple-for-tuple identical to

@@ -24,11 +24,11 @@ val create : capacity:int -> t
 (** [capacity] in pages (> 0). *)
 
 val attach : t -> path:string -> Unix.file_descr -> unit
-(** Pages of [path] that miss from now on load from [fd] — one seek
-    and one read on a descriptor the caller keeps open and closes after
-    its last read through the pool — instead of opening [path] per
-    miss. A page that starts at or past the end of the file raises
-    [End_of_file]. *)
+(** [attach pool ~path fd]: pages of [path] that miss from now on load
+    from [fd] — one seek and one read on a descriptor the caller keeps
+    open and closes after its last read through the pool — instead of
+    opening [path] per miss. A page that starts at or past the end of
+    the file raises [End_of_file]. *)
 
 val read_page : t -> path:string -> index:int -> size:int -> Bytes.t
 (** Page [index] (0-based) of [path], [size] bytes ([Heap_file.page_size]

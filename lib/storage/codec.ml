@@ -163,7 +163,7 @@ let read_varint r =
   end
 
 let zigzag v = (v lsl 1) lxor (v asr 62)
-let unzigzag v = (v lsr 1) lxor -(v land 1)
+let unzigzag v = (v lsr 1) lxor (- (v land 1))
 let write_zigzag buf v = write_varint_bits buf (zigzag v)
 let read_zigzag r = unzigzag (read_varint r)
 

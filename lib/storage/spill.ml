@@ -269,7 +269,6 @@ let blit_pages t ~off dst len =
    reassembled in [t.scratch]. Either way the payload must end exactly
    where its length prefix says. *)
 let read_block t ~off dst filled =
-  if off < 0 || off + 8 > t.size then corrupt "%s: block at %d past the end" t.path off;
   let prefix = Bytes.create 8 in
   blit_pages t ~off prefix 8;
   let len = Int64.to_int (Bytes.get_int64_le prefix 0) in

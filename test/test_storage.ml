@@ -672,7 +672,10 @@ let spill_tuple name (part, width, ts, d, p, idx) =
   Tuple.make
     ~fact:
       (Fact.of_values
-         [ Value.I part; Value.S (String.init width (fun i -> Char.chr (97 + ((i + idx) mod 26)))) ])
+         [
+           Value.I part;
+           Value.S (String.init width (fun i -> Char.chr (97 + ((i + idx) mod 26))));
+         ])
     ~lineage:(Formula.var (Tpdb_lineage.Var.make name idx))
     ~iv:(iv ts (ts + d)) ~p
 
@@ -682,7 +685,9 @@ let spill_part tp =
   | _ -> invalid_arg "spill_part"
 
 let spill_relation name rows =
-  Relation.of_tuples (Schema.make ~name [ "P"; "Payload" ]) (List.map (spill_tuple name) rows)
+  Relation.of_tuples
+    (Schema.make ~name [ "P"; "Payload" ])
+    (List.map (spill_tuple name) rows)
 
 let spill_case_gen =
   let open QCheck2.Gen in
@@ -863,7 +868,8 @@ let prop_pool_is_lru =
   let open QCheck2.Gen in
   let op =
     let* page = int_bound (pool_pages_in_file - 1) in
-    frequency [ (6, return (Read page)); (2, return (Pin page)); (2, return (Unpin page)) ]
+    frequency
+      [ (6, return (Read page)); (2, return (Pin page)); (2, return (Unpin page)) ]
   in
   Test.make ~name:"buffer pool evicts like a reference LRU" ~count:300
     ~print:(fun (capacity, attach, ops) ->
