@@ -261,6 +261,9 @@ let test_golden_bytes () =
 
 (* --- decoder against the frozen one ----------------------------------- *)
 
+(* Tuple identity as the codec promises it: the same values (floats by
+   their bits), the same interned lineage, the same interval and
+   probability bits. *)
 let same_tuple a b =
   Fact.arity (Tuple.fact a) = Fact.arity (Tuple.fact b)
   && Array.for_all2

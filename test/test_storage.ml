@@ -270,18 +270,9 @@ let spill_file spill =
   | names ->
       Alcotest.failf "expected one spill file, found %d" (Array.length names)
 
-(* Tuple identity as the codec promises it: equal values, the same
-   interned lineage, the same interval and probability bits. *)
-let same_tuple a b =
-  Fact.equal (Tuple.fact a) (Tuple.fact b)
-  && Tuple.lineage a == Tuple.lineage b
-  && Interval.equal (Tuple.iv a) (Tuple.iv b)
-  && Int64.equal
-       (Int64.bits_of_float (Tuple.p a))
-       (Int64.bits_of_float (Tuple.p b))
-
 let same_tuples expected got =
-  List.length expected = List.length got && List.for_all2 same_tuple expected got
+  List.length expected = List.length got
+  && List.for_all2 Test_codec.same_tuple expected got
 
 let test_columnar_writer_roundtrip () =
   with_temp_dir (fun dir ->
