@@ -2,7 +2,7 @@ let () =
   Alcotest.run "tpdb"
     [
       ("interval", Test_interval.suite);
-      ("lineage", Test_lineage.suite);
+      ("lineage", Test_lineage.suite @ Test_intern.suite);
       ("relation", Test_relation.suite);
       ("engine", Test_engine.suite);
       ("storage", Test_storage.suite @ Test_codec.suite);
