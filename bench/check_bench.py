@@ -35,6 +35,7 @@ Usage: check_bench.py BASELINE CURRENT [--hit-rate-floor F]
                       [--qps-floor F] [--p99-ceiling-ms F]
                       [--render-words-per-byte-ceiling F]
                       [--join-words-per-row-ceiling F]
+                      [--intern-words-per-hit-ceiling F]
                       [--csv-words-per-byte-ceiling F]
                       [--spill-words-per-tuple-ceiling F]
 Exits non-zero on the first class of failure, printing every diff.
@@ -54,6 +55,17 @@ the joins take the statically safe path), and the minor words spent
 executing it. --join-words-per-row-ceiling F fails when executing
 allocates more than F minor words per output row, or when the block is
 missing.
+
+Lineage interning: the "lineage" block carries the output-lineage
+formations of the same four-operator Meteo round ([&&&] for an
+overlapping window, [and_not] for a negating one), replayed twice in a
+fresh domain, and the minor words of each pass: the first interns
+every node, the second finds every node in the unique table.
+--intern-words-per-hit-ceiling F fails when a formation that finds its
+node allocates more than F minor words on average, or when the block
+is missing. The Hashtbl-keyed table spent about 43 words per hit
+(key lists, options and the junct list); the open-addressing table
+probed by child ids spends none.
 
 CSV loading: the "csv" block carries the bytes of a Webkit pair's CSV
 files at a fixed seed and the minor words Csv.load spends reading them.
@@ -201,6 +213,15 @@ def main():
         metavar="F",
         help="fail unless executing the join block's queries allocates at "
         "most F minor words per output row",
+    )
+    parser.add_argument(
+        "--intern-words-per-hit-ceiling",
+        type=float,
+        default=None,
+        metavar="F",
+        help="fail unless forming the lineage block's output lineages "
+        "allocates at most F minor words per call once every node is "
+        "interned",
     )
     parser.add_argument(
         "--csv-words-per-byte-ceiling",
@@ -389,6 +410,21 @@ def main():
                 f"above ceiling {args.join_words_per_row_ceiling}"
             )
 
+    lineage = current.get("lineage")
+    if args.intern_words_per_hit_ceiling is not None:
+        if lineage is None:
+            failures.append(
+                "intern ceiling set but the report has no lineage block"
+            )
+        elif lineage["words_per_hit"] > args.intern_words_per_hit_ceiling:
+            failures.append(
+                f"forming the lineage block's output lineages allocates "
+                f"{lineage['words_per_hit']:.2f} minor words per hit "
+                f"({lineage['hit_minor_words']} words for "
+                f"{lineage['calls']} calls), above ceiling "
+                f"{args.intern_words_per_hit_ceiling}"
+            )
+
     csv = current.get("csv")
     if args.csv_words_per_byte_ceiling is not None:
         if csv is None:
@@ -441,6 +477,8 @@ def main():
         )
     if join is not None:
         summary.append(f"join {join['words_per_row']:.1f} words per row")
+    if lineage is not None:
+        summary.append(f"lineage {lineage['words_per_hit']:.2f} words per hit")
     if csv is not None:
         summary.append(f"csv {csv['words_per_byte']:.3f} words per byte")
     if spill is not None:

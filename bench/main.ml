@@ -23,8 +23,10 @@
                    partition skew, quantile distributions) and the
                    render block (minor words per rendered byte of the
                    four-operator Meteo output), the join block (minor
-                   words per output row of the same round, planned) and
-                   the csv block (minor words per input byte of Csv.load
+                   words per output row of the same round, planned), the
+                   lineage block (minor words per interning call that
+                   finds its node, forming that round's output lineages
+                   in a fresh domain), the csv block (minor words per input byte of Csv.load
                    over a Webkit pair) and the spill block (minor words
                    per tuple of spilling that pair to disk and reading
                    it back) as a JSON report, led by a self-describing
@@ -441,6 +443,73 @@ let run_join metrics_installed =
     (float_of_int words /. float_of_int rows);
   join_report := Some (rows, words)
 
+(* --- lineage interning allocation ---
+
+   Minor words per interning call of output-lineage formation. The
+   output lineages of the four-operator Meteo round (seed 7, 500 tuples
+   per side) are taken apart into the operands [Concat] formed them
+   from: [λr ∧ λs] by [&&&], [λr ∧ ¬λs] by [and_not]. A fresh domain,
+   whose unique table starts empty, forms them all twice: the first
+   pass interns every node, the second finds every node in the table.
+   Calls, nodes and words are deterministic, so words per hit is a
+   property of the code: check_bench.py --intern-words-per-hit-ceiling
+   gates it. The joins run with the metrics sink uninstalled, like the
+   render block's. *)
+
+let lineage_report : (int * int * int * int) option ref = ref None
+
+let run_lineage metrics_installed =
+  let module F = Tpdb.Formula in
+  let outputs () =
+    let r, s = Tpdb.Datasets.Meteo.pair ~seed:7 500 in
+    List.map
+      (fun kind -> Nj.join ~kind ~theta:(Tpdb.Theta.eq 1 1) r s)
+      Nj.[ Anti; Left; Right; Full ]
+  in
+  let outputs =
+    match metrics_installed with
+    | None -> outputs ()
+    | Some metrics ->
+        Metrics.uninstall ();
+        Fun.protect ~finally:(fun () -> Metrics.install metrics) outputs
+  in
+  (* (negating, λr, λs) per formed output lineage *)
+  let formed =
+    List.concat_map Relation.tuples outputs
+    |> List.filter_map (fun tp ->
+           match F.view (Tpdb.Tuple.lineage tp) with
+           | F.And [ lr; ls ] -> (
+               match F.view ls with
+               | F.Not ls -> Some (true, lr, ls)
+               | _ -> Some (false, lr, ls))
+           | _ -> None)
+    |> Array.of_list
+  in
+  let form (negating, lr, ls) =
+    ignore (if negating then F.and_not lr ls else F.( &&& ) lr ls)
+  in
+  let pass () =
+    let before = Gc.minor_words () in
+    Array.iter form formed;
+    int_of_float (Gc.minor_words () -. before)
+  in
+  let nodes, miss_words, hit_words =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let miss_words = pass () in
+           let nodes = F.interned () in
+           (nodes, miss_words, pass ())))
+  in
+  let calls = Array.length formed in
+  Printf.printf
+    "lineage: %d formations, %d nodes; minor words %d interning (%.1f per \
+     node), %d finding (%.2f per hit)\n%!"
+    calls nodes miss_words
+    (float_of_int miss_words /. float_of_int nodes)
+    hit_words
+    (float_of_int hit_words /. float_of_int calls);
+  lineage_report := Some (calls, nodes, miss_words, hit_words)
+
 (* --- CSV load allocation ---
 
    Minor words per input byte of [Csv.load] over the webkit-spill pair
@@ -674,6 +743,23 @@ let json_report metrics =
                   ("minor_words", J.int words);
                   ( "words_per_row",
                     J.float (float_of_int words /. float_of_int rows) );
+                ] );
+          ])
+    @ (match !lineage_report with
+      | None -> []
+      | Some (calls, nodes, miss_words, hit_words) ->
+          [
+            ( "lineage",
+              J.obj
+                [
+                  ("calls", J.int calls);
+                  ("nodes", J.int nodes);
+                  ("miss_minor_words", J.int miss_words);
+                  ("hit_minor_words", J.int hit_words);
+                  ( "words_per_node",
+                    J.float (float_of_int miss_words /. float_of_int nodes) );
+                  ( "words_per_hit",
+                    J.float (float_of_int hit_words /. float_of_int calls) );
                 ] );
           ])
     @ (match !csv_report with
@@ -930,6 +1016,7 @@ let () =
     if has "--paper" then run_paper_scale ();
     run_render (Metrics.active ());
     run_join (Metrics.active ());
+    run_lineage (Metrics.active ());
     run_csv (Metrics.active ());
     run_spill_alloc (Metrics.active ())
   end;

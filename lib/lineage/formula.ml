@@ -9,6 +9,22 @@
    the probability cache keyed on node ids, see {!Prob.Cache}) is what
    turns the per-window lineage work from O(window size) into O(delta).
 
+   The table is open addressing with linear probing over two parallel
+   arrays: [keys.(i)] is [hkey + 1] of the node in slot [i] (0 marks an
+   empty slot) and [nodes.(i)] is the node. A slot's home is a
+   multiplicative (Fibonacci) mix of the key: [combine] is a plain
+   [31·h + x], whose low bits alone would crowd related formulas into
+   runs of neighbouring slots. A probe
+   compares the stored key first and then the candidate's children by
+   id, in place: no key value, option or closure is built per lookup,
+   and the binary constructors ([&&&], [|||], [and_not], [neg]) build
+   their [And [a; b]] list or [Not] node only when it is new, so a hit
+   allocates nothing. The table grows by doubling past a load of 2/3.
+
+   Ids are drawn on a miss only, so a node's id depends on the order of
+   misses alone, which no layout of the table changes; nodes are never
+   removed.
+
    Concurrency: the unique table is domain-local ([Domain.DLS]) so the
    partitioned parallel executor interns without taking locks. Node ids
    are drawn from one global atomic counter, so an id names at most one
@@ -39,13 +55,23 @@ let hash f = f.hkey
 
 let combine seed h = ((seed * 31) + h) land max_int
 
+(* Seeds of the structural hash, one per connective. *)
+let var_seed = 0x11
+let not_seed = 0x7f
+let and_seed = 0x3b5
+let or_seed = 0x9c7
+
+let rec hash_juncts h = function
+  | [] -> h
+  | f :: rest -> hash_juncts (combine h f.hkey) rest
+
 let hash_view = function
   | True -> 0x21a3d
   | False -> 0x47b91
-  | Var v -> combine 0x11 (Var.hash v)
-  | Not f -> combine 0x7f f.hkey
-  | And fs -> List.fold_left (fun h f -> combine h f.hkey) 0x3b5 fs
-  | Or fs -> List.fold_left (fun h f -> combine h f.hkey) 0x9c7 fs
+  | Var v -> combine var_seed (Var.hash v)
+  | Not f -> combine not_seed f.hkey
+  | And fs -> hash_juncts and_seed fs
+  | Or fs -> hash_juncts or_seed fs
 
 (* Ids 0 and 1 belong to the constant singletons, which are shared by
    every domain (the constructors below never re-intern them). *)
@@ -57,63 +83,166 @@ let false_ =
 
 let next_id = Atomic.make 2
 
-module Key = struct
-  type t = KVar of Var.t | KNot of int | KAnd of int list | KOr of int list
+(* --- the unique table ------------------------------------------------ *)
 
-  let equal a b =
-    match (a, b) with
-    | KVar u, KVar v -> Var.equal u v
-    | KNot i, KNot j -> Int.equal i j
-    | KAnd xs, KAnd ys | KOr xs, KOr ys -> List.equal Int.equal xs ys
-    | (KVar _ | KNot _ | KAnd _ | KOr _), _ -> false
+type table = {
+  mutable keys : int array;  (** [hkey + 1] per slot; 0 = empty *)
+  mutable nodes : t array;  (** [true_] in empty slots *)
+  mutable shift : int;  (** [Sys.int_size - log2 (Array.length keys)] *)
+  mutable count : int;
+}
 
-  let hash = function
-    | KVar v -> combine 0x11 (Var.hash v)
-    | KNot i -> combine 0x7f i
-    | KAnd is -> List.fold_left combine 0x3b5 is
-    | KOr is -> List.fold_left combine 0x9c7 is
-end
+let initial_bits = 10
 
-module Tbl = Hashtbl.Make (Key)
+let create_table () =
+  {
+    keys = Array.make (1 lsl initial_bits) 0;
+    nodes = Array.make (1 lsl initial_bits) true_;
+    shift = Sys.int_size - initial_bits;
+    count = 0;
+  }
 
-let table : t Tbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Tbl.create 1024)
+let table : table Domain.DLS.key = Domain.DLS.new_key create_table
 
-let key_of = function
-  | True | False -> assert false (* constants are never interned *)
-  | Var v -> Key.KVar v
-  | Not f -> Key.KNot f.id
-  | And fs -> Key.KAnd (List.map (fun f -> f.id) fs)
-  | Or fs -> Key.KOr (List.map (fun f -> f.id) fs)
+(* The top bits of the key times 2^63 / φ (odd). *)
+let home key shift = (key * 0x4f1bbcdcbfa53e0b) lsr shift
 
-let mk node =
+(* Each finder walks the probe sequence from slot [i] and returns the
+   slot holding the wanted node, or [lnot] of the empty slot that ends
+   the sequence (where the node goes if it is new). They are top-level
+   recursions, so a probe allocates nothing. *)
+
+let rec find_var keys nodes key v i =
+  let k = Array.unsafe_get keys i in
+  if k = 0 then lnot i
+  else if
+    k = key
+    && match (Array.unsafe_get nodes i).node with Var u -> Var.equal u v | _ -> false
+  then i
+  else find_var keys nodes key v ((i + 1) land (Array.length keys - 1))
+
+let rec find_not keys nodes key child i =
+  let k = Array.unsafe_get keys i in
+  if k = 0 then lnot i
+  else if
+    k = key
+    && match (Array.unsafe_get nodes i).node with Not g -> g.id = child | _ -> false
+  then i
+  else find_not keys nodes key child ((i + 1) land (Array.length keys - 1))
+
+let rec find_pair keys nodes key is_and a b i =
+  let k = Array.unsafe_get keys i in
+  if k = 0 then lnot i
+  else if
+    k = key
+    &&
+    match (Array.unsafe_get nodes i).node with
+    | And [ x; y ] -> is_and && x.id = a && y.id = b
+    | Or [ x; y ] -> (not is_and) && x.id = a && y.id = b
+    | _ -> false
+  then i
+  else find_pair keys nodes key is_and a b ((i + 1) land (Array.length keys - 1))
+
+let rec same_ids xs ys =
+  match (xs, ys) with
+  | [], [] -> true
+  | x :: xs', y :: ys' -> x.id = y.id && same_ids xs' ys'
+  | _, _ -> false
+
+let rec find_juncts keys nodes key is_and fs i =
+  let k = Array.unsafe_get keys i in
+  if k = 0 then lnot i
+  else if
+    k = key
+    &&
+    match (Array.unsafe_get nodes i).node with
+    | And gs -> is_and && same_ids fs gs
+    | Or gs -> (not is_and) && same_ids fs gs
+    | _ -> false
+  then i
+  else find_juncts keys nodes key is_and fs ((i + 1) land (Array.length keys - 1))
+
+let rec free_slot keys i =
+  if Array.unsafe_get keys i = 0 then i
+  else free_slot keys ((i + 1) land (Array.length keys - 1))
+
+(* Doubles both arrays and re-places every node by its stored key. *)
+let grow tbl =
+  let old_keys = tbl.keys and old_nodes = tbl.nodes in
+  let size = 2 * Array.length old_keys in
+  let keys = Array.make size 0 and nodes = Array.make size true_ in
+  let shift = tbl.shift - 1 in
+  Array.iteri
+    (fun i key ->
+      if key <> 0 then begin
+        let j = free_slot keys (home key shift) in
+        keys.(j) <- key;
+        nodes.(j) <- old_nodes.(i)
+      end)
+    old_keys;
+  tbl.keys <- keys;
+  tbl.nodes <- nodes;
+  tbl.shift <- shift
+
+(* A miss: the only place ids are drawn. [slot] is where the probe for
+   [key] ended; growing moves the node's place. *)
+let add tbl key slot hkey node =
+  let f =
+    { id = Atomic.fetch_and_add next_id 1; hkey; node; memo_size = -1; memo_vars = None }
+  in
+  let slot =
+    if 3 * (tbl.count + 1) > 2 * Array.length tbl.keys then begin
+      grow tbl;
+      free_slot tbl.keys (home key tbl.shift)
+    end
+    else slot
+  in
+  tbl.keys.(slot) <- key;
+  tbl.nodes.(slot) <- f;
+  tbl.count <- tbl.count + 1;
+  f
+
+let interned () = (Domain.DLS.get table).count
+
+let var v =
   let tbl = Domain.DLS.get table in
-  let key = key_of node in
-  match Tbl.find_opt tbl key with
-  | Some f -> f
-  | None ->
-      let f =
-        {
-          id = Atomic.fetch_and_add next_id 1;
-          hkey = hash_view node;
-          node;
-          memo_size = -1;
-          memo_vars = None;
-        }
-      in
-      Tbl.add tbl key f;
-      f
+  let hkey = combine var_seed (Var.hash v) in
+  let key = hkey + 1 in
+  let slot = find_var tbl.keys tbl.nodes key v (home key tbl.shift) in
+  if slot >= 0 then tbl.nodes.(slot) else add tbl key (lnot slot) hkey (Var v)
 
-let interned () = Tbl.length (Domain.DLS.get table)
+let intern_not f =
+  let tbl = Domain.DLS.get table in
+  let hkey = combine not_seed f.hkey in
+  let key = hkey + 1 in
+  let slot = find_not tbl.keys tbl.nodes key f.id (home key tbl.shift) in
+  if slot >= 0 then tbl.nodes.(slot) else add tbl key (lnot slot) hkey (Not f)
 
-let var v = mk (Var v)
+(* [a ∧ b] ([is_and]) or [a ∨ b], for operands that need no folding or
+   flattening: the list is built only for a new node. *)
+let intern_pair is_and a b =
+  let tbl = Domain.DLS.get table in
+  let hkey = combine (combine (if is_and then and_seed else or_seed) a.hkey) b.hkey in
+  let key = hkey + 1 in
+  let slot = find_pair tbl.keys tbl.nodes key is_and a.id b.id (home key tbl.shift) in
+  if slot >= 0 then tbl.nodes.(slot)
+  else add tbl key (lnot slot) hkey (if is_and then And [ a; b ] else Or [ a; b ])
+
+(* A connective over [fs], already flattened and folded (>= 2 juncts). *)
+let intern_juncts is_and fs =
+  let tbl = Domain.DLS.get table in
+  let hkey = hash_juncts (if is_and then and_seed else or_seed) fs in
+  let key = hkey + 1 in
+  let slot = find_juncts tbl.keys tbl.nodes key is_and fs (home key tbl.shift) in
+  if slot >= 0 then tbl.nodes.(slot)
+  else add tbl key (lnot slot) hkey (if is_and then And fs else Or fs)
 
 let neg f =
   match f.node with
   | True -> false_
   | False -> true_
   | Not g -> g
-  | Var _ | And _ | Or _ -> mk (Not f)
+  | Var _ | And _ | Or _ -> intern_not f
 
 (* Equality: physical first (the common case for same-domain formulas),
    then the structural hash as a cheap rejector, full recursion only for
@@ -134,42 +263,46 @@ and equal_lists xs ys =
   | x :: xs', y :: ys' -> equal x y && equal_lists xs' ys'
   | _, _ -> false
 
-(* Flattening constructor shared by [conj] and [disj]: [unit] is the
-   identity element, [zero] the annihilator, [wrap] rebuilds the
-   connective and [unwrap] recognizes it for flattening. The constants
+(* Flattening constructor shared by [conj] ([is_and]) and [disj]: [unit]
+   is the identity element and [zero] the annihilator. The constants
    are singletons, so the identity/annihilator tests are pointer
-   comparisons (the former polymorphic [=] walked the formula). *)
-let connective ~unit ~zero ~wrap ~unwrap juncts =
-  let rec gather acc = function
-    | [] -> Some (List.rev acc)
-    | f :: rest ->
-        if f == zero then None
-        else if f == unit then gather acc rest
-        else (
-          match unwrap f with
-          | Some inner -> gather (List.rev_append inner acc) rest
-          | None -> gather (f :: acc) rest)
-  in
-  match gather [] juncts with
-  | None -> zero
-  | Some [] -> unit
-  | Some [ f ] -> f
-  | Some fs -> wrap fs
+   comparisons. [gather] keeps the juncts in order, drops units and
+   splices in the juncts of a nested connective of the same kind. *)
+let rec gather is_and unit acc = function
+  | [] -> List.rev acc
+  | f :: rest -> (
+      if f == unit then gather is_and unit acc rest
+      else
+        match f.node with
+        | And inner when is_and -> gather is_and unit (List.rev_append inner acc) rest
+        | Or inner when not is_and -> gather is_and unit (List.rev_append inner acc) rest
+        | _ -> gather is_and unit (f :: acc) rest)
 
-let conj fs =
-  connective ~unit:true_ ~zero:false_
-    ~wrap:(fun fs -> mk (And fs))
-    ~unwrap:(fun f -> match f.node with And fs -> Some fs | _ -> None)
-    fs
+let connective is_and ~unit ~zero juncts =
+  if List.memq zero juncts then zero
+  else
+    match gather is_and unit [] juncts with
+    | [] -> unit
+    | [ f ] -> f
+    | fs -> intern_juncts is_and fs
 
-let disj fs =
-  connective ~unit:false_ ~zero:true_
-    ~wrap:(fun fs -> mk (Or fs))
-    ~unwrap:(fun f -> match f.node with Or fs -> Some fs | _ -> None)
-    fs
+let conj fs = connective true ~unit:true_ ~zero:false_ fs
+let disj fs = connective false ~unit:false_ ~zero:true_ fs
 
-let ( &&& ) a b = conj [ a; b ]
-let ( ||| ) a b = disj [ a; b ]
+(* A junct [&&&]/[|||] can pair as is: not a constant (which folds) and
+   not a connective of the same kind (which flattens). *)
+let pairs is_and f =
+  match f.node with
+  | True | False -> false
+  | And _ -> not is_and
+  | Or _ -> is_and
+  | Var _ | Not _ -> true
+
+let ( &&& ) a b =
+  if pairs true a && pairs true b then intern_pair true a b else conj [ a; b ]
+
+let ( ||| ) a b =
+  if pairs false a && pairs false b then intern_pair false a b else disj [ a; b ]
 
 let and_not a b = a &&& neg b
 

@@ -12,7 +12,22 @@
     {!equal} is usually a pointer comparison, {!hash} is O(1), and
     {!vars}/{!size} are memoized per node. {!id} is unique process-wide
     and never reused, which is what lets {!Prob.Cache} key compiled BDDs
-    and probabilities on it. Interned nodes are never reclaimed. *)
+    and probabilities on it. Interned nodes are never reclaimed.
+
+    The table is open addressing over two parallel arrays (structural
+    hashes and nodes), probed by the ids of a node's children. Finding a
+    node that is already interned allocates nothing in {!var}, {!neg},
+    [&&&], [|||] and {!and_not}; {!conj} and {!disj} build only
+    their flattened junct list.
+
+    What is guaranteed: on one domain, two formulas built from the same
+    children by the same connective are the same node, whichever
+    constructor built them (so [a &&& b == conj [a; b]] and
+    [and_not a b == conj [a; neg b]]); an id is drawn only when a node
+    is new, so ids follow the order of first construction. Across
+    domains only structure is shared: a formula interned on another
+    domain is a valid child, but the same structure built on two domains
+    may be two nodes. *)
 
 type t
 

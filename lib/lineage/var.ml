@@ -18,7 +18,9 @@ let compare a b =
   let c = String.compare a.rel b.rel in
   if c <> 0 then c else Int.compare a.idx b.idx
 
-let hash v = Hashtbl.hash (v.rel, v.idx)
+(* The record has the pair [(rel, idx)]'s tag and size, so it hashes
+   exactly as the pair does, without building one per call. *)
+let hash (v : t) = Hashtbl.hash v
 
 let add_to_buffer buf v =
   Buffer.add_string buf v.rel;
