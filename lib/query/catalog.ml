@@ -10,14 +10,25 @@ type t = {
   mutable stats_dir : string option;
   versions : (string, int) Hashtbl.t;  (* bumped on every register *)
   mutable generation : int;  (* bumped on any register *)
+  mutable env : Prob.env Once.t;
+      (* this generation's marginals, computed on the first plan and
+         shared by every copy until either side registers *)
 }
 
+(* The relations are listed now, not when the memo is forced: a copy
+   sharing the memo must not see a later [register] on the original. *)
+let env_of relations =
+  let relations = Hashtbl.fold (fun _ e acc -> e.relation :: acc) relations [] in
+  Once.make (fun () -> Relation.prob_env relations)
+
 let create () =
+  let relations = Hashtbl.create 16 in
   {
-    relations = Hashtbl.create 16;
+    relations;
     stats_dir = None;
     versions = Hashtbl.create 16;
     generation = 0;
+    env = env_of relations;
   }
 
 (* A persisted [<dir>/<name>.stats] whose [relation] field names [name];
@@ -53,6 +64,7 @@ let register t r =
   let name = Relation.name r in
   Hashtbl.replace t.relations name (entry ~stats_dir:t.stats_dir r);
   t.generation <- t.generation + 1;
+  t.env <- env_of t.relations;
   Hashtbl.replace t.versions name
     (1 + Option.value ~default:0 (Hashtbl.find_opt t.versions name))
 
@@ -61,14 +73,15 @@ let generation t = t.generation
 
 (* Relations are immutable values, so a snapshot only needs to copy the
    tables, not the data: O(names), and the copy shares every relation —
-   and its statistics — with the original until either side
-   re-registers a name. *)
+   its statistics, and the generation's marginals — with the original
+   until either side re-registers a name. *)
 let copy t =
   {
     relations = Hashtbl.copy t.relations;
     stats_dir = t.stats_dir;
     versions = Hashtbl.copy t.versions;
     generation = t.generation;
+    env = t.env;
   }
 
 let find t name =
@@ -81,9 +94,7 @@ let names t =
   Hashtbl.fold (fun name _ acc -> name :: acc) t.relations []
   |> List.sort String.compare
 
-let env t =
-  let relations = Hashtbl.fold (fun _ e acc -> e.relation :: acc) t.relations [] in
-  Relation.prob_env relations
+let env t = Once.force t.env
 
 (* Statistics resolved against the old directory are stale: give every
    entry of this catalog a fresh memo (other snapshots keep theirs). *)

@@ -22,7 +22,7 @@ val generation : t -> int
 
 val copy : t -> t
 (** A copy-on-write snapshot: O(number of names), sharing the immutable
-    relation values and their statistics memos. Mutations on either side
+    relation values, their statistics memos and the {!env} memo. Mutations on either side
     ({!register}, {!set_stats_dir}) never show through to the other. *)
 
 val find : t -> string -> Relation.t option
@@ -33,7 +33,11 @@ val names : t -> string list
 (** Sorted. *)
 
 val env : t -> Prob.env
-(** Marginals of every base variable of every registered relation. *)
+(** Marginals of every base variable of every registered relation.
+    Memoized per {!generation}: computed on the first call after a
+    {!register} (never by {!register} itself; safe when several domains
+    call at once) and shared by every {!copy} taken since, until either
+    side registers again. *)
 
 val set_stats_dir : t -> string -> unit
 (** Directory where persisted statistics ([<name>.stats], written by

@@ -86,6 +86,10 @@ val estimates : t -> Cost.t
     memoized. Statistics come from the catalog the plan was built
     against ({!Catalog.stats}). *)
 
+val env : t -> Tpdb_lineage.Prob.env
+(** The marginals the plan runs under: the catalog's {!Catalog.env}
+    when the plan was built, shared by every plan of that generation. *)
+
 val run : t -> Relation.t
 
 val stream : t -> Tpdb_relation.Tuple.t Seq.t

@@ -46,6 +46,8 @@ let create ~capacity =
 let attach pool ~path fd =
   pool.files <- (path, fd) :: List.remove_assoc path pool.files
 
+let detach pool ~path = pool.files <- List.remove_assoc path pool.files
+
 let unlink e =
   e.prev.next <- e.next;
   e.next.prev <- e.prev

@@ -30,6 +30,11 @@ val attach : t -> path:string -> Unix.file_descr -> unit
     opening [path] per miss. A page that starts at or past the end of
     the file raises [End_of_file]. *)
 
+val detach : t -> path:string -> unit
+(** Undoes {!attach}: pages of [path] that miss from now on open the
+    file by path again. Resident pages stay cached. The caller still
+    closes the descriptor. *)
+
 val read_page : t -> path:string -> index:int -> size:int -> Bytes.t
 (** Page [index] (0-based) of [path], [size] bytes ([Heap_file.page_size]
     for all callers; short final pages come back zero-padded). Cached;

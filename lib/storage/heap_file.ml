@@ -96,9 +96,15 @@ let write path relation =
      raise e);
   Sys.rename tmp path
 
+(* Through a pool, a read holds one descriptor on [path] for its whole
+   length ({!with_descriptor}), from which the pool loads every page
+   that misses; a page that starts past the end of the file is
+   corruption, as on the unpooled path. *)
 let get_page ?pool ~path index =
   match pool with
-  | Some pool -> Buffer_pool.read_page pool ~path ~index ~size:page_size
+  | Some pool -> (
+      try Buffer_pool.read_page pool ~path ~index ~size:page_size
+      with End_of_file -> corrupt "page %d beyond end of %s" index path)
   | None ->
       let ic = open_in_bin path in
       Fun.protect
@@ -112,6 +118,24 @@ let get_page ?pool ~path index =
           let bytes = Bytes.make page_size '\000' in
           really_input ic bytes 0 available;
           bytes)
+
+(* Runs [f] with [path] attached to [pool] on a descriptor opened for
+   the purpose, detached and closed when [f] returns or raises. *)
+let with_descriptor ?pool path f =
+  match pool with
+  | None -> f ()
+  | Some pool ->
+      let fd =
+        try Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0
+        with Unix.Unix_error (e, _, _) ->
+          raise (Sys_error (path ^ ": " ^ Unix.error_message e))
+      in
+      Buffer_pool.attach pool ~path fd;
+      Fun.protect
+        ~finally:(fun () ->
+          Buffer_pool.detach pool ~path;
+          Unix.close fd)
+        f
 
 let read_header ?pool path =
   let bytes = get_page ?pool ~path 0 in
@@ -129,10 +153,12 @@ let read_header ?pool path =
   (v, Schema.make ~name columns, tuple_count, data_pages)
 
 let schema_of ?pool path =
+  with_descriptor ?pool path @@ fun () ->
   let _, schema, _, _ = read_header ?pool path in
   schema
 
 let page_count ?pool path =
+  with_descriptor ?pool path @@ fun () ->
   let _, _, _, data_pages = read_header ?pool path in
   data_pages
 
@@ -178,5 +204,6 @@ let read_rows ?pool path schema tuple_count data_pages =
   Relation.of_tuples schema (List.rev !tuples)
 
 let read ?pool path =
+  with_descriptor ?pool path @@ fun () ->
   let _, schema, tuple_count, data_pages = read_header ?pool path in
   read_rows ?pool path schema tuple_count data_pages

@@ -26,7 +26,9 @@ val write : string -> Tpdb_relation.Relation.t -> unit
 
 val read : ?pool:Buffer_pool.t -> string -> Tpdb_relation.Relation.t
 (** Reads the whole relation; with [pool], pages come
-    through the buffer pool (and stay cached for subsequent reads).
+    through the buffer pool (and stay cached for subsequent reads), and
+    the pages that miss load from one descriptor held open for the
+    length of the read and closed however it ends.
     Raises {!Corrupt} on bad magic, version, or page contents;
     [Sys_error] on I/O failure. *)
 

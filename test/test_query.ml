@@ -113,6 +113,43 @@ let test_catalog () =
   Alcotest.(check bool) "find" true (Option.is_some (Catalog.find c "a"));
   Alcotest.(check bool) "missing" true (Option.is_none (Catalog.find c "zzz"))
 
+(* [Catalog.env] is one table per catalog generation: plans and copies
+   of one generation share it, a register replaces it, and a copy keeps
+   the relations of the generation it was taken in. *)
+let test_catalog_env_memo () =
+  let c = catalog () in
+  let sql = Parser.parse "SELECT * FROM a LEFT TPJOIN b ON a.Loc = b.Loc" in
+  let p1 = Planner.plan c sql and p2 = Planner.plan c sql in
+  Alcotest.(check bool) "two plans share the table" true
+    (Planner.env p1 == Planner.env p2);
+  let snap = Catalog.copy c in
+  Alcotest.(check bool) "a copy shares it" true (Catalog.env snap == Planner.env p1);
+  let hotel1 = Tpdb_lineage.Var.make "b" 3 in
+  let b' =
+    Relation.of_rows ~name:"b" ~columns:[ "Hotel"; "Loc" ]
+      [
+        ([ "hotel3"; "SOR" ], Fixtures.iv 1 4, 0.9);
+        ([ "hotel2"; "ZAK" ], Fixtures.iv 5 8, 0.6);
+        ([ "hotel1"; "ZAK" ], Fixtures.iv 4 6, 0.2);
+      ]
+  in
+  Catalog.register c b';
+  Alcotest.(check bool) "a re-register replaces it" false
+    (Catalog.env c == Planner.env p1);
+  Alcotest.(check (float 0.0)) "new marginal" 0.2 (Catalog.env c hotel1);
+  Alcotest.(check (float 0.0)) "the copy keeps the old one" 0.7
+    (Catalog.env snap hotel1);
+  (* a copy whose memo is still unforced when the original registers
+     again must not see the later relation *)
+  let unforced = Catalog.copy c in
+  Catalog.register c
+    (Relation.of_rows ~name:"x" ~columns:[ "K" ] [ ([ "k" ], Fixtures.iv 0 1, 0.5) ]);
+  (match Catalog.env unforced (Tpdb_lineage.Var.make "x" 1) with
+  | exception Tpdb_lineage.Prob.Unbound_variable _ -> ()
+  | p -> Alcotest.failf "the copy sees a later relation (p = %g)" p);
+  Alcotest.(check (float 0.0)) "the original sees it" 0.5
+    (Catalog.env c (Tpdb_lineage.Var.make "x" 1))
+
 let run sql = Planner.run_string (catalog ()) sql
 
 let test_sql_left_join_matches_api () =
@@ -518,6 +555,8 @@ let suite =
     Alcotest.test_case "print/parse round-trip" `Quick test_parse_roundtrip;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
     Alcotest.test_case "catalog" `Quick test_catalog;
+    Alcotest.test_case "catalog env memoized per generation" `Quick
+      test_catalog_env_memo;
     Alcotest.test_case "sql left join = api" `Quick test_sql_left_join_matches_api;
     Alcotest.test_case "sql anti join = api" `Quick test_sql_anti_join;
     Alcotest.test_case "where + projection" `Quick test_sql_where_and_projection;

@@ -285,6 +285,30 @@ let test_server_result_cache_invalidation () =
   Alcotest.(check bool) "new result is cached in turn" true
     again.Client.result_cached
 
+(* A LOAD that changes only a probability keeps every lineage the
+   same, so the answer changes only if plans read the new generation's
+   marginals, not a memo of the old ones. *)
+let test_server_load_changes_probability () =
+  with_server @@ fun _server addr ->
+  with_client addr @@ fun c ->
+  let before = Client.query c join_sql in
+  Alcotest.(check string) "before" (baseline_text join_sql) before.Client.text;
+  let b' =
+    Relation.of_rows ~name:"b" ~columns:[ "Hotel"; "Loc" ]
+      [
+        ([ "hotel3"; "SOR" ], Fixtures.iv 1 4, 0.9);
+        ([ "hotel2"; "ZAK" ], Fixtures.iv 5 8, 0.6);
+        ([ "hotel1"; "ZAK" ], Fixtures.iv 4 6, 0.2);
+      ]
+  in
+  ignore (Client.load c ~name:"b" ~csv:(Csv.to_string b'));
+  let after = Client.query c join_sql in
+  Alcotest.(check bool) "the answer changes" false
+    (String.equal before.Client.text after.Client.text);
+  Alcotest.(check string) "it is the one-shot answer over the new data"
+    (baseline_text ~relations:[ b' ] join_sql)
+    after.Client.text
+
 let test_server_overload_is_typed () =
   let config c =
     { c with Server.workers = 1; queue_limit = 1; debug_sleep = true }
@@ -521,6 +545,8 @@ let suite =
       test_server_prepare_execute_and_replan;
     Alcotest.test_case "server: reload invalidates cached results" `Quick
       test_server_result_cache_invalidation;
+    Alcotest.test_case "server: a LOAD that changes a probability" `Quick
+      test_server_load_changes_probability;
     Alcotest.test_case "server: overload is a typed rejection" `Quick
       test_server_overload_is_typed;
     Alcotest.test_case "server: concurrent clients match baseline" `Quick

@@ -448,6 +448,44 @@ let test_db () =
         (Sys.readdir (Db.dir db));
       Sys.rmdir (Db.dir db))
 
+(* [Db.load] reads through the pool on one descriptor it closes however
+   the read ends: the process holds as many descriptors after a load,
+   a load of a corrupt file and a drop as before them. *)
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+let test_db_load_holds_one_descriptor () =
+  with_temp_dir (fun dir ->
+      let db = Db.open_ ~pool_pages:4 (Filename.concat dir "fds") in
+      Fun.protect
+        ~finally:(fun () ->
+          Array.iter
+            (fun f -> Sys.remove (Filename.concat (Db.dir db) f))
+            (Sys.readdir (Db.dir db));
+          Sys.rmdir (Db.dir db))
+      @@ fun () ->
+      let r = big_relation 2_000 in
+      Db.save db r;
+      let before = open_fds () in
+      let back = Db.load db "big" in
+      Alcotest.(check int) "no descriptor left by a load" before (open_fds ());
+      Alcotest.(check bool) "rows round-trip unchanged" true
+        (same_tuples (Relation.tuples r) (Relation.tuples back));
+      let _, misses = Buffer_pool.stats (Db.pool db) in
+      Alcotest.(check bool) "the load missed pages" true (misses > 4);
+      (* a copy whose header claims pages the file no longer has *)
+      Db.save db (Relation.of_tuples (Schema.make ~name:"cut" [ "K"; "Payload" ])
+                    (Relation.tuples r));
+      let cut = Filename.concat (Db.dir db) "cut.tpr" in
+      Unix.truncate cut (2 * Heap_file.page_size);
+      (match Db.load db "cut" with
+      | exception Heap_file.Corrupt _ -> ()
+      | _ -> Alcotest.fail "truncated heap file loaded");
+      Alcotest.(check int) "no descriptor left by a corrupt load" before
+        (open_fds ());
+      Db.drop db "big";
+      Db.drop db "cut";
+      Alcotest.(check int) "no descriptor left by a drop" before (open_fds ()))
+
 (* --- properties --- *)
 
 module Test = QCheck2.Test
@@ -978,6 +1016,8 @@ let suite =
     Alcotest.test_case "buffer pool invalidation" `Quick test_buffer_pool_invalidate;
     Alcotest.test_case "pinned eviction" `Quick test_pinned_eviction;
     Alcotest.test_case "db directory" `Quick test_db;
+    Alcotest.test_case "db load holds one descriptor" `Quick
+      test_db_load_holds_one_descriptor;
     Alcotest.test_case "concurrent spills use private directories" `Quick
       test_spill_concurrent_joins_roundtrip;
     Alcotest.test_case "spill temp-dir claims never collide" `Quick
