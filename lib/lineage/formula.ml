@@ -65,21 +65,10 @@ let rec hash_juncts h = function
   | [] -> h
   | f :: rest -> hash_juncts (combine h f.hkey) rest
 
-let hash_view = function
-  | True -> 0x21a3d
-  | False -> 0x47b91
-  | Var v -> combine var_seed (Var.hash v)
-  | Not f -> combine not_seed f.hkey
-  | And fs -> hash_juncts and_seed fs
-  | Or fs -> hash_juncts or_seed fs
-
 (* Ids 0 and 1 belong to the constant singletons, which are shared by
    every domain (the constructors below never re-intern them). *)
-let true_ =
-  { id = 0; hkey = hash_view True; node = True; memo_size = 1; memo_vars = Some [] }
-
-let false_ =
-  { id = 1; hkey = hash_view False; node = False; memo_size = 1; memo_vars = Some [] }
+let true_ = { id = 0; hkey = 0x21a3d; node = True; memo_size = 1; memo_vars = Some [] }
+let false_ = { id = 1; hkey = 0x47b91; node = False; memo_size = 1; memo_vars = Some [] }
 
 let next_id = Atomic.make 2
 

@@ -81,22 +81,6 @@ let evict_lru pool ~for_:(path, index) =
   Hashtbl.remove pool.table e.key;
   e.bytes
 
-let load_path path index bytes =
-  let size = Bytes.length bytes in
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let file_len = in_channel_length ic in
-      let offset = index * size in
-      if offset >= file_len then
-        invalid_arg
-          (Printf.sprintf "Buffer_pool: page %d beyond end of %s" index path);
-      seek_in ic offset;
-      let available = min size (file_len - offset) in
-      really_input ic bytes 0 available;
-      Bytes.fill bytes available (size - available) '\000')
-
 (* One seek and as many reads as the page needs, on a descriptor the
    caller holds open. A page that starts at or past the end of the
    file raises [End_of_file]. *)
@@ -126,6 +110,11 @@ let entry_for pool ~path ~index ~size =
       end;
       e
   | None ->
+      let fd =
+        match List.assoc_opt path pool.files with
+        | Some fd -> fd
+        | None -> invalid_arg ("Buffer_pool: no descriptor attached for " ^ path)
+      in
       pool.misses <- pool.misses + 1;
       Metrics.incr Metrics.Pool_misses;
       let bytes =
@@ -134,9 +123,7 @@ let entry_for pool ~path ~index ~size =
           if Bytes.length reused = size then reused else Bytes.create size
         else Bytes.create size
       in
-      (match List.assoc_opt path pool.files with
-      | Some fd -> load_fd fd index bytes
-      | None -> load_path path index bytes);
+      load_fd fd index bytes;
       let e = { key; bytes; pins = 0; prev = pool.ring; next = pool.ring } in
       push_front pool e;
       Hashtbl.replace pool.table key e;

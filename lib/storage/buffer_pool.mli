@@ -26,18 +26,19 @@ val create : capacity:int -> t
 val attach : t -> path:string -> Unix.file_descr -> unit
 (** [attach pool ~path fd]: pages of [path] that miss from now on load
     from [fd] — one seek and one read on a descriptor the caller keeps
-    open and closes after its last read through the pool — instead of
-    opening [path] per miss. A page that starts at or past the end of
-    the file raises [End_of_file]. *)
+    open and closes after its last read through the pool. A page that
+    starts at or past the end of the file raises [End_of_file]. *)
 
 val detach : t -> path:string -> unit
-(** Undoes {!attach}: pages of [path] that miss from now on open the
-    file by path again. Resident pages stay cached. The caller still
-    closes the descriptor. *)
+(** Undoes {!attach}. Resident pages of [path] stay cached and keep
+    hitting; a miss raises [Invalid_argument] until the next {!attach}.
+    The caller still closes the descriptor. *)
 
 val read_page : t -> path:string -> index:int -> size:int -> Bytes.t
 (** Page [index] (0-based) of [path], [size] bytes ([Heap_file.page_size]
-    for all callers; short final pages come back zero-padded). Cached;
+    for all callers; short final pages come back zero-padded). A miss
+    loads from the descriptor {!attach}ed for [path], and raises
+    [Invalid_argument] when there is none. Cached;
     eviction is exact least-recently-used among unpinned pages, in time
     proportional to the number of pinned pages it steps over. The
     returned bytes must not be mutated and may be evicted — and then

@@ -352,6 +352,9 @@ let test_pinned_eviction () =
       let path = Filename.concat dir "pin.tpr" in
       Heap_file.write path (big_relation 500);
       let pool = Buffer_pool.create ~capacity:2 in
+      let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+      Buffer_pool.attach pool ~path fd;
       let pinned = Buffer_pool.pin pool ~path ~index:0 ~size:Heap_file.page_size in
       Alcotest.(check bool) "pinned bytes" true (Bytes.length pinned > 0);
       ignore (Buffer_pool.pin pool ~path ~index:1 ~size:Heap_file.page_size);
@@ -378,9 +381,15 @@ let test_pinned_eviction () =
       | exception Failure _ -> ()
       | _ -> Alcotest.fail "with_pin swallowed the exception");
       ignore (Buffer_pool.read_page pool ~path ~index:3 ~size:Heap_file.page_size);
-      match Buffer_pool.unpin pool ~path ~index:3 with
+      (match Buffer_pool.unpin pool ~path ~index:3 with
       | exception Invalid_argument _ -> ()
-      | () -> Alcotest.fail "unpin of unpinned page accepted")
+      | () -> Alcotest.fail "unpin of unpinned page accepted");
+      (* detached: resident pages still hit, a miss has nothing to load from *)
+      Buffer_pool.detach pool ~path;
+      ignore (Buffer_pool.read_page pool ~path ~index:3 ~size:Heap_file.page_size);
+      match Buffer_pool.read_page pool ~path ~index:4 ~size:Heap_file.page_size with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.fail "a detached path loaded a page")
 
 let test_buffer_pool () =
   with_temp_dir (fun dir ->
@@ -887,8 +896,7 @@ let test_spill_no_leaks () =
 (* The pool against a reference LRU: a list of resident pages, most
    recent first, with pin counts. Same hits, same misses, the same
    Pinned_eviction (payload included), the same unpin errors, and every
-   page read returns its own contents, whether pages load by path or
-   from an attached descriptor. *)
+   page read returns its own contents. *)
 type pool_op = Read of int | Pin of int | Unpin of int
 
 let pool_pages_in_file = 10
@@ -901,9 +909,8 @@ let prop_pool_is_lru =
       [ (6, return (Read page)); (2, return (Pin page)); (2, return (Unpin page)) ]
   in
   Test.make ~name:"buffer pool evicts like a reference LRU" ~count:300
-    ~print:(fun (capacity, attach, ops) ->
-      Printf.sprintf "capacity %d, %s: %s" capacity
-        (if attach then "descriptor" else "path")
+    ~print:(fun (capacity, ops) ->
+      Printf.sprintf "capacity %d: %s" capacity
         (String.concat " "
            (List.map
               (function
@@ -911,8 +918,8 @@ let prop_pool_is_lru =
                 | Pin i -> Printf.sprintf "p%d" i
                 | Unpin i -> Printf.sprintf "u%d" i)
               ops)))
-    (triple (int_range 1 6) bool (list_size (int_range 0 120) op))
-    (fun (capacity, attach, ops) ->
+    (pair (int_range 1 6) (list_size (int_range 0 120) op))
+    (fun (capacity, ops) ->
       with_temp_dir @@ fun dir ->
       let path = Filename.concat dir "pages" in
       Out_channel.with_open_bin path (fun oc ->
@@ -922,7 +929,7 @@ let prop_pool_is_lru =
       let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
       Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
       let pool = Buffer_pool.create ~capacity in
-      if attach then Buffer_pool.attach pool ~path fd;
+      Buffer_pool.attach pool ~path fd;
       let resident = ref [] (* (page, pins), most recent first *)
       and hits = ref 0
       and misses = ref 0 in
