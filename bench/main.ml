@@ -26,8 +26,9 @@
                    words per output row of the same round, planned), the
                    lineage block (minor words per interning call that
                    finds its node, forming that round's output lineages
-                   in a fresh domain), the csv block (minor words per input byte of Csv.load
-                   over a Webkit pair) and the spill block (minor words
+                   in a fresh domain), the csv block (minor words per
+                   input byte of Csv.load over a Webkit pair) and the
+                   spill block (minor words
                    per tuple of spilling that pair to disk and reading
                    it back) as a JSON report, led by a self-describing
                    meta block

@@ -14,12 +14,12 @@
    empty slot) and [nodes.(i)] is the node. A slot's home is a
    multiplicative (Fibonacci) mix of the key: [combine] is a plain
    [31·h + x], whose low bits alone would crowd related formulas into
-   runs of neighbouring slots. A probe
-   compares the stored key first and then the candidate's children by
-   id, in place: no key value, option or closure is built per lookup,
-   and the binary constructors ([&&&], [|||], [and_not], [neg]) build
-   their [And [a; b]] list or [Not] node only when it is new, so a hit
-   allocates nothing. The table grows by doubling past a load of 2/3.
+   runs of neighbouring slots. A probe compares the stored key first
+   and then the candidate's children by id, in place: no key value,
+   option or closure is built per lookup, and the binary constructors
+   ([&&&], [|||], [and_not], [neg]) build their [And [a; b]] list or
+   [Not] node only when it is new, so a hit allocates nothing. The
+   table grows by doubling past a load of 2/3.
 
    Ids are drawn on a miss only, so a node's id depends on the order of
    misses alone, which no layout of the table changes; nodes are never

@@ -22,8 +22,9 @@ val generation : t -> int
 
 val copy : t -> t
 (** A copy-on-write snapshot: O(number of names), sharing the immutable
-    relation values, their statistics memos and the {!env} memo. Mutations on either side
-    ({!register}, {!set_stats_dir}) never show through to the other. *)
+    relation values, their statistics memos and the {!env} memo.
+    Mutations on either side ({!register}, {!set_stats_dir}) never show
+    through to the other. *)
 
 val find : t -> string -> Relation.t option
 val find_exn : t -> string -> Relation.t

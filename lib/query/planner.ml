@@ -510,6 +510,7 @@ let notes t = t.reorder_notes @ t.rewrite_notes
 
 let run_analyze t =
   Physical.analyze ~estimate:(Cost.rows (estimates t)) ~env:t.env t.plan
+
 let env t = t.env
 let run t = Physical.to_relation ~env:t.env t.plan
 let stream t = Physical.execute ~env:t.env t.plan
