@@ -397,7 +397,7 @@ let run ~seed ~steps ~foreign =
     laws = !laws;
   }
 
-let steps = 8000
+let steps = 10_000
 
 (* Formulas of every non-constant kind, interned on the calling domain. *)
 let foreign () =
