@@ -109,6 +109,7 @@ module Metrics = Tpdb_obs.Metrics
 module Trace = Tpdb_obs.Trace
 module Qlog = Tpdb_obs.Qlog
 module Obs_clock = Tpdb_obs.Clock
+module Gc_events = Tpdb_obs.Gc_events
 module Server = Tpdb_server_lib.Server
 module Server_client = Tpdb_server_lib.Client
 module Server_protocol = Tpdb_server_lib.Protocol

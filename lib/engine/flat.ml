@@ -85,24 +85,37 @@ module Buf = struct
     if b.len > 1 then qsort 0 (b.len - 1)
 end
 
-(* Growable array of boxed values: the output buffer of a sweep. The
-   first element pushed fills the spare capacity, so no dummy is needed. *)
+(* Growable array of boxed values: the output buffer of a sweep.
+
+   On OCaml 5, [Array.make n x] with n > 256 allocates straight into the
+   major heap, and when [x] itself is still in the minor heap it first
+   runs a minor collection, which stops every domain, so that the new
+   array starts with no pointer into the minor heap. [Array.init], [map],
+   [of_list] and [of_seq] call it with their first element, which is
+   young more often than not. [Array.append], [sub] and [concat] copy with
+   [caml_array_gather], which never forces one. So the vector grows by
+   appending itself to itself — the stale upper half is overwritten by
+   later pushes — and the first push fills a 256-slot array, which is a
+   small allocation. Arrays of tuples start from the one old
+   [Tuple.placeholder] instead. *)
 module Vec = struct
   type 'a t = { mutable items : 'a array; mutable len : int }
 
   let create () = { items = [||]; len = 0 }
 
   let push v x =
-    if v.len = Array.length v.items then begin
-      let items = Array.make (max 256 (2 * v.len)) x in
-      Array.blit v.items 0 items 0 v.len;
-      v.items <- items
-    end;
+    if v.len = Array.length v.items then
+      v.items <- (if v.len = 0 then Array.make 256 x else Array.append v.items v.items);
     v.items.(v.len) <- x;
     v.len <- v.len + 1
 
   let contents v =
     if v.len = Array.length v.items then v.items else Array.sub v.items 0 v.len
+
+  let of_list l =
+    let v = create () in
+    List.iter (push v) l;
+    contents v
 end
 
 (* The flat struct-of-arrays interval index: start and end points of a

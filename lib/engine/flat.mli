@@ -61,7 +61,9 @@ module Buf : sig
   (** In-place sort of the live prefix under an element comparator. *)
 end
 
-(** Growable array of boxed values, in push order. *)
+(** Growable array of boxed values, in push order. It never forces a
+    minor collection: a large array grows by [Array.append], never from a
+    young initial element (see flat.ml). *)
 module Vec : sig
   type 'a t
 
@@ -70,6 +72,9 @@ module Vec : sig
 
   val contents : 'a t -> 'a array
   (** The pushed values; the buffer must not be pushed to afterwards. *)
+
+  val of_list : 'a list -> 'a array
+  (** [Array.of_list] that never forces a minor collection. *)
 end
 
 type t

@@ -33,12 +33,9 @@ let rec sift_down h i =
   end
 
 let push h x =
-  if h.size = Array.length h.items then begin
-    let capacity = max 8 (2 * h.size) in
-    let grown = Array.make capacity x in
-    Array.blit h.items 0 grown 0 h.size;
-    h.items <- grown
-  end;
+  (* grows like [Flat.Vec]: never [Array.make] from a young [x] *)
+  if h.size = Array.length h.items then
+    h.items <- (if h.size = 0 then Array.make 8 x else Array.append h.items h.items);
   h.items.(h.size) <- x;
   h.size <- h.size + 1;
   sift_up h (h.size - 1)

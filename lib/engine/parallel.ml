@@ -13,7 +13,7 @@ let shard2 ~partitions ~left_key ~right_key left right =
   Array.init partitions (fun i ->
       (List.rev lbuckets.(i), List.rev rbuckets.(i)))
 
-let map ~pool f arr = Array.of_list (Pool.map pool f (Array.to_list arr))
+let map ~pool f arr = Flat.Vec.of_list (Pool.map pool f (Array.to_list arr))
 
 (* A binary min-heap of partition indices, keyed on each partition's
    cursor element with ties broken on the lower index. That is a stable
@@ -29,11 +29,9 @@ let map ~pool f arr = Array.of_list (Pool.map pool f (Array.to_list arr))
 let merge_grouped ?check ~compare_group streams =
   let k = Array.length streams in
   let total = Array.fold_left (fun n s -> n + Array.length s) 0 streams in
-  let out =
-    match Array.find_opt (fun s -> Array.length s > 0) streams with
-    | None -> [||]
-    | Some s -> Array.make total s.(0)
-  in
+  (* every slot is overwritten below; [concat] only sizes the array
+     without forcing a minor collection (see [Flat.Vec]) *)
+  let out = Array.concat (Array.to_list streams) in
   let cursor = Array.make k 0 in
   let less i j =
     let c = compare_group streams.(i).(cursor.(i)) streams.(j).(cursor.(j)) in
@@ -92,6 +90,6 @@ let merge_grouped ?check ~compare_group streams =
 let equi_join ?check ~pool ~partitions ~left_key ~right_key ~sweep
     ~compare_group left right =
   shard2 ~partitions ~left_key ~right_key left right
-  |> map ~pool (fun (l, r) -> Array.of_list (sweep l r))
+  |> map ~pool (fun (l, r) -> Flat.Vec.of_list (sweep l r))
   |> merge_grouped ?check ~compare_group
   |> Array.to_list

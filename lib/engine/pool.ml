@@ -93,7 +93,7 @@ let map t f items =
   | [] -> []
   | [ x ] -> [ f x ]
   | _ ->
-      let inputs = Array.of_list items in
+      let inputs = Flat.Vec.of_list items in
       let n = Array.length inputs in
       let results = Array.make n Empty in
       let remaining = Atomic.make n in

@@ -40,14 +40,15 @@ module Source = struct
     if n = 0 then
       { ts = [||]; te = [||]; payload = [||]; len = 0 }
     else begin
-      let arr = Array.of_list items in
       let ts = Array.make n 0 and te = Array.make n 0 in
-      let payload = Array.map snd arr in
-      Array.iteri
-        (fun i (iv, _) ->
+      let payload = Flat.Vec.create () in
+      List.iteri
+        (fun i (iv, x) ->
           ts.(i) <- Interval.ts iv;
-          te.(i) <- Interval.te iv)
-        arr;
+          te.(i) <- Interval.te iv;
+          Flat.Vec.push payload x)
+        items;
+      let payload = Flat.Vec.contents payload in
       check_sorted ts n;
       { ts; te; payload; len = n }
     end

@@ -239,15 +239,13 @@ let of_string ~name ?(path = "<csv>") text =
   in
   (* one slot per line after the header, empty lines included *)
   let rec count n i = if i >= len then n else count (n + 1) (eol i + 1) in
-  let tuples = ref [||] and rows = ref 0 in
+  let tuples = Array.make (count 0 (header_end + 1)) Tuple.placeholder and rows = ref 0 in
   let rec go i =
     incr lineno;
     if i < len then begin
       let stop = eol i in
       if stop > i then begin
-        let tp = parse_row i stop in
-        if !rows = 0 then tuples := Array.make (count 0 i) tp;
-        !tuples.(!rows) <- tp;
+        tuples.(!rows) <- parse_row i stop;
         incr rows
       end;
       go (stop + 1)
@@ -255,7 +253,7 @@ let of_string ~name ?(path = "<csv>") text =
   in
   go (header_end + 1);
   let tuples =
-    if !rows = Array.length !tuples then !tuples else Array.sub !tuples 0 !rows
+    if !rows = Array.length tuples then tuples else Array.sub tuples 0 !rows
   in
   Relation.of_array schema tuples
 

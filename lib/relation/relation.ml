@@ -13,9 +13,16 @@ let check_arity schema tp =
          (Fact.arity (Tuple.fact tp))
          (Schema.name schema))
 
+(* Arrays of tuples start from [Tuple.placeholder], so a large one does
+   not force a minor collection (see [Flat.Vec]). *)
+let array_of_list tuples =
+  let a = Array.make (List.length tuples) Tuple.placeholder in
+  List.iteri (fun i tp -> a.(i) <- tp) tuples;
+  a
+
 let of_tuples schema tuples =
   List.iter (check_arity schema) tuples;
-  { schema; tuples = Array.of_list tuples }
+  { schema; tuples = array_of_list tuples }
 
 let of_array schema tuples =
   Array.iter (check_arity schema) tuples;
@@ -128,7 +135,7 @@ let coalesce r =
         |> List.map (fun iv -> Tuple.make ~fact ~lineage ~iv ~p))
       (List.rev !order)
   in
-  { r with tuples = Array.of_list merged }
+  { r with tuples = array_of_list merged }
 
 let same_columns a b =
   List.length (Schema.columns a.schema) = List.length (Schema.columns b.schema)
@@ -154,21 +161,32 @@ let equal_as_sets a b =
   let ta = canon a and tb = canon b in
   List.length ta = List.length tb && List.for_all2 Tuple.equal ta tb
 
+(* [r] with each tuple replaced by [f tp], dropped where that is [None]. *)
+let filter_map f r =
+  let out = Array.make (Array.length r.tuples) Tuple.placeholder and n = ref 0 in
+  Array.iter
+    (fun tp ->
+      match f tp with
+      | Some tp ->
+          out.(!n) <- tp;
+          incr n
+      | None -> ())
+    r.tuples;
+  { r with tuples = (if !n = Array.length out then out else Array.sub out 0 !n) }
+
 let timeslice window r =
-  let clamp tp =
-    Interval.clamp ~within:window (Tuple.iv tp)
-    |> Option.map (fun iv ->
-           Tuple.make ~fact:(Tuple.fact tp) ~lineage:(Tuple.lineage tp) ~iv
-             ~p:(Tuple.p tp))
-  in
-  { r with tuples = Array.of_seq (Seq.filter_map clamp (Array.to_seq r.tuples)) }
+  filter_map
+    (fun tp ->
+      Interval.clamp ~within:window (Tuple.iv tp)
+      |> Option.map (fun iv ->
+             Tuple.make ~fact:(Tuple.fact tp) ~lineage:(Tuple.lineage tp) ~iv
+               ~p:(Tuple.p tp)))
+    r
 
 let snapshot_at t r = timeslice (Interval.make t (t + 1)) r
 
-let filter keep r =
-  { r with tuples = Array.of_seq (Seq.filter keep (Array.to_seq r.tuples)) }
-
-let map_tuples f r = { r with tuples = Array.map f r.tuples }
+let filter keep r = filter_map (fun tp -> if keep tp then Some tp else None) r
+let map_tuples f r = filter_map (fun tp -> Some (f tp)) r
 
 let union_all a b =
   if not (same_columns a b) then

@@ -13,6 +13,12 @@ let make ~fact ~lineage ~iv ~p =
     invalid_arg (Printf.sprintf "Tuple.make: probability %g out of [0,1]" p);
   { fact; lineage; iv; p }
 
+(* The initial element of every array of tuples the library builds,
+   filled in afterwards: built once, it is old after the process's first
+   minor collection, so [Array.make n placeholder] never forces one (see
+   [Flat.Vec] for the rule). *)
+let placeholder = { fact = [||]; lineage = Formula.true_; iv = Interval.make 0 1; p = 0.0 }
+
 let fact t = t.fact
 let lineage t = t.lineage
 let iv t = t.iv

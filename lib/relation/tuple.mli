@@ -15,6 +15,11 @@ val make :
   t
 (** Raises [Invalid_argument] unless [0. <= p <= 1.]. *)
 
+val placeholder : t
+(** A tuple to fill arrays whose slots are all written before they are
+    read. It is one shared value, so arrays of more than 256 tuples
+    built from it do not force a minor collection. *)
+
 val fact : t -> Fact.t
 val lineage : t -> Tpdb_lineage.Formula.t
 val iv : t -> Tpdb_interval.Interval.t

@@ -321,9 +321,6 @@ module Column = struct
         if Char.equal c '\004' then Formula.conj juncts else Formula.disj juncts
     | c -> corrupt "unknown lineage bytecode %C" c
 
-  let placeholder =
-    Tuple.make ~fact:[||] ~lineage:Formula.true_ ~iv:(Interval.make 0 1) ~p:0.0
-
   let decode_into r dst off =
     let n = read_varint r in
     (* every tuple contributes at least one start-delta byte *)
@@ -341,7 +338,7 @@ module Column = struct
       ts.(i) <- v;
       prev := v
     done;
-    let ivs = Array.make n (Tuple.iv placeholder) in
+    let ivs = Array.make n (Tuple.iv Tuple.placeholder) in
     for i = 0 to n - 1 do
       let te = ts.(i) + 1 + read_varint r in
       if te <= ts.(i) then corrupt "empty interval [%d,%d)" ts.(i) te;
@@ -387,7 +384,7 @@ module Column = struct
     let n = read_varint r in
     r.pos <- start;
     let fits = n > 0 && n <= Bytes.length r.bytes - r.pos in
-    let dst = Array.make (if fits then n else 0) placeholder in
+    let dst = Array.make (if fits then n else 0) Tuple.placeholder in
     ignore (decode_into r dst 0);
     dst
 end

@@ -73,7 +73,4 @@ module Column : sig
   (** [decode_into r dst off] decodes one block into [dst] from index
       [off] on and returns its tuple count. Raises {!Corrupt} on
       malformed input, including a block that does not fit in [dst]. *)
-
-  val placeholder : Tpdb_relation.Tuple.t
-  (** A tuple to fill arrays that {!decode_into} will overwrite. *)
 end

@@ -169,14 +169,14 @@ let flush_run w run =
     run.tuples <- run.tuples + run.count;
     run.bytes <- run.bytes + 8 + len;
     (* drop the references, so written tuples can die *)
-    Array.fill run.pending 0 run.count Column.placeholder;
+    Array.fill run.pending 0 run.count Tuple.placeholder;
     run.count <- 0
   end
 
 let add w run tp =
   if run.count = Array.length run.pending then begin
     let grown =
-      Array.make (max 64 (min block_tuples (2 * run.count))) Column.placeholder
+      Array.make (max 64 (min block_tuples (2 * run.count))) Tuple.placeholder
     in
     Array.blit run.pending 0 grown 0 run.count;
     run.pending <- grown
@@ -296,7 +296,7 @@ let read_block t ~off dst filled =
 
 let read_run t schema run =
   if t.closed then invalid_arg "Spill: read after finish";
-  let dst = Array.make run.tuples Column.placeholder in
+  let dst = Array.make run.tuples Tuple.placeholder in
   let filled =
     try
       io t.path (fun () ->

@@ -88,13 +88,14 @@ type ctx = {
 }
 
 let bucket_of_entries ~env entries =
-  let arr = Array.of_list entries in
+  let arr = Vec.of_list entries in
   Array.sort
     (fun (i, a) (j, b) ->
       let c = Interval.compare (Tuple.iv a) (Tuple.iv b) in
       if c <> 0 then c else Int.compare i j)
     arr;
-  let b_tuples = Array.map snd arr in
+  let b_tuples = Array.make (Array.length arr) Tuple.placeholder in
+  Array.iteri (fun k (_, tp) -> b_tuples.(k) <- tp) arr;
   {
     b_tuples;
     b_p =
@@ -453,10 +454,13 @@ let iter ?(stage = `Wuon) ?env ~theta r s f =
    the check. *)
 let checked ~sanitize ~stage ~theta ~drop_wo ws =
   if not sanitize then ws
-  else
+  else begin
+    let out = Vec.create () in
     Invariant.wrap ~stage:(invariant_stage stage) ~theta (Array.to_seq ws)
-    |> Seq.filter (fun w -> not (drop_wo && Window.kind w = Window.Overlapping))
-    |> Array.of_seq
+    |> Seq.iter (fun w ->
+           if not (drop_wo && Window.kind w = Window.Overlapping) then Vec.push out w);
+    Vec.contents out
+  end
 
 let windows ?(stage = `Wuon) ?(sanitize = false) ?env ~theta r s =
   let out = Vec.create () in

@@ -22,4 +22,5 @@ let () =
       ("hist", Test_hist.suite);
       ("obs", Test_obs.suite);
       ("server", Test_server.suite);
+      ("gc", Test_gc.suite);
     ]
