@@ -38,6 +38,7 @@ Usage: check_bench.py BASELINE CURRENT [--hit-rate-floor F]
                       [--intern-words-per-hit-ceiling F]
                       [--csv-words-per-byte-ceiling F]
                       [--spill-words-per-tuple-ceiling F]
+                      [--forced-minor-ceiling N]
 Exits non-zero on the first class of failure, printing every diff.
 
 Result rendering: the current report's "render" block carries the
@@ -81,6 +82,19 @@ and the minor words spent partitioning it into a spill file at a
 minor words per tuple, or when the block is missing. The per-partition
 files with a list-building reader spent about 180 words per tuple; the
 single held-open file with the array decoder spends about 67.
+
+Forced minor collections: the "gc" block carries, for each of the
+join, csv and spill blocks' measured passes, the minor collections
+the runtime's event ring recorded and how many of them caml_make_vect
+forced (on OCaml 5, Array.make/init/map/of_list/of_seq of more than 256
+elements from a value still in the minor heap runs a stop-the-world
+minor collection first). --forced-minor-ceiling N fails when any of
+the three passes was forced into more than N, when the ring lost
+events (they could hide one), or when the block or one of its passes
+is missing. Arrays grown by Array.make from the pushed value forced 19
+minor collections in the join pass and 2 in the csv pass (the spill
+pass, spill I/O alone, already forced none); the library now forces
+none.
 
 Server reports (bench/main.exe --server --json) carry a "server" block
 with client-side latency and throughput plus the plan-/result-cache
@@ -238,6 +252,14 @@ def main():
         metavar="F",
         help="fail unless spilling the spill block's pair and reading it "
         "back allocates at most F minor words per tuple",
+    )
+    parser.add_argument(
+        "--forced-minor-ceiling",
+        type=int,
+        default=None,
+        metavar="N",
+        help="fail unless each of the gc block's join, csv and spill "
+        "passes was forced into at most N minor collections",
     )
     args = parser.parse_args()
 
@@ -449,6 +471,26 @@ def main():
                 f"above ceiling {args.spill_words_per_tuple_ceiling}"
             )
 
+    gc = current.get("gc")
+    if args.forced_minor_ceiling is not None:
+        if gc is None:
+            failures.append("forced-minor ceiling set but the report has no gc block")
+        else:
+            for name in ("join", "csv", "spill"):
+                block = gc.get(name)
+                if block is None:
+                    failures.append(f"the gc block has no {name} pass")
+                elif block["lost_events"] > 0:
+                    failures.append(
+                        f"the {name} pass lost {block['lost_events']} runtime "
+                        f"events, so its forced count is not reliable"
+                    )
+                elif block["forced_make_vect"] > args.forced_minor_ceiling:
+                    failures.append(
+                        f"the {name} pass forced {block['forced_make_vect']} of "
+                        f"its {block['minor']} minor collections, above ceiling "
+                        f"{args.forced_minor_ceiling}"
+                    )
     if failures:
         print(f"bench regression check FAILED ({len(failures)} diffs):")
         for failure in failures:
@@ -483,6 +525,11 @@ def main():
         summary.append(f"csv {csv['words_per_byte']:.3f} words per byte")
     if spill is not None:
         summary.append(f"spill {spill['words_per_tuple']:.1f} words per tuple")
+    if gc is not None:
+        summary.append(
+            "forced minor collections "
+            + ", ".join(f"{n} {b['forced_make_vect']}/{b['minor']}" for n, b in gc.items())
+        )
     if server is not None:
         summary.append(
             f"server {server['qps']:.0f} q/s p99 {server['p99_ms']:.2f} ms "

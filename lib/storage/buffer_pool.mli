@@ -1,8 +1,8 @@
 (** A fixed-capacity LRU page cache over files.
 
-    The read path of {!Heap_file} goes through a pool when one is given,
-    so repeated scans of hot relations avoid I/O — the buffer-manager role
-    of the DBMS substrate. Thread-unsafe by design (the executor is
+    Every read of a {!Heap_file} goes through a pool, so repeated scans
+    of hot relations avoid I/O — the buffer-manager role of the DBMS
+    substrate. Thread-unsafe by design (the executor is
     single-threaded, like a PostgreSQL backend).
 
     Pages can be {e pinned} while a caller holds a reference into them

@@ -96,49 +96,30 @@ let write path relation =
      raise e);
   Sys.rename tmp path
 
-(* Through a pool, a read holds one descriptor on [path] for its whole
-   length ({!with_descriptor}), from which the pool loads every page
-   that misses; a page that starts past the end of the file is
-   corruption, as on the unpooled path. *)
-let get_page ?pool ~path index =
-  match pool with
-  | Some pool -> (
-      try Buffer_pool.read_page pool ~path ~index ~size:page_size
-      with End_of_file -> corrupt "page %d beyond end of %s" index path)
-  | None ->
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () ->
-          let file_len = in_channel_length ic in
-          let offset = index * page_size in
-          if offset >= file_len then corrupt "page %d beyond end of %s" index path;
-          seek_in ic offset;
-          let available = min page_size (file_len - offset) in
-          let bytes = Bytes.make page_size '\000' in
-          really_input ic bytes 0 available;
-          bytes)
+(* A read holds one descriptor on [path] for its whole length
+   ({!with_descriptor}), from which the pool loads every page that
+   misses; a page that starts past the end of the file is corruption. *)
+let get_page ~pool ~path index =
+  try Buffer_pool.read_page pool ~path ~index ~size:page_size
+  with End_of_file -> corrupt "page %d beyond end of %s" index path
 
 (* Runs [f] with [path] attached to [pool] on a descriptor opened for
    the purpose, detached and closed when [f] returns or raises. *)
-let with_descriptor ?pool path f =
-  match pool with
-  | None -> f ()
-  | Some pool ->
-      let fd =
-        try Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0
-        with Unix.Unix_error (e, _, _) ->
-          raise (Sys_error (path ^ ": " ^ Unix.error_message e))
-      in
-      Buffer_pool.attach pool ~path fd;
-      Fun.protect
-        ~finally:(fun () ->
-          Buffer_pool.detach pool ~path;
-          Unix.close fd)
-        f
+let with_descriptor ~pool path f =
+  let fd =
+    try Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0
+    with Unix.Unix_error (e, _, _) ->
+      raise (Sys_error (path ^ ": " ^ Unix.error_message e))
+  in
+  Buffer_pool.attach pool ~path fd;
+  Fun.protect
+    ~finally:(fun () ->
+      Buffer_pool.detach pool ~path;
+      Unix.close fd)
+    f
 
-let read_header ?pool path =
-  let bytes = get_page ?pool ~path 0 in
+let read_header ~pool path =
+  let bytes = get_page ~pool ~path 0 in
   let r = Codec.reader bytes in
   let m = Bytes.sub_string bytes 0 4 in
   if not (String.equal m magic) then corrupt "%s: bad magic %S" path m;
@@ -152,23 +133,23 @@ let read_header ?pool path =
   let data_pages = Codec.read_int64 r in
   (v, Schema.make ~name columns, tuple_count, data_pages)
 
-let schema_of ?pool path =
-  with_descriptor ?pool path @@ fun () ->
-  let _, schema, _, _ = read_header ?pool path in
+let schema_of ~pool path =
+  with_descriptor ~pool path @@ fun () ->
+  let _, schema, _, _ = read_header ~pool path in
   schema
 
-let page_count ?pool path =
-  with_descriptor ?pool path @@ fun () ->
-  let _, _, _, data_pages = read_header ?pool path in
+let page_count ~pool path =
+  with_descriptor ~pool path @@ fun () ->
+  let _, _, _, data_pages = read_header ~pool path in
   data_pages
 
-let read_rows ?pool path schema tuple_count data_pages =
+let read_rows ~pool path schema tuple_count data_pages =
   let tuples = ref [] in
   let decoded = ref 0 in
   let page_index = ref 1 in
   (try
      while !page_index <= data_pages do
-       let bytes = get_page ?pool ~path !page_index in
+       let bytes = get_page ~pool ~path !page_index in
        let r = Codec.reader bytes in
        let count = Codec.read_uint16 r in
        if count = oversize_sentinel then begin
@@ -180,7 +161,7 @@ let read_rows ?pool path schema tuple_count data_pages =
          while !remaining > 0 do
            incr page_index;
            if !page_index > data_pages then corrupt "%s: truncated oversize chain" path;
-           let continuation = get_page ?pool ~path !page_index in
+           let continuation = get_page ~pool ~path !page_index in
            let chunk = min !remaining page_size in
            Buffer.add_subbytes record continuation 0 chunk;
            remaining := !remaining - chunk
@@ -203,7 +184,7 @@ let read_rows ?pool path schema tuple_count data_pages =
     corrupt "%s: header claims %d tuples, found %d" path tuple_count !decoded;
   Relation.of_tuples schema (List.rev !tuples)
 
-let read ?pool path =
-  with_descriptor ?pool path @@ fun () ->
-  let _, schema, tuple_count, data_pages = read_header ?pool path in
-  read_rows ?pool path schema tuple_count data_pages
+let read ~pool path =
+  with_descriptor ~pool path @@ fun () ->
+  let _, schema, tuple_count, data_pages = read_header ~pool path in
+  read_rows ~pool path schema tuple_count data_pages

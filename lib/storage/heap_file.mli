@@ -24,16 +24,15 @@ val write : string -> Tpdb_relation.Relation.t -> unit
 (** [write path relation] — row format; atomic: the file appears
     complete or not at all. *)
 
-val read : ?pool:Buffer_pool.t -> string -> Tpdb_relation.Relation.t
-(** Reads the whole relation; with [pool], pages come
-    through the buffer pool (and stay cached for subsequent reads), and
-    the pages that miss load from one descriptor held open for the
-    length of the read and closed however it ends.
+val read : pool:Buffer_pool.t -> string -> Tpdb_relation.Relation.t
+(** Reads the whole relation. Pages come through [pool] and stay cached
+    for subsequent reads; the pages that miss load from one descriptor
+    held open for the length of the read and closed however it ends.
     Raises {!Corrupt} on bad magic, version, or page contents;
     [Sys_error] on I/O failure. *)
 
-val schema_of : ?pool:Buffer_pool.t -> string -> Tpdb_relation.Schema.t
+val schema_of : pool:Buffer_pool.t -> string -> Tpdb_relation.Schema.t
 (** Header-only read. *)
 
-val page_count : ?pool:Buffer_pool.t -> string -> int
+val page_count : pool:Buffer_pool.t -> string -> int
 (** Data pages (excluding the header). *)

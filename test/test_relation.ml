@@ -886,10 +886,44 @@ let prop_int_writer =
   Test.make ~name:"add_int = string_of_int" ~count:1000 Gen.int (fun n ->
       String.equal (string_of_int n) (via Numbers.add_int n))
 
+(* Inputs that reach both paths of the float writers: random bit
+   patterns; short decimals; decimals exactly half-way at 4, 6 and 12
+   significant digits and one ulp either side, where the fast path must
+   give way to [printf]; dyadic fractions, whose ties are exact;
+   subnormals; and the specials, including 1e21/1e22 at the edge of
+   exact powers of ten. *)
+let gen_float_writer_input =
+  let open Gen in
+  let decimal digits =
+    map2
+      (fun m k -> float_of_string (Printf.sprintf "%de%d" m k))
+      (int_bound (int_of_float (10.0 ** float_of_int digits)))
+      (int_range (-30) 10)
+  in
+  let halfway =
+    map3
+      (fun digits (m, k) ulp ->
+        let m = (m mod int_of_float (10.0 ** float_of_int digits)) + 1 in
+        let v = float_of_string (Printf.sprintf "%d5e%d" m k) in
+        match ulp with 0 -> Float.pred v | 1 -> v | _ -> Float.succ v)
+      (oneofl [ 4; 5; 6; 7; 12; 13 ])
+      (pair (int_bound max_int) (int_range (-30) 10))
+      (int_bound 2)
+  in
+  let dyadic = map2 (fun m k -> Float.ldexp (float_of_int m) (-k)) (int_bound 1_000_000) (int_bound 60) in
+  let subnormal = map (fun bits -> Int64.float_of_bits (Int64.logand bits 0xF_FFFF_FFFF_FFFFL)) int64 in
+  let special =
+    oneofl
+      [ 0.0; -0.0; nan; infinity; neg_infinity; 1e21; 1e22; 1e23; Float.pred 1e22;
+        Float.succ 1e21; 1e-5; 9.99995e-5; 0.5; 999999.5; 5e-324; max_float; min_float ]
+  in
+  oneof
+    [ map Int64.float_of_bits int64; float_bound_inclusive 1.0; decimal 6; decimal 12;
+      halfway; dyadic; subnormal; special ]
+
 let prop_float_writers =
-  let special = [ 0.0; -0.0; 1.0; 0.00001; 1e-320; 1e300; nan; infinity; neg_infinity ] in
-  Test.make ~name:"float writers = Printf" ~count:1000
-    Gen.(oneof [ float; oneofl special ])
+  Test.make ~name:"float writers = Printf" ~count:20_000
+    ~print:(Printf.sprintf "%h") gen_float_writer_input
     (fun f ->
       String.equal (Printf.sprintf "%g" f) (via Numbers.add_g f)
       && String.equal (Printf.sprintf "%.4g" f) (via Numbers.add_g4 f)

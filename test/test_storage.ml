@@ -149,6 +149,10 @@ let test_column_block_edges () =
 
 (* --- Heap file --- *)
 
+(* Every heap-file read goes through a buffer pool; a fresh one per read
+   starts it cold. *)
+let small_pool () = Buffer_pool.create ~capacity:4
+
 let big_relation n =
   Relation.of_rows ~name:"big" ~columns:[ "K"; "Payload" ] ~tag:"big"
     (List.init n (fun i ->
@@ -161,12 +165,12 @@ let test_heap_file_roundtrip () =
       let path = Filename.concat dir "big.tpr" in
       let r = big_relation 2_000 in
       Heap_file.write path r;
-      Alcotest.(check bool) "multi-page" true (Heap_file.page_count path > 5);
-      let back = Heap_file.read path in
+      Alcotest.(check bool) "multi-page" true (Heap_file.page_count ~pool:(small_pool ()) path > 5);
+      let back = Heap_file.read ~pool:(small_pool ()) path in
       Alcotest.(check bool) "roundtrip" true (Relation.equal_as_sets r back);
       Alcotest.(check (list string))
         "schema" [ "K"; "Payload" ]
-        (Schema.columns (Heap_file.schema_of path)))
+        (Schema.columns (Heap_file.schema_of ~pool:(small_pool ()) path)))
 
 let test_heap_file_oversize () =
   with_temp_dir (fun dir ->
@@ -182,7 +186,7 @@ let test_heap_file_oversize () =
           ]
       in
       Heap_file.write path r;
-      let back = Heap_file.read path in
+      let back = Heap_file.read ~pool:(small_pool ()) path in
       Alcotest.(check bool) "oversize roundtrip" true (Relation.equal_as_sets r back))
 
 let test_heap_file_empty () =
@@ -190,8 +194,8 @@ let test_heap_file_empty () =
       let path = Filename.concat dir "empty.tpr" in
       let r = Relation.of_rows ~name:"empty" ~columns:[ "K" ] [] in
       Heap_file.write path r;
-      Alcotest.(check int) "no data pages" 0 (Heap_file.page_count path);
-      Alcotest.(check int) "no tuples" 0 (Relation.cardinality (Heap_file.read path)))
+      Alcotest.(check int) "no data pages" 0 (Heap_file.page_count ~pool:(small_pool ()) path);
+      Alcotest.(check int) "no tuples" 0 (Relation.cardinality (Heap_file.read ~pool:(small_pool ()) path)))
 
 let test_heap_file_corrupt () =
   with_temp_dir (fun dir ->
@@ -199,7 +203,7 @@ let test_heap_file_corrupt () =
       let oc = open_out_bin path in
       output_string oc "NOPE-this-is-not-a-heap-file";
       close_out oc;
-      match Heap_file.read path with
+      match Heap_file.read ~pool:(small_pool ()) path with
       | exception Heap_file.Corrupt _ -> ()
       | _ -> Alcotest.fail "bad magic accepted")
 
@@ -213,7 +217,7 @@ let test_heap_file_version_check () =
       Bytes.set mutated 4 '\099';
       Out_channel.with_open_bin path (fun oc ->
           Out_channel.output_bytes oc mutated);
-      match Heap_file.read path with
+      match Heap_file.read ~pool:(small_pool ()) path with
       | exception Heap_file.Corrupt _ -> ()
       | _ -> Alcotest.fail "future format version accepted")
 
@@ -243,11 +247,11 @@ let test_heap_file_page_boundary () =
         in
         Heap_file.write path r;
         Alcotest.(check int) (name ^ ": data pages") pages
-          (Heap_file.page_count path);
+          (Heap_file.page_count ~pool:(small_pool ()) path);
         Alcotest.(check bool)
           (name ^ ": roundtrip")
           true
-          (Relation.equal_as_sets r (Heap_file.read path)))
+          (Relation.equal_as_sets r (Heap_file.read ~pool:(small_pool ()) path)))
   in
   (* exact fill: one full page, the neighbour opens a second *)
   roundtrip "exact fill" [ exact_tuple; tuple_of_blob "next" ] 2;
@@ -301,7 +305,7 @@ let test_columnar_writer_roundtrip () =
         (Spill.bytes spill);
       let pages = (size + Heap_file.page_size - 1) / Heap_file.page_size in
       Alcotest.(check bool) "columnar is smaller" true
-        (pages < Heap_file.page_count row);
+        (pages < Heap_file.page_count ~pool:(small_pool ()) row);
       (* a pooled sequential scan earns hits on the boundary pages
          adjacent blocks share *)
       let hits, misses = Buffer_pool.stats (Spill.pool spill) in
@@ -509,7 +513,7 @@ let prop_heap_file_roundtrip =
       with_temp_dir (fun dir ->
           let path = Filename.concat dir "r.tpr" in
           Heap_file.write path r;
-          Relation.equal_as_sets r (Heap_file.read path)))
+          Relation.equal_as_sets r (Heap_file.read ~pool:(small_pool ()) path)))
 
 (* Random blocks biased toward the delta codec's degenerate corners:
    instant intervals [t, t+1), negative and descending start points,
@@ -583,7 +587,7 @@ let prop_join_results_survive_storage =
       with_temp_dir (fun dir ->
           let path = Filename.concat dir "q.tpr" in
           Heap_file.write path result;
-          Relation.equal_as_sets result (Heap_file.read path)))
+          Relation.equal_as_sets result (Heap_file.read ~pool:(small_pool ()) path)))
 
 (* --- Spill temp-dir claiming ----------------------------------------
 
