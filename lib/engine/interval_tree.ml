@@ -14,15 +14,9 @@ type 'a t = {
 let size t = Array.length t.items
 
 let build key items =
-  let items =
-    Flat.Vec.of_list
-      (List.stable_sort
-         (fun a b -> Interval.compare (key a) (key b))
-         items)
-  in
+  let sorted = List.stable_sort (fun a b -> Interval.compare (key a) (key b)) items in
+  let items = Flat.Vec.of_list sorted and spans = Flat.Vec.of_list (List.map key sorted) in
   let n = Array.length items in
-  let spans = Array.make n Tpdb_relation.Tuple.(iv placeholder) in
-  Array.iteri (fun i x -> spans.(i) <- key x) items;
   let max_end = Array.make n min_int in
   let rec annotate lo hi =
     if lo >= hi then min_int
