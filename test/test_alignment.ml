@@ -6,7 +6,7 @@ module Window = Tpdb_windows.Window
 module Align = Tpdb_alignment.Align
 module Ta = Tpdb_alignment.Ta
 module Nj = Tpdb_joins.Nj
-module Reference = Tpdb_joins.Reference
+module Oracle = Tpdb_oracle.Oracle
 
 let iv = Interval.make
 let theta_k = Theta.eq 0 0
@@ -106,12 +106,11 @@ let prop_ta_operators_match_oracle =
     ~print:Tp_gen.print_triple
     (Tp_gen.scenario_gen ())
     (fun (theta, r, s) ->
-      Relation.equal_as_sets (Reference.left_outer ~theta r s) (Ta.left_outer ~theta r s)
-      && Relation.equal_as_sets (Reference.anti ~theta r s) (Ta.anti ~theta r s)
-      && Relation.equal_as_sets (Reference.right_outer ~theta r s)
-           (Ta.right_outer ~theta r s)
-      && Relation.equal_as_sets (Reference.full_outer ~theta r s)
-           (Ta.full_outer ~theta r s))
+      let oracle kind = Oracle.eval ~kind ~theta r s in
+      Relation.equal_as_sets (oracle Nj.Left) (Ta.left_outer ~theta r s)
+      && Relation.equal_as_sets (oracle Nj.Anti) (Ta.anti ~theta r s)
+      && Relation.equal_as_sets (oracle Nj.Right) (Ta.right_outer ~theta r s)
+      && Relation.equal_as_sets (oracle Nj.Full) (Ta.full_outer ~theta r s))
 
 let prop_ta_algorithms_agree =
   Test.make ~name:"TA hash and nested-loop plans agree" ~count:80

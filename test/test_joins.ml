@@ -7,7 +7,7 @@ module Fact = Tpdb_relation.Fact
 module Value = Tpdb_relation.Value
 module Theta = Tpdb_windows.Theta
 module Nj = Tpdb_joins.Nj
-module Reference = Tpdb_joins.Reference
+module Oracle = Tpdb_oracle.Oracle
 module Concat = Tpdb_joins.Concat
 module Window = Tpdb_windows.Window
 
@@ -55,11 +55,12 @@ let check_against_oracle ?(theta = theta_k) r s =
         (Format.asprintf "%a" Relation.pp want)
         (Format.asprintf "%a" Relation.pp got)
   in
-  check "inner" (Nj.inner ?options:None ?env:None) (Reference.inner ?env:None);
-  check "anti" (Nj.anti ?options:None ?env:None) (Reference.anti ?env:None);
-  check "left" (Nj.left_outer ?options:None ?env:None) (Reference.left_outer ?env:None);
-  check "right" (Nj.right_outer ?options:None ?env:None) (Reference.right_outer ?env:None);
-  check "full" (Nj.full_outer ?options:None ?env:None) (Reference.full_outer ?env:None)
+  List.iter
+    (fun kind ->
+      check (Nj.kind_name kind)
+        (Nj.join ?options:None ?env:None ~kind)
+        (Oracle.eval ?env:None ~kind))
+    Nj.all_kinds
 
 let test_empty_sides () =
   let r = krel "r" [ ([ "x" ], iv 1 5, 0.5) ] in
@@ -245,23 +246,18 @@ module Test = QCheck2.Test
 
 let qtest = QCheck_alcotest.to_alcotest ~speed_level:`Quick
 
-let against_oracle name nj oracle =
+let against_oracle name kind =
   Test.make ~name ~count:120 ~print:Tp_gen.print_triple
     (Tp_gen.scenario_gen ())
     (fun (theta, r, s) ->
-      Relation.equal_as_sets (oracle ?env:None ~theta r s) (nj ?options:None ?env:None ~theta r s))
+      Relation.equal_as_sets (Oracle.eval ~kind ~theta r s)
+        (Nj.join ~kind ~theta r s))
 
-let prop_inner = against_oracle "inner join = oracle" Nj.inner Reference.inner
-let prop_anti = against_oracle "anti join = oracle" Nj.anti Reference.anti
-
-let prop_left =
-  against_oracle "left outer join = oracle" Nj.left_outer Reference.left_outer
-
-let prop_right =
-  against_oracle "right outer join = oracle" Nj.right_outer Reference.right_outer
-
-let prop_full =
-  against_oracle "full outer join = oracle" Nj.full_outer Reference.full_outer
+let prop_inner = against_oracle "inner join = oracle" Nj.Inner
+let prop_anti = against_oracle "anti join = oracle" Nj.Anti
+let prop_left = against_oracle "left outer join = oracle" Nj.Left
+let prop_right = against_oracle "right outer join = oracle" Nj.Right
+let prop_full = against_oracle "full outer join = oracle" Nj.Full
 
 let prop_left_decomposes =
   Test.make ~name:"left outer = inner ∪ padded anti" ~count:120
@@ -459,7 +455,7 @@ let prop_composed_joins_match_oracle =
       let env = Relation.prob_env [ r; s ] in
       let derived = Nj.anti ~env ~theta r s in
       Relation.equal_as_sets
-        (Reference.left_outer ~env ~theta derived s)
+        (Oracle.eval ~env ~kind:Nj.Left ~theta derived s)
         (Nj.left_outer ~env ~theta derived s))
 
 let prop_static_safe_probabilities_bit_identical =

@@ -8,7 +8,7 @@ module Overlap = Tpdb_windows.Overlap
 module Lawau = Tpdb_windows.Lawau
 module Lawan = Tpdb_windows.Lawan
 module Nj = Tpdb_joins.Nj
-module Reference = Tpdb_joins.Reference
+module Oracle = Tpdb_oracle.Oracle
 
 (* Fig. 1b, with the raw four output columns (Name, a.Loc, Hotel, b.Loc):
    the paper projects b.Loc away for display. *)
@@ -29,10 +29,10 @@ let test_fig1b_nj () =
   check_relation "NJ left outer join reproduces Fig. 1b"
     (expected_left_outer ()) result
 
-let test_fig1b_reference () =
-  let result =
-    Reference.left_outer ~theta:theta_loc (relation_a ()) (relation_b ())
-  in
+let oracle kind = Oracle.eval ~kind ~theta:theta_loc (relation_a ()) (relation_b ())
+
+let test_fig1b_oracle () =
+  let result = oracle Nj.Left in
   check_relation "timepoint oracle reproduces Fig. 1b"
     (expected_left_outer ()) result
 
@@ -127,29 +127,20 @@ let test_table2_right_outer () =
   (* b ⟖ has unmatched/negating windows of b w.r.t. a: mirror of the
      example. Validated against the independent oracle. *)
   let nj = Nj.right_outer ~theta:theta_loc (relation_a ()) (relation_b ()) in
-  let oracle =
-    Reference.right_outer ~theta:theta_loc (relation_a ()) (relation_b ())
-  in
-  check_relation "right outer matches oracle" oracle nj
+  check_relation "right outer matches oracle" (oracle Nj.Right) nj
 
 let test_table2_full_outer () =
   let nj = Nj.full_outer ~theta:theta_loc (relation_a ()) (relation_b ()) in
-  let oracle =
-    Reference.full_outer ~theta:theta_loc (relation_a ()) (relation_b ())
-  in
-  check_relation "full outer matches oracle" oracle nj
+  check_relation "full outer matches oracle" (oracle Nj.Full) nj
 
 let test_inner () =
   let nj = Nj.inner ~theta:theta_loc (relation_a ()) (relation_b ()) in
-  let oracle =
-    Reference.inner ~theta:theta_loc (relation_a ()) (relation_b ())
-  in
-  check_relation "inner join matches oracle" oracle nj
+  check_relation "inner join matches oracle" (oracle Nj.Inner) nj
 
 let suite =
   [
     Alcotest.test_case "Fig1b: NJ left outer join" `Quick test_fig1b_nj;
-    Alcotest.test_case "Fig1b: oracle left outer join" `Quick test_fig1b_reference;
+    Alcotest.test_case "Fig1b: oracle left outer join" `Quick test_fig1b_oracle;
     Alcotest.test_case "Fig1b: output probabilities" `Quick test_fig1b_probabilities;
     Alcotest.test_case "Fig2: window counts" `Quick test_fig2_window_counts;
     Alcotest.test_case "Fig2: windows exact" `Quick test_fig2_windows_exact;

@@ -85,15 +85,19 @@ let test_window_invariants () =
 let lawau_case ~s_rows ~expected_unmatched () =
   let r = rel "r" [ ([ "x" ], iv 0 10, 0.5) ] in
   let s = rel "s" (List.map (fun span -> ([ "x" ], span, 0.5)) s_rows) in
-  let unmatched =
-    Lawau.extend (Overlap.left ~theta:theta_k r s)
-    |> Seq.filter (fun w -> Window.kind w = Window.Unmatched)
-    |> Seq.map Window.iv |> List.of_seq
+  let unmatched ws =
+    List.filter (fun w -> Window.kind w = Window.Unmatched) ws
+    |> List.map (fun w -> Interval.to_string (Window.iv w))
   in
   Alcotest.(check (list string))
     "unmatched gaps"
     (List.map Interval.to_string expected_unmatched)
-    (List.map Interval.to_string unmatched)
+    (unmatched
+       (Array.to_list (Flat_join.windows ~stage:`Wuo ~theta:theta_k r s)));
+  Alcotest.(check (list string))
+    "legacy unmatched gaps"
+    (List.map Interval.to_string expected_unmatched)
+    (unmatched (List.of_seq (Lawau.extend (Overlap.left ~theta:theta_k r s))))
 
 let test_lawau_no_overlap =
   (* Case: r matches nothing; the spanning unmatched window comes from the
@@ -136,17 +140,20 @@ let lawan_case ~s_rows ~expected () =
     Relation.of_rows ~name:"s" ~columns:[ "K" ] ~tag:"s"
       (List.map (fun span -> ([ "x" ], span, 0.5)) s_rows)
   in
-  let negating =
-    Lawan.extend (Lawau.extend (Overlap.left ~theta:theta_k r s))
-    |> Seq.filter (fun w -> Window.kind w = Window.Negating)
-    |> Seq.map (fun w ->
+  let negating ws =
+    List.filter (fun w -> Window.kind w = Window.Negating) ws
+    |> List.map (fun w ->
            ( Interval.to_string (Window.iv w),
              match Window.ls w with
              | Some ls -> Formula.to_string_ascii (Formula.normalize ls)
              | None -> "null" ))
-    |> List.of_seq
   in
-  Alcotest.(check (list (pair string string))) "negating windows" expected negating
+  Alcotest.(check (list (pair string string))) "negating windows" expected
+    (negating
+       (Array.to_list (Flat_join.windows ~stage:`Wuon ~theta:theta_k r s)));
+  Alcotest.(check (list (pair string string))) "legacy negating windows" expected
+    (negating
+       (List.of_seq (Lawan.extend (Lawau.extend (Overlap.left ~theta:theta_k r s)))))
 
 let test_lawan_single =
   (* One matching tuple: a single negating window over the overlap. *)
@@ -181,20 +188,31 @@ let test_lawan_clipped_by_r =
   (* s extends beyond r: negating windows stay inside the r tuple. *)
   lawan_case ~s_rows:[ iv 5 20 ] ~expected:[ ("[5,10)", "s1") ]
 
-let test_flat_equals_legacy_unit () =
+(* The stream order of one group: each gap before the overlapping
+   window it precedes, a negating window after the overlapping window
+   it starts with. *)
+let test_flat_stream_order_unit () =
   let r = rel "r" [ ([ "x" ], iv 0 12, 0.5) ] in
   let s =
     rel "s" [ ([ "x" ], iv 1 5, 0.5); ([ "x" ], iv 6 9, 0.4) ]
   in
-  let legacy =
-    List.of_seq (Lawan.extend (Lawau.extend (Overlap.left ~theta:theta_k r s)))
+  let expected =
+    [
+      "unmatched('x', null, [0,1), r1, null)";
+      "overlapping('x', 'x', [1,5), r1, s1)";
+      "negating('x', null, [1,5), r1, s1)";
+      "unmatched('x', null, [5,6), r1, null)";
+      "overlapping('x', 'x', [6,9), r1, s2)";
+      "negating('x', null, [6,9), r1, s2)";
+      "unmatched('x', null, [9,12), r1, null)";
+    ]
   in
-  let flat =
-    Array.to_list (Flat_join.windows ~stage:`Wuon ~theta:theta_k r s)
-  in
-  Alcotest.(check int) "same count" (List.length legacy) (List.length flat);
-  Alcotest.(check bool) "same windows" true
-    (List.for_all2 Window.equal legacy flat)
+  let strings ws = List.map Window.to_string ws in
+  Alcotest.(check (list string)) "WUON stream" expected
+    (strings (Array.to_list (Flat_join.windows ~stage:`Wuon ~theta:theta_k r s)));
+  Alcotest.(check (list string)) "legacy WUON stream" expected
+    (strings
+       (List.of_seq (Lawan.extend (Lawau.extend (Overlap.left ~theta:theta_k r s)))))
 
 (* --- Render --- *)
 
@@ -255,6 +273,80 @@ let test_spec_lambda () =
   Alcotest.(check string) "t=5: b2 or b3" "b2 | b3" (lambda 5);
   Alcotest.(check string) "t=7: b2" "b2" (lambda 7)
 
+(* --- the flat right pass against the Table I definitions --- *)
+
+(* The right side of an outer join from the definitions: the windows of
+   s with respect to r under the swapped θ ({!Spec.windows}, grouped by
+   s tuple and start-ordered). A matched s tuple's gap and negating
+   windows form the first list, a never-matched one's spanning window the
+   second. Each negating window's partners are re-derived and put in the
+   executor's order: intersection interval, then r fact, then normalized
+   r lineage, then [Tuple.compare_fact_start]. *)
+let spec_right ~theta r s =
+  let swapped = Theta.swap theta in
+  let ws = Spec.windows ~theta:swapped s r in
+  let matched w =
+    List.exists
+      (fun o -> Window.kind o = Window.Overlapping && Window.same_group o w)
+      ws
+  in
+  let partner_order (ia, a) (ib, b) =
+    let c = Interval.compare ia ib in
+    if c <> 0 then c
+    else
+      let c = Fact.compare (Tuple.fact a) (Tuple.fact b) in
+      if c <> 0 then c
+      else
+        let c =
+          Formula.compare
+            (Formula.normalize (Tuple.lineage a))
+            (Formula.normalize (Tuple.lineage b))
+        in
+        if c <> 0 then c else Tuple.compare_fact_start a b
+  in
+  let in_partner_order w =
+    let at = Interval.ts (Window.iv w) in
+    let partners =
+      List.filter_map
+        (fun rt ->
+          if
+            Tuple.valid_at rt at
+            && Theta.temporal_matches swapped (Window.rspan w) (Tuple.iv rt)
+            && Theta.matches swapped (Window.fr w) (Tuple.fact rt)
+          then
+            Option.map
+              (fun i -> (i, rt))
+              (Interval.intersect (Window.rspan w) (Tuple.iv rt))
+          else None)
+        (Relation.tuples r)
+    in
+    let ls =
+      Formula.disj
+        (List.map (fun (_, rt) -> Tuple.lineage rt)
+           (List.sort partner_order partners))
+    in
+    (* the same partners as the definition's λs, in another order *)
+    assert (
+      Formula.equal (Formula.normalize ls)
+        (Formula.normalize (Option.get (Window.ls w))));
+    Window.negating ~fr:(Window.fr w) ~iv:(Window.iv w) ~lr:(Window.lr w) ~ls
+      ~rspan:(Window.rspan w) ()
+  in
+  let gaps =
+    List.filter_map
+      (fun w ->
+        match Window.kind w with
+        | Window.Overlapping -> None
+        | Window.Unmatched -> if matched w then Some w else None
+        | Window.Negating -> Some (in_partner_order w))
+      ws
+  and spanning =
+    List.filter
+      (fun w -> Window.kind w = Window.Unmatched && not (matched w))
+      ws
+  in
+  (gaps, spanning)
+
 (* --- the flat right pass against the mirrored legacy sweep --- *)
 
 (* The right side of an outer join as the executor derived it before the
@@ -294,6 +386,11 @@ let right_matches_legacy ?sanitize ~theta r s =
   let gaps', spanning' = Flat_join.right ?sanitize ~theta r s in
   same_windows gaps gaps' && same_windows spanning spanning'
 
+let right_matches_spec ?sanitize ~theta r s =
+  let gaps, spanning = spec_right ~theta r s in
+  let gaps', spanning' = Flat_join.right ?sanitize ~theta r s in
+  same_windows gaps gaps' && same_windows spanning spanning'
+
 (* Null keys never match, on either side; an r fact repeated with
    overlapping intervals (not duplicate-free, on purpose) puts two
    partners on one intersection interval, where the legacy sort orders
@@ -323,6 +420,10 @@ let test_flat_right_nulls_and_ties () =
   in
   List.iter
     (fun theta ->
+      Alcotest.(check bool) "right pass = Spec" true
+        (right_matches_spec ~theta r s);
+      Alcotest.(check bool) "sanitized right pass = Spec" true
+        (right_matches_spec ~sanitize:true ~theta r s);
       Alcotest.(check bool) "right pass = legacy" true
         (right_matches_legacy ~theta r s);
       Alcotest.(check bool) "sanitized right pass = legacy" true
@@ -344,10 +445,18 @@ open QCheck2
 
 let qtest = QCheck_alcotest.to_alcotest ~speed_level:`Quick
 
-let pipeline_windows theta r s =
+let legacy_windows theta r s =
   List.of_seq (Lawan.extend (Lawau.extend (Overlap.left ~theta r s)))
 
-let sorted_normalized ws = List.sort_uniq Window.compare_group_start ws
+let flat_windows ?(stage = `Wuon) theta r s =
+  Array.to_list (Flat_join.windows ~stage ~theta r s)
+
+(* Both pipelines, so that each Spec property checks the two *)
+let pipelines = [ legacy_windows; flat_windows ?stage:None ]
+
+(* A sort that keeps duplicates: a pipeline that emits a window twice
+   must not compare equal to the definitions. *)
+let sorted_normalized ws = List.sort Window.compare_group_start ws
 
 let windows_equal a b =
   let a = sorted_normalized a and b = sorted_normalized b in
@@ -358,7 +467,10 @@ let prop_pipeline_matches_spec =
     ~print:Tp_gen.print_triple
     (Tp_gen.scenario_gen ())
     (fun (theta, r, s) ->
-      windows_equal (pipeline_windows theta r s) (Spec.windows ~theta r s))
+      List.for_all
+        (fun pipeline ->
+          windows_equal (pipeline theta r s) (Spec.windows ~theta r s))
+        pipelines)
 
 let prop_each_window_satisfies_definition =
   Test.make ~name:"every produced window satisfies its definition" ~count:150
@@ -366,12 +478,15 @@ let prop_each_window_satisfies_definition =
     (Tp_gen.scenario_gen ())
     (fun (theta, r, s) ->
       List.for_all
-        (fun w ->
-          match Window.kind w with
-          | Window.Overlapping -> Spec.is_overlapping_window ~theta r s w
-          | Window.Unmatched -> Spec.is_unmatched_window ~theta r s w
-          | Window.Negating -> Spec.is_negating_window ~theta r s w)
-        (pipeline_windows theta r s))
+        (fun pipeline ->
+          List.for_all
+            (fun w ->
+              match Window.kind w with
+              | Window.Overlapping -> Spec.is_overlapping_window ~theta r s w
+              | Window.Unmatched -> Spec.is_unmatched_window ~theta r s w
+              | Window.Negating -> Spec.is_negating_window ~theta r s w)
+            (pipeline theta r s))
+        pipelines)
 
 let prop_group_partition =
   Test.make
@@ -379,7 +494,8 @@ let prop_group_partition =
     ~count:150 ~print:Tp_gen.print_triple
     (Tp_gen.scenario_gen ())
     (fun (theta, r, s) ->
-      let windows = pipeline_windows theta r s in
+      List.for_all (fun pipeline ->
+      let windows = pipeline theta r s in
       List.for_all
         (fun tp ->
           let mine =
@@ -400,7 +516,7 @@ let prop_group_partition =
             | i :: rest -> Interval.ts i = cursor && covers (Interval.te i) rest
           in
           covers (Interval.ts (Tpdb_relation.Tuple.iv tp)) sorted)
-        (Relation.tuples r))
+        (Relation.tuples r)) pipelines)
 
 let prop_hash_equals_nested_loop =
   Test.make ~name:"hash, merge and nested-loop overlap joins agree" ~count:150
@@ -432,6 +548,33 @@ let prop_flat_equals_legacy =
       windows_equal legacy_wo (flat `Wo)
       && windows_equal legacy_wuo (flat `Wuo)
       && windows_equal legacy_wuon (flat `Wuon))
+
+(* Each stage of the flat pipeline against the definitions: [`Wo] is the
+   conventional outer join (the overlapping windows, plus one spanning
+   unmatched window per r tuple with no partner), [`Wuo] adds the gaps,
+   [`Wuon] the negating windows, and [`Wun] is [`Wuon] without the
+   overlapping ones. Both sides are sorted before the comparison, so
+   this checks content (duplicates included), not order; the unit cases
+   and the right-pass reference check order. *)
+let prop_flat_equals_spec =
+  Test.make ~name:"flat pipeline = Spec at every stage" ~count:150
+    ~print:Tp_gen.print_triple
+    (Tp_gen.scenario_gen ())
+    (fun (theta, r, s) ->
+      let spec = Spec.windows ~theta r s in
+      let kind k w = Window.kind w = k in
+      let overlapping = List.filter (kind Window.Overlapping) spec in
+      let unpartnered w =
+        kind Window.Unmatched w
+        && not (List.exists (Window.same_group w) overlapping)
+      in
+      windows_equal (flat_windows ~stage:`Wo theta r s)
+        (List.filter (fun w -> kind Window.Overlapping w || unpartnered w) spec)
+      && windows_equal (flat_windows ~stage:`Wuo theta r s)
+           (List.filter (fun w -> not (kind Window.Negating w)) spec)
+      && windows_equal (flat_windows ~stage:`Wuon theta r s) spec
+      && windows_equal (flat_windows ~stage:`Wun theta r s)
+           (List.filter (fun w -> not (kind Window.Overlapping w)) spec))
 
 let prop_flat_count_equals_length =
   Test.make ~name:"flat counting kernel = window count at every stage"
@@ -494,7 +637,9 @@ let prop_flat_right_equals_legacy =
         (fun (theta, (r, s)) -> (theta, r, s))
         (pair right_theta_gen (Tp_gen.pair_gen ())))
     (fun (theta, r, s) ->
-      right_matches_legacy ~theta r s
+      right_matches_spec ~theta r s
+      && right_matches_spec ~sanitize:true ~theta r s
+      && right_matches_legacy ~theta r s
       && right_matches_legacy ~sanitize:true ~theta r s)
 
 (* Every window the sweep prices carries the very float
@@ -542,7 +687,7 @@ let suite =
     Alcotest.test_case "LAWAN: meeting tuples" `Quick test_lawan_meets;
     Alcotest.test_case "LAWAN: nested validity" `Quick test_lawan_nested;
     Alcotest.test_case "LAWAN: clipped by r" `Quick test_lawan_clipped_by_r;
-    Alcotest.test_case "flat = legacy (unit)" `Quick test_flat_equals_legacy_unit;
+    Alcotest.test_case "flat stream order (unit)" `Quick test_flat_stream_order_unit;
     Alcotest.test_case "flat right pass: null keys and ties" `Quick
       test_flat_right_nulls_and_ties;
     Alcotest.test_case "Spec lambda_s_theta" `Quick test_spec_lambda;
@@ -553,6 +698,7 @@ let suite =
     qtest prop_group_partition;
     qtest prop_hash_equals_nested_loop;
     qtest prop_flat_equals_legacy;
+    qtest prop_flat_equals_spec;
     qtest prop_flat_count_equals_length;
     qtest prop_flat_right_equals_legacy;
     qtest prop_sweep_prices_bit_identical;
