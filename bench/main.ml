@@ -144,15 +144,6 @@ let run_sweeps scale =
         (Printf.sprintf "Fig 7 (%s): TP left outer join" d)
         (E.fig7 ~scale dataset);
       emit
-        (Printf.sprintf "Ablation (%s): overlap join algorithm (NJ WUO)" d)
-        (E.ablation_join_algorithm ~scale dataset);
-      emit
-        (Printf.sprintf "Ablation (%s): sweep engine (flat vs legacy)" d)
-        (E.ablation_sweep_engine ~scale dataset);
-      emit
-        (Printf.sprintf "Ablation (%s): pipelined vs materialized stages" d)
-        (E.ablation_pipelining ~scale dataset);
-      emit
         (Printf.sprintf
            "Parallel (%s): WUON pipeline, partitioned sweep (jobs series)" d)
         (E.parallel_sweep ~scale dataset);

@@ -592,9 +592,6 @@ let experiment figure dataset scale =
     | "fig6" -> E.fig6 ~scale dataset
     | "fig7" -> E.fig7 ~scale dataset
     | "nj-paper" -> E.nj_paper_scale dataset
-    | "ablation-join" -> E.ablation_join_algorithm ~scale dataset
-    | "ablation-sweep" -> E.ablation_sweep_engine ~scale dataset
-    | "ablation-pipeline" -> E.ablation_pipelining ~scale dataset
     | "selectivity" -> E.selectivity_sweep ()
     | "skew" -> E.skew_sweep ()
     | "parallel" -> E.parallel_sweep ~scale dataset
@@ -609,8 +606,7 @@ let experiment figure dataset scale =
 let experiment_cmd =
   let figure =
     Arg.(value & opt string "fig7" & info [ "figure" ] ~docv:"FIG"
-           ~doc:"fig5 | fig6 | fig7 | nj-paper | ablation-join | \
-                 ablation-sweep | ablation-pipeline | selectivity | skew | \
+           ~doc:"fig5 | fig6 | fig7 | nj-paper | selectivity | skew | \
                  parallel.")
   and dataset =
     Arg.(value & opt dataset_conv E.Webkit & info [ "dataset" ] ~docv:"NAME"
@@ -744,9 +740,9 @@ let fuzz_cmd =
                  point by point from the paper's snapshot semantics (exact \
                  BDD probabilities) and diff every join kind against the \
                  optimized pipeline across all execution configurations \
-                 (parallelism, probability cache, sanitizer, sweep \
-                 engine and join algorithm). This is the default and \
-                 currently only mode.")
+                 (parallelism, probability cache, sanitizer, spilling and \
+                 the statically safe probability path). This is the \
+                 default and currently only mode.")
   and seconds =
     Arg.(value & opt float 5.0 & info [ "seconds" ] ~docv:"N"
            ~doc:"Time budget; generates fresh cases until it is spent. 0 \

@@ -15,8 +15,8 @@
       windows are computed by both passes);
     - the default join algorithm is the nested loop PostgreSQL's optimizer
       chooses for TA's [θo ∧ θ] predicates (pass [`Hash] to give TA the
-      same join NJ uses, as in the paper's Fig. 5 where both share the
-      conventional-join cost).
+      hash partitioning NJ's sweep uses, as in the paper's Fig. 5 where
+      both share the conventional-join cost).
 
     All results are materialized lists — TA is not pipelined. *)
 

@@ -12,10 +12,12 @@
     {1 The paper's contribution}
     - {!Theta}: join conditions.
     - {!Window}: generalized lineage-aware temporal windows.
-    - {!Overlap}, {!Lawau}, {!Lawan}: the pipelined window algorithms.
+    - {!Tpdb_windows.Flat_join}: the sweep engine — overlapping,
+      unmatched (LAWAU) and negating (LAWAN) windows in one pass over
+      flat endpoint arrays.
+    - {!Overlap}: the conventional outer join, TA's building block.
     - {!Spec}: the Table I definitions, executable (test oracle).
     - {!Nj}: TP inner/outer/anti joins over windows.
-    - {!Reference}: timepoint-at-a-time oracle.
     - {!Oracle}: the differential snapshot-semantics oracle — ground
       truth evaluated point by point and diffed against {!Nj.join}
       across every execution configuration (behind the qcheck
@@ -26,8 +28,8 @@
     - {!Set_ops}: TP set operations (prior work, same windows).
 
     {1 Infrastructure}
-    - {!Operator}, {!Grouping}, {!Hash_partition}, {!Heap}: the pipelined
-      executor pieces.
+    - {!Grouping}, {!Hash_partition}, {!Heap}, {!Sweep}: the executor
+      pieces.
     - {!Pool}, {!Parallel}: the domain pool and the partitioned parallel
       executor behind [Nj.options ~parallelism] / the CLI's [--jobs].
     - {!Rng}, {!Datasets}: reproducible workload generation.
@@ -64,7 +66,6 @@ module Schema = Tpdb_relation.Schema
 module Tuple = Tpdb_relation.Tuple
 module Relation = Tpdb_relation.Relation
 module Csv = Tpdb_relation.Csv
-module Operator = Tpdb_engine.Operator
 module Grouping = Tpdb_engine.Grouping
 module Hash_partition = Tpdb_engine.Hash_partition
 module Heap = Tpdb_engine.Heap
@@ -74,13 +75,10 @@ module Parallel = Tpdb_engine.Parallel
 module Theta = Tpdb_windows.Theta
 module Window = Tpdb_windows.Window
 module Overlap = Tpdb_windows.Overlap
-module Lawau = Tpdb_windows.Lawau
-module Lawan = Tpdb_windows.Lawan
 module Spec = Tpdb_windows.Spec
 module Render = Tpdb_windows.Render
 module Concat = Tpdb_joins.Concat
 module Nj = Tpdb_joins.Nj
-module Reference = Tpdb_joins.Reference
 module Oracle = Tpdb_oracle.Oracle
 module Align = Tpdb_alignment.Align
 module Ta = Tpdb_alignment.Ta

@@ -1,7 +1,7 @@
 (** Streaming grouping of sorted sequences.
 
-    LAWAU and LAWAN both consume a window stream sorted by group (the
-    spanning tuple of [r]) and process one group at a time. [runs] detects
+    The window sanitizer consumes a window stream sorted by group (the
+    spanning tuple of [r]) and checks one group at a time. [runs] detects
     maximal runs of adjacent equal-key elements without looking ahead more
     than one element, so the pipeline stays streaming at group
     granularity. *)

@@ -2,7 +2,6 @@ type ('k, 'a) t = {
   probe_fn : 'k -> 'a list;
   buckets_fn : unit -> ('k * 'a list) list;
   size_fn : unit -> int;
-  map_fn : ('a list -> 'a list) -> unit;
 }
 
 let build (type k) ~key ~(hash : k -> int) ~(equal : k -> k -> bool) items =
@@ -27,10 +26,8 @@ let build (type k) ~key ~(hash : k -> int) ~(equal : k -> k -> bool) items =
     buckets_fn =
       (fun () -> H.fold (fun k b acc -> (k, !b) :: acc) table []);
     size_fn = (fun () -> H.length table);
-    map_fn = (fun f -> H.iter (fun _ b -> b := f !b) table);
   }
 
 let probe t k = t.probe_fn k
 let buckets t = t.buckets_fn ()
 let size t = t.size_fn ()
-let map_buckets f t = t.map_fn f

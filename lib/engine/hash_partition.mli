@@ -21,6 +21,3 @@ val probe : ('k, 'a) t -> 'k -> 'a list
 val buckets : ('k, 'a) t -> ('k * 'a list) list
 val size : ('k, 'a) t -> int
 (** Number of distinct keys. *)
-
-val map_buckets : ('a list -> 'a list) -> ('k, 'a) t -> unit
-(** In-place rewrite of every bucket (e.g. sorting by interval start). *)

@@ -1,8 +1,9 @@
 (** Array-based binary min-heap.
 
-    LAWAN keeps the ending points of the valid [s] tuples of the current
-    group in a priority queue to determine the ending point of each
-    sweeping window (paper §III-C). *)
+    The paper's LAWAN keeps the ending points of the valid [s] tuples of
+    the current group in a priority queue to determine the ending point
+    of each sweeping window (§III-C); {!Sweep} does the same for
+    projection and aggregation. *)
 
 type 'a t
 

@@ -10,8 +10,9 @@ let shard2 ~partitions ~left_key ~right_key left right =
   in
   List.iter (push lbuckets left_key) left;
   List.iter (push rbuckets right_key) right;
-  Array.init partitions (fun i ->
-      (List.rev lbuckets.(i), List.rev rbuckets.(i)))
+  Flat.Vec.of_list
+    (List.init partitions (fun i ->
+         (List.rev lbuckets.(i), List.rev rbuckets.(i))))
 
 let map ~pool f arr = Flat.Vec.of_list (Pool.map pool f (Array.to_list arr))
 

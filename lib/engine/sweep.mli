@@ -1,5 +1,6 @@
-(** The generic interval sweep underlying LAWAN and the TP projection
-    operator.
+(** The generic interval sweep underlying the TP projection and
+    sequenced aggregation operators (LAWAN's sweep, over arbitrary
+    payloads).
 
     Input is a {!Source.t} — endpoints unboxed into start-sorted int
     arrays with payloads in a parallel array, the same flat layout as

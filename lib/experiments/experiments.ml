@@ -1,7 +1,6 @@
 module Relation = Tpdb_relation.Relation
 module Theta = Tpdb_windows.Theta
 module Window = Tpdb_windows.Window
-module Lawan = Tpdb_windows.Lawan
 module Nj = Tpdb_joins.Nj
 module Ta = Tpdb_alignment.Ta
 module Align = Tpdb_alignment.Align
@@ -100,27 +99,14 @@ let fig5 ?scale dataset =
           List.length (Ta.windows_wuo ~algorithm:`Hash ~theta r s) );
     ]
 
-let fig6 ?(scale = Default) dataset =
-  let nj_wn ~theta r s =
-    (* LAWAN alone: the WUO stream is materialized outside the clock. *)
-    let wuo = List.of_seq (Nj.windows_wuo ~theta r s) in
-    let ms, output =
-      timed (fun () -> seq_length (Lawan.extend (List.to_seq wuo)))
-    in
-    (ms, output)
-  in
-  let theta = theta dataset in
-  List.concat_map
-    (fun size ->
-      let r, s = pair ~scale dataset ~size in
-      let wn_ms, wn_out = nj_wn ~theta r s in
-      [
-        { series = "NJ-WN"; size; ms = wn_ms; output = wn_out; rss_kb = 0 };
-        point "NJ-WUON" size (fun () -> seq_length (Nj.windows_wuon ~theta r s));
-        point "TA" size (fun () ->
-            List.length (Ta.windows_wuon ~algorithm:`Hash ~theta r s));
-      ])
-    (sizes dataset scale)
+let fig6 ?scale dataset =
+  sweep ?scale dataset
+    [
+      ("NJ-WUON", fun ~theta r s -> seq_length (Nj.windows_wuon ~theta r s));
+      ( "TA",
+        fun ~theta r s ->
+          List.length (Ta.windows_wuon ~algorithm:`Hash ~theta r s) );
+    ]
 
 let fig7 ?scale dataset =
   sweep ?scale dataset
@@ -138,22 +124,6 @@ let nj_paper_scale dataset =
       let r, s = pair ~scale:Paper dataset ~size in
       point "NJ" size (fun () -> Relation.cardinality (Nj.left_outer ~theta r s)))
     (sizes dataset Paper)
-
-let ablation_join_algorithm ?scale dataset =
-  let series name algorithm =
-    ( name,
-      fun ~theta r s ->
-        seq_length
-          (Nj.windows_wuo ~options:(Nj.options ~algorithm ()) ~theta r s) )
-  in
-  sweep ?scale dataset
-    [
-      series "flat" `Flat;
-      series "hash" `Hash;
-      series "merge" `Merge;
-      series "index" `Index;
-      series "nested-loop" `Nested_loop;
-    ]
 
 (* The domain-parallel partitioned sweep vs the sequential one: the same
    WUON pipeline at increasing partition counts, all on the shared
@@ -173,17 +143,6 @@ let parallel_sweep ?scale dataset =
                   ~theta r s) ))
        parallel_jobs)
 
-(* The flat struct-of-arrays sweep core against the legacy Seq-of-records
-   chain (hash probe + LAWAU + LAWAN), full WUON pipeline on both sides.
-   The bench regression gate asserts a throughput-ratio floor between
-   these two series, which keeps the check machine-independent. *)
-let ablation_sweep_engine ?scale dataset =
-  let run algorithm ~theta r s =
-    seq_length (Nj.windows_wuon ~options:(Nj.options ~algorithm ()) ~theta r s)
-  in
-  sweep ?scale dataset
-    [ ("flat", run `Flat); ("legacy", run `Hash) ]
-
 (* The flat core at headline scale: a 10^6-tuples-per-input series on
    the generic uniform generator. Sizes are fixed rather than derived
    from [?scale] so the committed BENCH_6.json baseline always carries
@@ -194,22 +153,21 @@ let ablation_sweep_engine ?scale dataset =
 
    Three series. [flat-kernel] is {!Tpdb_windows.Flat_join.count}, the
    sweep core counting every WUON window straight off the endpoint
-   buffers with nothing materialized; it runs at every size. [flat] and
-   [legacy] enumerate the same windows through the materializing
-   pipeline and run only at {!flat_scale_ratio_size} (the legacy chain
-   at 10^6 would dominate CI time); legacy-over-kernel ms at that size
-   is the machine-independent sweep-throughput ratio the bench
-   regression gate holds ≥5x. *)
+   buffers with nothing materialized; it runs at every size. [flat]
+   enumerates the same windows through the materializing pipeline, and
+   [conventional] is TA's conventional outer join on the same inputs
+   (the hash-partitioned {!Tpdb_windows.Overlap.left}, TA's pass 1: the
+   overlapping windows alone); both run only at {!flat_scale_ratio_size}.
+   Conventional-over-kernel ms at that size is the machine-independent
+   sweep-throughput ratio the bench regression gate holds above a
+   floor. *)
 let flat_scale_sizes = [ 125_000; 250_000; 500_000; 1_000_000 ]
 let flat_scale_ratio_size = List.hd flat_scale_sizes
 
 let flat_scale_sweep () =
   let module Flat_join = Tpdb_windows.Flat_join in
+  let module Overlap = Tpdb_windows.Overlap in
   let theta = Theta.eq 0 0 in
-  let run algorithm r s =
-    seq_length
-      (Nj.windows_wuon ~options:(Nj.options ~algorithm ()) ~theta r s)
-  in
   List.concat_map
     (fun size ->
       let make name seed =
@@ -224,27 +182,13 @@ let flat_scale_sweep () =
       if size = flat_scale_ratio_size then
         [
           kernel;
-          point "flat" size (fun () -> run `Flat r s);
-          point "legacy" size (fun () -> run `Hash r s);
+          point "flat" size (fun () ->
+              seq_length (Nj.windows_wuon ~theta r s));
+          point "conventional" size (fun () ->
+              seq_length (Overlap.left ~algorithm:`Hash ~theta r s));
         ]
       else [ kernel ])
     flat_scale_sizes
-
-let ablation_pipelining ?scale dataset =
-  let module Overlap = Tpdb_windows.Overlap in
-  let module Lawau = Tpdb_windows.Lawau in
-  sweep ?scale dataset
-    [
-      ( "pipelined",
-        fun ~theta r s -> seq_length (Nj.windows_wuon ~theta r s) );
-      ( "materialized",
-        fun ~theta r s ->
-          (* Force every stage boundary, as a non-pipelined executor
-             (or TA's sub-result union) would. *)
-          let overlap = List.of_seq (Overlap.left ~theta r s) in
-          let wuo = List.of_seq (Lawau.extend (List.to_seq overlap)) in
-          List.length (List.of_seq (Lawan.extend (List.to_seq wuo))) );
-    ]
 
 (* Selectivity sweep: fixed input size, varying distinct-key count. Few
    keys = the Meteo regime (huge outputs), many keys = the Webkit regime

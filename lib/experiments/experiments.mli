@@ -50,8 +50,8 @@ val fig5 : ?scale:scale -> dataset -> point list
     plan). *)
 
 val fig6 : ?scale:scale -> dataset -> point list
-(** Negating windows: series NJ-WN (LAWAN alone over a pre-materialized
-    WUO), NJ-WUON (windows pipeline end to end) and TA. *)
+(** Negating windows: series NJ-WUON (windows pipeline end to end) and
+    TA. *)
 
 val fig7 : ?scale:scale -> dataset -> point list
 (** Full TP left outer join: series NJ (hash) and TA (nested loop — the
@@ -62,36 +62,23 @@ val nj_paper_scale : dataset -> point list
     Webkit; capped for Meteo, whose outputs grow quadratically in input
     size — see EXPERIMENTS.md). *)
 
-val ablation_join_algorithm : ?scale:scale -> dataset -> point list
-(** NJ's WUO stage across every probe algorithm — the flat core plus the
-    legacy hash/merge/index/nested-loop paths (why TA's plan choice
-    hurts, paper §IV). *)
-
-val ablation_sweep_engine : ?scale:scale -> dataset -> point list
-(** Full WUON pipeline: the flat struct-of-arrays core ([`Flat]) vs the
-    legacy Seq-of-records chain ([`Hash] + LAWAU + LAWAN). The series
-    ratio is the machine-independent throughput floor the bench
-    regression gate asserts. *)
-
 val flat_scale_sizes : int list
 (** The input sizes of {!flat_scale_sweep}: 125K to 10^6 tuples per
     side. *)
 
 val flat_scale_ratio_size : int
-(** The one size at which {!flat_scale_sweep} also runs the two
-    materializing pipelines; legacy-over-kernel ms at this size is the
-    ≥5x sweep-throughput floor bench/check_bench.py asserts. *)
+(** The one size at which {!flat_scale_sweep} also runs the
+    materializing pipeline and the conventional outer join;
+    conventional-over-kernel ms at this size is the sweep-throughput
+    ratio bench/check_bench.py holds above a floor. *)
 
 val flat_scale_sweep : unit -> point list
 (** The flat sweep core at fixed sizes up to 10^6 tuples per input
     (uniform generator, ~1000-entry key groups). Series [flat-kernel]
     ({!Tpdb_windows.Flat_join.count}, nothing materialized) at every
-    size; series [flat] and [legacy] (the materializing WUON pipelines)
-    at {!flat_scale_ratio_size} only. *)
-
-val ablation_pipelining : ?scale:scale -> dataset -> point list
-(** End-to-end lazy window pipeline vs forcing a materialization at every
-    stage boundary (validates the paper's pipelined-integration claim). *)
+    size; series [flat] (the materializing WUON pipeline) and
+    [conventional] (TA's hash-partitioned conventional outer join,
+    {!Tpdb_windows.Overlap.left}) at {!flat_scale_ratio_size} only. *)
 
 val selectivity_sweep : ?size:int -> unit -> point list
 (** NJ vs TA (hash) left outer join at a fixed input size over distinct-

@@ -5,9 +5,6 @@ module Fact = Tpdb_relation.Fact
 module Prob = Tpdb_lineage.Prob
 module Theta = Tpdb_windows.Theta
 module Window = Tpdb_windows.Window
-module Overlap = Tpdb_windows.Overlap
-module Lawau = Tpdb_windows.Lawau
-module Lawan = Tpdb_windows.Lawan
 module Flat_join = Tpdb_windows.Flat_join
 module Vec = Tpdb_engine.Flat.Vec
 module Invariant = Tpdb_windows.Invariant
@@ -18,7 +15,6 @@ module Metrics = Tpdb_obs.Metrics
 module Trace = Tpdb_obs.Trace
 
 type options = {
-  algorithm : Overlap.algorithm;
   parallelism : int;
   sanitize : bool;
   prob_cache : bool;
@@ -38,8 +34,8 @@ let env_mem_budget () =
       | Some mb when mb > 0 -> mb * 1024 * 1024
       | _ -> 0)
 
-let options ?(algorithm = `Flat) ?(parallelism = 1) ?sanitize
-    ?(prob_cache = true) ?(static_safe = false) ?mem_budget ?est_rows () =
+let options ?(parallelism = 1) ?sanitize ?(prob_cache = true)
+    ?(static_safe = false) ?mem_budget ?est_rows () =
   if parallelism < 1 then
     invalid_arg "Nj.options: parallelism must be at least 1";
   let sanitize =
@@ -49,11 +45,9 @@ let options ?(algorithm = `Flat) ?(parallelism = 1) ?sanitize
     match mem_budget with Some b -> b | None -> env_mem_budget ()
   in
   if mem_budget < 0 then invalid_arg "Nj.options: mem_budget must be >= 0";
-  { algorithm; parallelism; sanitize; prob_cache; static_safe; mem_budget;
-    est_rows }
+  { parallelism; sanitize; prob_cache; static_safe; mem_budget; est_rows }
 
 let default_options = options ()
-let algorithm o = o.algorithm
 let parallelism o = o.parallelism
 let sanitize o = o.sanitize
 let prob_cache o = o.prob_cache
@@ -89,7 +83,8 @@ let partitioned ~partitions ~keys:(left_cols, right_cols) ~sweep r s =
   in
   let rschema = Relation.schema r and sschema = Relation.schema s in
   Parallel.map ~pool:(Pool.default ())
-    (fun (i, (rp, sp)) ->
+    (fun i ->
+      let rp, sp = parts.(i) in
       if Metrics.enabled () then begin
         Metrics.observe Metrics.Partition_size
           (List.length rp + List.length sp);
@@ -102,7 +97,9 @@ let partitioned ~partitions ~keys:(left_cols, right_cols) ~sweep r s =
       if Trace.enabled () then
         Trace.with_span ~cat:"partition" (Printf.sprintf "partition-%d" i) run
       else run ())
-    (Array.mapi (fun i part -> (i, part)) parts)
+    (* indices, not (i, part) pairs: an array made from a young pair
+       forces a minor collection past 256 partitions (DESIGN.md §7) *)
+    (Array.init (Array.length parts) Fun.id)
 
 let merge ~options parts =
   let run () =
@@ -192,113 +189,52 @@ let spilled_of_relations ~partitions ~keys ~budget ~sweep r s =
 let traced name run =
   if Trace.enabled () then Trace.with_span ~cat:"sweep" name run else run ()
 
-(* With a trace sink installed a legacy stage's stream is forced inside
-   its span so the span measures the stage's actual work; without one
-   the stream passes through untouched and the chain stays lazy. *)
-let traced_seq name stream =
-  if Trace.enabled () then
-    traced name (fun () -> List.to_seq (List.of_seq stream))
-  else stream
-
 let overlapping w = Window.kind w = Window.Overlapping
 
-(* Feeds the windows of one stage, in stream order, to [emit]. The
-   default [`Flat] executor computes them in one fused pass over the
-   flat endpoint arrays (Flat_join), taking each window's probability
-   from the sweep when [env] is given, and hands each window on as it
-   is built, so a consumer that forms its tuple right away lets it die
-   young (the sanitizer collects them first, to check them). The legacy
-   algorithms chain the three Seq stages. The flat pass still opens the
-   same nested spans as the legacy chain ("lawan" > "lawau" >
-   "overlap", with the fused work attributed to the innermost), so
-   EXPLAIN ANALYZE and the Chrome traces stay comparable across
-   executors; they cover the formation the pass feeds, so a traced run
-   executes what an untraced one does. *)
+(* Feeds the windows of one stage, in stream order, to [emit]: one fused
+   pass of the flat kernel over the endpoint arrays (Flat_join), taking
+   each window's probability from the sweep when [env] is given, and
+   handing each window on as it is built, so a consumer that forms its
+   tuple right away lets it die young (the sanitizer collects them
+   first, to check them). The pass opens one span per paper stage it
+   covers ("lawan" > "lawau" > "overlap", the fused work attributed to
+   the innermost), the names EXPLAIN ANALYZE and the query log's stage
+   records read; the spans cover the formation the pass feeds, so a
+   traced run executes what an untraced one does. *)
 let stage_pass ?env ~options (stage : Flat_join.stage) ~theta r s emit =
   let sanitize = options.sanitize in
-  match options.algorithm with
-  | `Flat -> (
-      let run () =
-        if sanitize then
-          Array.iter emit (Flat_join.windows ~stage ~sanitize ?env ~theta r s)
-        else Flat_join.iter ~stage ?env ~theta r s emit
-      in
-      match stage with
-      | `Wo -> traced "overlap" run
-      | `Wuo -> traced "lawau" (fun () -> traced "overlap" run)
-      | `Wuon | `Wun ->
-          traced "lawan" (fun () ->
-              traced "lawau" (fun () -> traced "overlap" run)))
-  | (`Hash | `Merge | `Index | `Nested_loop) as algorithm -> (
-      let wo =
-        traced_seq "overlap" (Overlap.left ~algorithm ~sanitize ~theta r s)
-      in
-      let wuo () = traced_seq "lawau" (Lawau.extend ~sanitize wo) in
-      let wuon () = traced_seq "lawan" (Lawan.extend ~sanitize (wuo ())) in
-      match stage with
-      | `Wo -> Seq.iter emit wo
-      | `Wuo -> Seq.iter emit (wuo ())
-      | `Wuon -> Seq.iter emit (wuon ())
-      | `Wun -> Seq.iter (fun w -> if not (overlapping w) then emit w) (wuon ()))
-
-(* The legacy right-hand sweep of right/full outer joins: the
-   overlapping windows arrive mirrored and re-sorted so they are grouped
-   by the s tuple; LAWAU/LAWAN then find the s side's unmatched and
-   negating windows (the overlapping copies are dropped — the left pass
-   emits them already). *)
-let right_side_windows ~sanitize windows =
-  windows
-  |> Seq.filter overlapping
-  |> Seq.map Window.mirror
-  |> List.of_seq
-  |> List.sort Window.compare_group_start
-  |> List.to_seq
-  |> Lawau.extend ~sanitize
-  |> Lawan.extend ~sanitize
-  |> Seq.filter (fun w -> not (overlapping w))
+  let run () =
+    if sanitize then
+      Array.iter emit (Flat_join.windows ~stage ~sanitize ?env ~theta r s)
+    else Flat_join.iter ~stage ?env ~theta r s emit
+  in
+  match stage with
+  | `Wo -> traced "overlap" run
+  | `Wuo -> traced "lawau" (fun () -> traced "overlap" run)
+  | `Wuon | `Wun ->
+      traced "lawan" (fun () -> traced "lawau" (fun () -> traced "overlap" run))
 
 (* One partition (or the whole input, when sequential) of a right/full
    outer join, into three streams: the left-side windows
-   (overlapping-only for the right outer join, LAWAU+LAWAN extended for
-   the full outer join), the right side's gap and negating windows, and
-   the spanning windows of the never-matched s tuples. The flat executor
-   finds the right side in a second pass of the kernel with the sides
-   swapped; the legacy one sweeps the mirrored overlapping windows and
-   tracks the s tuples that matched. *)
+   (overlapping-only for the right outer join, extended by the gap and
+   negating windows for the full outer join), the right side's gap and
+   negating windows, and the spanning windows of the never-matched s
+   tuples. The right side is a second pass of the kernel with the sides
+   swapped. *)
 let tracked_pass ?env ~options ~extend_left ~theta r s emits =
   let sanitize = options.sanitize in
   let left = emits.(0) and gaps = emits.(1) and spanning = emits.(2) in
-  match options.algorithm with
-  | `Flat ->
-      stage_pass ?env ~options
-        (if extend_left then `Wuon else `Wo)
-        ~theta r s
-        (fun w -> if extend_left || overlapping w then left w);
-      traced "right-sweep" (fun () ->
-          if sanitize then begin
-            let g, u = Flat_join.right ~sanitize ?env ~theta r s in
-            Array.iter gaps g;
-            Array.iter spanning u
-          end
-          else Flat_join.iter_right ?env ~theta r s ~gaps ~spanning)
-  | (`Hash | `Merge | `Index | `Nested_loop) as algorithm ->
-      let stream, tracker =
-        Overlap.left_tracking ~algorithm ~sanitize ~theta r s
-      in
-      let raw = traced "overlap" (fun () -> List.of_seq stream) in
-      (if extend_left then
-         let wuo =
-           traced "lawau" (fun () ->
-               List.of_seq (Lawau.extend ~sanitize (List.to_seq raw)))
-         in
-         List.iter left
-           (traced "lawan" (fun () ->
-                List.of_seq (Lawan.extend ~sanitize (List.to_seq wuo))))
-       else List.iter (fun w -> if overlapping w then left w) raw);
-      List.iter gaps
-        (traced "right-sweep" (fun () ->
-             List.of_seq (right_side_windows ~sanitize (List.to_seq raw))));
-      Seq.iter spanning (Overlap.unmatched_right tracker)
+  stage_pass ?env ~options
+    (if extend_left then `Wuon else `Wo)
+    ~theta r s
+    (fun w -> if extend_left || overlapping w then left w);
+  traced "right-sweep" (fun () ->
+      if sanitize then begin
+        let g, u = Flat_join.right ~sanitize ?env ~theta r s in
+        Array.iter gaps g;
+        Array.iter spanning u
+      end
+      else Flat_join.iter_right ?env ~theta r s ~gaps ~spanning)
 
 (* A pass feeds each of its window streams, in order, to one consumer.
    A join runs its passes over the whole input, straight into the
@@ -522,4 +458,3 @@ let right_outer ?options ?env ~theta r s =
   join ?options ?env ~kind:Right ~theta r s
 
 let full_outer ?options ?env ~theta r s = join ?options ?env ~kind:Full ~theta r s
-let run = join

@@ -9,14 +9,13 @@
 
     All five are served by the single entry point {!join}, selected by
     {!join_kind}; the named operators remain as one-line wrappers. The
-    default pipeline is the flat struct-of-arrays sweep
-    ({!Tpdb_windows.Flat_join}) → output formation ({!Concat}); the
-    legacy {!Tpdb_windows.Overlap.left} → {!Tpdb_windows.Lawau} →
-    {!Tpdb_windows.Lawan} chain is selectable per {!options} as the
-    ablation baseline. Right and full outer joins find the [s] side's
-    windows in a second pass of the flat kernel with the sides swapped
+    pipeline is the flat struct-of-arrays sweep
+    ({!Tpdb_windows.Flat_join}), which derives the overlapping (WO),
+    unmatched (WU) and negating (WN) windows in one pass, → output
+    formation ({!Concat}). Right and full outer joins find the [s]
+    side's windows in a second pass of the kernel with the sides swapped
     ({!Tpdb_windows.Flat_join.right}), which builds no overlapping
-    window; the legacy chain mirrors the overlapping windows instead.
+    window.
 
     {2 Parallel execution}
 
@@ -43,7 +42,6 @@ module Relation = Tpdb_relation.Relation
 module Prob = Tpdb_lineage.Prob
 module Theta = Tpdb_windows.Theta
 module Window = Tpdb_windows.Window
-module Overlap = Tpdb_windows.Overlap
 
 type options
 (** Execution options. Abstract: build with {!options} so that future
@@ -51,7 +49,6 @@ type options
     break call sites. *)
 
 val options :
-  ?algorithm:Overlap.algorithm ->
   ?parallelism:int ->
   ?sanitize:bool ->
   ?prob_cache:bool ->
@@ -61,12 +58,6 @@ val options :
   unit ->
   options
 (** Builder, with today's defaults spelled out:
-    - [algorithm] (default [`Flat]): sweep executor. [`Flat] runs the
-      struct-of-arrays pipeline ({!Tpdb_windows.Flat_join}) that computes
-      all requested window classes in one pass over flat endpoint arrays;
-      the other variants select the legacy [Overlap] → [Lawau] → [Lawan]
-      Seq chain with the corresponding WO probe algorithm, kept as
-      ablation baselines and oracle configurations;
     - [parallelism] (default [1] = sequential): partition count of the
       domain-parallel sweep; raises [Invalid_argument] when < 1;
     - [sanitize] (default {!Tpdb_windows.Invariant.env_enabled}, i.e.
@@ -98,7 +89,6 @@ val options :
 val default_options : options
 (** [options ()]. *)
 
-val algorithm : options -> Overlap.algorithm
 val parallelism : options -> int
 val sanitize : options -> bool
 val prob_cache : options -> bool
@@ -111,13 +101,13 @@ val est_rows : options -> (int * int) option
 
 val static_safe : options -> bool
 (** Whether the planner proved every output lineage of this join
-    read-once (default [false]). When set, the [`Flat] sweep takes each
+    read-once (default [false]). When set, the sweep takes each
     window's probability from its tuples' probabilities, multiplied in
     the order {!Prob.factorize} evaluates the output lineage (so the
     float is bit-identical), without consulting the cache; windows whose
-    partner lineages are not bare variables, and the legacy algorithms,
-    go through {!Prob.factorize} — no per-formula read-once check and no
-    BDD fallback. Only set it from a proof such as the static safe-plan
+    partner lineages are not bare variables go through
+    {!Prob.factorize} — no per-formula read-once check and no BDD
+    fallback. Only set it from a proof such as the static safe-plan
     classification in {!Tpdb_query.Analyze}; the sanitizer's output
     check cross-validates each probability against {!Prob.compute}. *)
 
@@ -172,13 +162,15 @@ val join_spilled :
 
 val windows_wuo :
   ?options:options -> theta:Theta.t -> Relation.t -> Relation.t -> Window.t Seq.t
-(** Overlapping + unmatched windows of [r] w.r.t. [s] (the paper's WUO):
-    {!Overlap.left} extended by LAWAU. Benched as Fig. 5. The stream is
-    recomputed on every traversal. *)
+(** Overlapping + unmatched windows of [r] w.r.t. [s] (the paper's WUO:
+    the conventional outer join extended by LAWAU's gaps), from the flat
+    kernel at stage [`Wuo]. Benched as Fig. 5. The stream is recomputed
+    on every traversal. *)
 
 val windows_wuon :
   ?options:options -> theta:Theta.t -> Relation.t -> Relation.t -> Window.t Seq.t
-(** WUO extended with negating windows by LAWAN. Benched as Fig. 6. *)
+(** WUO extended with LAWAN's negating windows (stage [`Wuon]). Benched
+    as Fig. 6. *)
 
 (** The five named operators: one-line wrappers around {!join}. *)
 
@@ -196,13 +188,3 @@ val right_outer :
 
 val full_outer :
   ?options:options -> ?env:Prob.env -> theta:Theta.t -> Relation.t -> Relation.t -> Relation.t
-
-val run :
-  ?options:options ->
-  ?env:Prob.env ->
-  kind:join_kind ->
-  theta:Theta.t ->
-  Relation.t ->
-  Relation.t ->
-  Relation.t
-(** Alias of {!join}, kept for callers of the pre-unification API. *)

@@ -133,7 +133,10 @@ let equivalent f g =
   equal (of_formula m f) (of_formula m g)
 
 let probability m env root =
-  let order = Array.of_list (List.rev m.level_vars) in
+  (* Gathered from one-element arrays: [Array.of_list] makes the array
+     from its first variable, and over more than 256 variables a young
+     one forces a minor collection (DESIGN.md §7). *)
+  let order = Array.concat (List.rev_map (fun v -> [| v |]) m.level_vars) in
   let memo = Hashtbl.create 256 in
   let rec go f =
     match f with

@@ -113,6 +113,6 @@ val monte_carlo : ?seed:int -> samples:int -> env -> Formula.t -> float
     [Invalid_argument] if [samples <= 0]. *)
 
 val enumerate : env -> Formula.t -> float
-(** Reference implementation: sums over all 2^n assignments. Used by the
+(** Brute-force implementation: sums over all 2^n assignments. Used by the
     test suite to validate {!exact}; raises [Invalid_argument] for more
     than 20 variables. *)

@@ -158,14 +158,13 @@ type config = {
   jobs : int;
   prob_cache : bool;
   sanitize : bool;
-  algorithm : Tpdb_windows.Overlap.algorithm;
   mem_budget : int;
   static_safe : bool;
 }
 
 let config ?(jobs = 1) ?(prob_cache = true) ?(sanitize = false)
-    ?(algorithm = `Flat) ?(mem_budget = 0) ?(static_safe = false) () =
-  { jobs; prob_cache; sanitize; algorithm; mem_budget; static_safe }
+    ?(mem_budget = 0) ?(static_safe = false) () =
+  { jobs; prob_cache; sanitize; mem_budget; static_safe }
 
 let config_name c =
   let parts =
@@ -173,19 +172,12 @@ let config_name c =
     @ (if not c.prob_cache then [ "nocache" ] else [])
     @ (if c.sanitize then [ "sanitize" ] else [])
     @ (if c.mem_budget > 0 then [ "spill" ] else [])
-    @ (if c.static_safe then [ "safe" ] else [])
-    @
-    match c.algorithm with
-    | `Flat -> []
-    | `Hash -> [ "hash" ]
-    | `Merge -> [ "merge" ]
-    | `Index -> [ "index" ]
-    | `Nested_loop -> [ "nested-loop" ]
+    @ if c.static_safe then [ "safe" ] else []
   in
   match parts with [] -> "default" | _ -> String.concat "+" parts
 
 let options_of c =
-  Nj.options ~algorithm:c.algorithm ~parallelism:c.jobs ~sanitize:c.sanitize
+  Nj.options ~parallelism:c.jobs ~sanitize:c.sanitize
     ~prob_cache:c.prob_cache ~mem_budget:c.mem_budget
     ~static_safe:c.static_safe ()
 
@@ -196,9 +188,6 @@ let default_configs =
   @ [
       config ~sanitize:true ();
       config ~jobs:2 ~sanitize:true ();
-      config ~algorithm:`Hash ();
-      config ~algorithm:`Merge ();
-      config ~algorithm:`Index ();
       (* a 1-byte budget forces the out-of-core spill path on any
          non-empty equi-[theta] input: every scenario doubles as a
          spilled-vs-in-RAM differential *)

@@ -2,8 +2,8 @@
 
     The paper defines every TP join point-wise: at each time point [t]
     the output contains a row iff the §I snapshot semantics says so,
-    with the Table I lineage. The optimized LAWAU/LAWAN pipelines never
-    evaluate that definition directly — they sweep intervals — and
+    with the Table I lineage. The optimized flat sweep never evaluates
+    that definition directly — it sweeps intervals — and
     TPSan re-derives the same lemmas with the same interval bookkeeping,
     so a misconception shared between the sweep and the sanitizer passes
     both silently. This module is the independent check: a deliberately
@@ -22,15 +22,14 @@
     facts and intervals exactly, lineages up to {e logical equivalence}
     (BDD equality, not syntax), probabilities within {!prob_tolerance}.
     {!check} sweeps the comparison across every execution-configuration
-    axis the repo ships (parallelism, probability cache, sanitizer, and
-    sweep executor — the flat struct-of-arrays core plus every legacy
-    join algorithm).
+    axis the repo ships (parallelism, probability cache, sanitizer,
+    out-of-core spilling and the statically safe probability path).
 
     Deliberately quadratic in active-domain size — an oracle, not an
     operator. It shares only {!Tpdb_interval.Interval} arithmetic and
     the lineage constructors with the pipeline under test; none of the
-    window machinery ({!Tpdb_windows.Overlap}/[Lawau]/[Lawan]), the
-    sweep bookkeeping, or {!Tpdb_joins.Concat}.
+    window machinery ({!Tpdb_windows.Flat_join}), the sweep bookkeeping,
+    or {!Tpdb_joins.Concat}.
 
     With a {!Tpdb_obs.Metrics} sink installed, oracle work shows up as
     the [oracle_evals] / [oracle_comparisons] / [oracle_mismatches]
@@ -66,7 +65,6 @@ type config = {
   jobs : int;
   prob_cache : bool;
   sanitize : bool;
-  algorithm : Tpdb_windows.Overlap.algorithm;
   mem_budget : int;
   static_safe : bool;
 }
@@ -79,13 +77,12 @@ val config :
   ?jobs:int ->
   ?prob_cache:bool ->
   ?sanitize:bool ->
-  ?algorithm:Tpdb_windows.Overlap.algorithm ->
   ?mem_budget:int ->
   ?static_safe:bool ->
   unit ->
   config
 (** Defaults mirror {!Nj.options}: [jobs 1], [prob_cache true],
-    [sanitize false], [algorithm `Hash], [schedule `Heap]. *)
+    [sanitize false], [mem_budget 0], [static_safe false]. *)
 
 val config_name : config -> string
 (** Compact label, e.g. ["jobs2+nocache+sanitize"]; ["default"] for the
@@ -94,14 +91,13 @@ val config_name : config -> string
 val options_of : config -> Nj.options
 
 val default_configs : config list
-(** The shipped sweep: jobs 1/2/4 × prob-cache on/off (the six axes the
-    acceptance criteria name), plus one variant each for the sanitizer,
-    the [`Merge] and [`Index] overlap algorithms, and the [`Scan] LAWAN
-    schedule — and two tiny-budget ([mem_budget 1]) spilling variants
-    that force every equi-θ scenario through the out-of-core executor,
-    proving spilled output identical to the oracle's ground truth — and
-    three statically safe variants (in RAM, [jobs 2], [mem_budget 1]),
-    which {!check} runs only on {!static_safe_inputs}. *)
+(** The shipped sweep: jobs 1/2/4 × prob-cache on/off, plus the
+    sanitizer sequential and at [jobs 2]; two tiny-budget
+    ([mem_budget 1]) spilling variants that force every equi-θ scenario
+    through the out-of-core executor, proving spilled output identical
+    to the oracle's ground truth; and three statically safe variants (in
+    RAM, [jobs 2], [mem_budget 1]), which {!check} runs only on
+    {!static_safe_inputs}. *)
 
 val static_safe_inputs : Relation.t -> Relation.t -> bool
 (** The safe-plan classifier's precondition for a join of two scans

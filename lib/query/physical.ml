@@ -4,7 +4,6 @@ module Tuple = Tpdb_relation.Tuple
 module Fact = Tpdb_relation.Fact
 module Prob = Tpdb_lineage.Prob
 module Theta = Tpdb_windows.Theta
-module Overlap = Tpdb_windows.Overlap
 module Nj = Tpdb_joins.Nj
 module Set_ops = Tpdb_setops.Set_ops
 module Projection = Tpdb_setops.Projection
@@ -19,7 +18,6 @@ type t =
   | Project of { columns : int list; schema : Schema.t; child : t }
   | Tp_join of {
       kind : Nj.join_kind;
-      algorithm : Overlap.algorithm;
       parallelism : int;
       sanitize : bool;
       prob_cache : bool;
@@ -114,7 +112,6 @@ and eval ~env plan =
   | Tp_join
       {
         kind;
-        algorithm;
         parallelism;
         sanitize;
         prob_cache;
@@ -128,7 +125,7 @@ and eval ~env plan =
       let options =
         (* [mem_budget = 0] means "not set here": leave the argument out
            so Nj's own TPDB_MEM_BUDGET fallback still applies. *)
-        Nj.options ~algorithm ~parallelism ~sanitize ~prob_cache
+        Nj.options ~parallelism ~sanitize ~prob_cache
           ~static_safe:safe_lineage
           ?mem_budget:(if mem_budget > 0 then Some mem_budget else None)
           ?est_rows ()
@@ -169,12 +166,10 @@ let rec execute ~env plan =
   | Distinct_project _ | Tp_join _ | Set_op _ | Aggregate _ | Sort_limit _ ->
       fun () -> Relation.to_seq (to_relation ~env plan) ()
 
-let algorithm_string : Overlap.algorithm -> string = function
-  | `Flat -> "flat"
-  | `Hash -> "hash"
-  | `Nested_loop -> "nested loop"
-  | `Merge -> "merge"
-  | `Index -> "interval-tree index"
+(* Every join runs on the flat kernel. The EXPLAIN text and the plan
+   shape keep the name of the sweep, so goldens and fingerprints stay
+   byte-identical. *)
+let executor = "flat"
 
 let kind_string = function
   | Nj.Inner -> "TP Inner Join"
@@ -214,7 +209,6 @@ let describe ~child_schema plan =
   | Tp_join
       {
         kind;
-        algorithm;
         parallelism;
         sanitize;
         prob_cache;
@@ -226,8 +220,7 @@ let describe ~child_schema plan =
       } ->
       Printf.sprintf
         "%s (NJ pipeline: overlap[%s] -> LAWAU -> LAWAN; \xce\xb8: %s%s%s%s%s)"
-        (kind_string kind)
-        (algorithm_string algorithm)
+        (kind_string kind) executor
         (Theta.to_string ~left:(child_schema left) ~right:(child_schema right) theta)
         (jobs_string parallelism)
         (sanitize_string sanitize)
@@ -255,7 +248,7 @@ let describe ~child_schema plan =
 (* The canonical shape string behind [fingerprint]: the logical and
    physical structure of the optimized plan — operators, relation names,
    column lists, θ (rendered against the child schemas, so renames
-   matter), join kind and algorithm — but none of the runtime execution
+   matter), join kind and executor — but none of the runtime execution
    knobs (parallelism, sanitize, prob_cache, safe_lineage): the same
    optimized plan run with different jobs or checks is the same plan,
    which is what the prepared-plan cache and the query log want to key
@@ -289,9 +282,8 @@ let rec shape plan =
       Printf.sprintf "sort(%s;%s;%s)" description
         (match limit with None -> "-" | Some n -> string_of_int n)
         (shape child)
-  | Tp_join { kind; algorithm; theta; left; right; _ } ->
-      Printf.sprintf "tp-join(%s;%s;%s;%s;%s)" (Nj.kind_name kind)
-        (algorithm_string algorithm)
+  | Tp_join { kind; theta; left; right; _ } ->
+      Printf.sprintf "tp-join(%s;%s;%s;%s;%s)" (Nj.kind_name kind) executor
         (Theta.to_string ~left:(schema left) ~right:(schema right) theta)
         (shape left) (shape right)
   | Set_op { kind; left; right } ->

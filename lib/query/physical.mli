@@ -2,8 +2,8 @@
 
     The planner lowers a TP-SQL AST into a tree of physical operators,
     mirroring how the paper's implementation appears inside PostgreSQL's
-    executor: scans feed a TP join node (the Overlap → LAWAU → LAWAN
-    pipeline with a chosen join algorithm), optionally topped by filter
+    executor: scans feed a TP join node (the NJ pipeline: the overlapping,
+    LAWAU and LAWAN windows from one flat sweep), optionally topped by filter
     and projection nodes. [execute] streams tuples: filters and
     projections are fully pipelined; a join node materializes its inputs
     (the build phase, as a hash join does) and then streams its output
@@ -14,7 +14,6 @@ module Schema = Tpdb_relation.Schema
 module Tuple = Tpdb_relation.Tuple
 module Prob = Tpdb_lineage.Prob
 module Theta = Tpdb_windows.Theta
-module Overlap = Tpdb_windows.Overlap
 
 type t =
   | Scan of Relation.t
@@ -22,7 +21,6 @@ type t =
   | Project of { columns : int list; schema : Schema.t; child : t }
   | Tp_join of {
       kind : Tpdb_joins.Nj.join_kind;
-      algorithm : Overlap.algorithm;
       parallelism : int;
           (** partition count of the domain-parallel sweep; 1 = sequential *)
       sanitize : bool;
@@ -73,7 +71,7 @@ val children : t -> t list
 val fingerprint : t -> string
 (** A 16-hex-digit normalized-plan fingerprint: FNV-1a 64 over the
     plan's canonical shape — operators, relation names, column lists, θ,
-    join kind and algorithm — excluding the runtime execution knobs
+    join kind and executor — excluding the runtime execution knobs
     ([parallelism]/[sanitize]/[prob_cache]/[safe_lineage]), so the same
     optimized plan fingerprints identically however it is run. Stable
     across runs and processes: the query log groups by it, and the
@@ -85,8 +83,8 @@ val execute : env:Prob.env -> t -> Tuple.t Seq.t
 val to_relation : env:Prob.env -> t -> Relation.t
 
 val explain : ?annotate:(t -> string) -> t -> string
-(** Multi-line tree rendering; join nodes name their algorithm
-    ([overlap[hash]] / [overlap[nested loop]]) and θ. [annotate] appends
+(** Multi-line tree rendering; join nodes name their pipeline
+    ([overlap[flat] -> LAWAU -> LAWAN]) and θ. [annotate] appends
     a per-node suffix to each line — the CLI renders the cost model's
     [[est rows=… cost=…]] columns this way — and defaults to nothing, so
     plain [explain] output is byte-identical to previous releases. *)

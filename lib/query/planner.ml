@@ -180,8 +180,7 @@ let plan_select ~parallelism ~sanitize ~prob_cache ~mem_budget catalog
   let base, _, leftover_temporals =
     (* Left-deep chain in source order. Every join runs on the flat
        struct-of-arrays sweep core, which hash-partitions on an equality
-       atom itself and degrades to the single-bucket probe otherwise —
-       the same split the legacy hash/nested-loop pair used to make.
+       atom itself and degrades to the single-bucket probe otherwise.
        WHERE-level temporal predicates are folded into the join whose
        sides they name. *)
     List.fold_left
@@ -212,12 +211,10 @@ let plan_select ~parallelism ~sanitize ~prob_cache ~mem_budget catalog
           | _ :: _ :: _ ->
               fail "join with %s has more than one temporal predicate" j.rel
         in
-        let algorithm : Tpdb_windows.Overlap.algorithm = `Flat in
         let right = Physical.Scan right in
         ( Physical.Tp_join
             {
               kind = join_kind j.kind;
-              algorithm;
               parallelism;
               sanitize;
               prob_cache;

@@ -2,9 +2,9 @@
 
     The planner mirrors the paper's PostgreSQL integration: it resolves
     column references, splits each join condition into hashable equality
-    atoms and a residual predicate, picks the join algorithm (hash when an
-    equality atom exists, nested loop otherwise) and wires the pipelined
-    NJ operators. [explain] renders the chosen plan.
+    atoms and a residual predicate (the flat sweep hashes on the
+    equality atoms, or scans one bucket when there are none) and wires
+    the NJ operators. [explain] renders the chosen plan.
 
     After lowering, the planner runs the analyzer's rewrite pipeline
     ({!Analyze.optimize}): redundant θ conjuncts are folded, provably

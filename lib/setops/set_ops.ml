@@ -6,8 +6,7 @@ module Tuple = Tpdb_relation.Tuple
 module Fact = Tpdb_relation.Fact
 module Theta = Tpdb_windows.Theta
 module Window = Tpdb_windows.Window
-module Overlap = Tpdb_windows.Overlap
-module Lawau = Tpdb_windows.Lawau
+module Flat_join = Tpdb_windows.Flat_join
 module Nj = Tpdb_joins.Nj
 
 let check_schemas op r s =
@@ -41,77 +40,51 @@ let difference ?env r s =
 let intersection ?env r s =
   check_schemas "intersection" r s;
   let env = env_default env r s in
-  let tuples =
-    Overlap.left ~theta:(fact_equality r) r s
-    |> Seq.filter_map (fun w ->
-           match (Window.kind w, Window.ls w) with
-           | Window.Overlapping, Some ls ->
-               let lineage = Formula.( &&& ) (Window.lr w) ls in
-               Some
-                 (Tuple.make ~fact:(Window.fr w) ~lineage ~iv:(Window.iv w)
-                    ~p:(Prob.compute env lineage))
-           | (Window.Overlapping | Window.Unmatched | Window.Negating), _ ->
-               None)
-    |> List.of_seq
-  in
-  Relation.of_tuples (result_schema "isect" r s) tuples
+  let tuples = ref [] in
+  Flat_join.iter ~stage:`Wo ~theta:(fact_equality r) r s (fun w ->
+      match (Window.kind w, Window.ls w) with
+      | Window.Overlapping, Some ls ->
+          let lineage = Formula.( &&& ) (Window.lr w) ls in
+          tuples :=
+            Tuple.make ~fact:(Window.fr w) ~lineage ~iv:(Window.iv w)
+              ~p:(Prob.compute env lineage)
+            :: !tuples
+      | (Window.Overlapping | Window.Unmatched | Window.Negating), _ -> ());
+  Relation.of_tuples (result_schema "isect" r s) (List.rev !tuples)
 
 (* Union: overlapping windows contribute λr ∨ λs once; unmatched windows of
    either side contribute that side's lineage. Negating windows are not
-   part of the union semantics and are never computed. *)
+   part of the union semantics: the r side never builds them, the s
+   side's are dropped. *)
 let union ?env r s =
   check_schemas "union" r s;
   let env = env_default env r s in
   let theta = fact_equality r in
-  let stream, tracker = Overlap.left_tracking ~theta r s in
-  let left = List.of_seq (Lawau.extend stream) in
-  let tuple_of ~fact ~lineage ~iv =
-    Tuple.make ~fact ~lineage ~iv ~p:(Prob.compute env lineage)
+  let tuple_of ~lineage w =
+    Tuple.make ~fact:(Window.fr w) ~lineage ~iv:(Window.iv w)
+      ~p:(Prob.compute env lineage)
   in
-  let left_tuples =
-    List.map
-      (fun w ->
-        match (Window.kind w, Window.ls w) with
-        | Window.Overlapping, Some ls ->
-            tuple_of ~fact:(Window.fr w)
-              ~lineage:(Formula.( ||| ) (Window.lr w) ls)
-              ~iv:(Window.iv w)
-        | (Window.Unmatched | Window.Overlapping | Window.Negating), _ ->
-            tuple_of ~fact:(Window.fr w) ~lineage:(Window.lr w)
-              ~iv:(Window.iv w))
-      left
-  in
-  (* Gaps of matched s tuples: mirror the overlapping windows and sweep. *)
-  let s_gaps =
-    List.filter (fun w -> Window.kind w = Window.Overlapping) left
-    |> List.map Window.mirror
-    |> List.sort Window.compare_group_start
-    |> List.to_seq |> Lawau.extend
-    |> Seq.filter_map (fun w ->
-           match Window.kind w with
-           | Window.Unmatched ->
-               Some
-                 (tuple_of ~fact:(Window.fr w) ~lineage:(Window.lr w)
-                    ~iv:(Window.iv w))
-           | Window.Overlapping | Window.Negating -> None)
-    |> List.of_seq
-  in
-  let s_spanning =
-    Overlap.unmatched_right tracker
-    |> Seq.map (fun w ->
-           tuple_of ~fact:(Window.fr w) ~lineage:(Window.lr w)
-             ~iv:(Window.iv w))
-    |> List.of_seq
-  in
+  let left = ref [] and s_gaps = ref [] and s_spanning = ref [] in
+  let add acc w = acc := tuple_of ~lineage:(Window.lr w) w :: !acc in
+  Flat_join.iter ~stage:`Wuo ~theta r s (fun w ->
+      match (Window.kind w, Window.ls w) with
+      | Window.Overlapping, Some ls ->
+          left := tuple_of ~lineage:(Formula.( ||| ) (Window.lr w) ls) w :: !left
+      | (Window.Unmatched | Window.Overlapping | Window.Negating), _ -> add left w);
+  (* The s side, grouped by s tuple: the gaps of the matched ones, then
+     the spanning windows of the never-matched ones. *)
+  Flat_join.iter_right ~theta r s
+    ~gaps:(fun w -> if Window.kind w = Window.Unmatched then add s_gaps w)
+    ~spanning:(add s_spanning);
   Relation.of_tuples (result_schema "union" r s)
-    (left_tuples @ s_gaps @ s_spanning)
+    (List.rev_append !left (List.rev_append !s_gaps (List.rev !s_spanning)))
 
 module Oracle = struct
   module Interval = Tpdb_interval.Interval
   module Timeline = Tpdb_interval.Timeline
 
   (* rows_at semantics per operation, glued over maximal runs like
-     Tpdb_joins.Reference. *)
+     Tpdb_oracle.Oracle.eval. *)
   let materialize ~env ~schema rows_at domain =
     let module Key = struct
       type t = Fact.t * Formula.t

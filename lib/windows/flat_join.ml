@@ -1,10 +1,9 @@
 (* The flat struct-of-arrays window pipeline: WO + WU + WN of each group
    derived in one event sweep over endpoint arrays (Tpdb_engine.Flat),
    every window handed to the pass's consumer in stream order as soon as
-   it is built. Output is window-for-window identical to the legacy
-   Overlap.left → Lawau.extend → Lawan.extend chain (a qcheck property
-   asserts it); the difference is the inner loop: index arithmetic over
-   unboxed int arrays instead of a Seq-of-records closure chain. *)
+   it is built. Every stage's output is the paper's Table I window set
+   (qcheck properties check it against Spec); the inner loop is index
+   arithmetic over unboxed int arrays. *)
 
 module Interval = Tpdb_interval.Interval
 module Formula = Tpdb_lineage.Formula
@@ -222,7 +221,7 @@ let group ctx scr emit ~out ~spanning r_tuple =
       if k = 0 then unmatched ~iv:rspan spanning
       else begin
         (* Window order within the group: intersection interval, then the
-           s tuple — the order the legacy probe sorts into. *)
+           s tuple ([ctx.order]). *)
         Buf.clear scr.ord;
         for x = 0 to k - 1 do
           Buf.push scr.ord x
@@ -300,8 +299,8 @@ let group ctx scr emit ~out ~spanning r_tuple =
              sorted: window order) and the sorted ends. At each event the
              segment since the previous one is a gap (LAWAU) when nothing
              covers it and a negating window (LAWAN) otherwise; windows
-             starting at the event follow it. That is exactly the legacy
-             stream order: LAWAU's gaps in front of the window bounding
+             starting at the event follow it. That is the paper's
+             pipeline order: LAWAU's gaps in front of the window bounding
              them, LAWAN's segments merged in by start, overlapping
              windows first on ties. *)
           Buf.clear scr.ends;
@@ -475,12 +474,11 @@ let count ?(stage = `Wuon) ~theta r s =
     (fun n r_tuple -> n + count_group ctx scr ~stage r_tuple)
     0 (Relation.tuples r)
 
-(* Partners of one s group in the legacy right pass's order: that pass
-   sorts the mirrored overlapping windows with [Window.compare_group_start]
-   — after the interval, by the r fact, then the normalized r lineage —
-   and its stable sort keeps the left pass's r group order on the
-   remaining ties. *)
-let mirrored_order a b =
+(* Partners of one s group on equal intersection intervals: by the r
+   fact, then the normalized r lineage, then the left pass's r group
+   order. This fixes the disjunct order of each negating window's λs,
+   hence the output lineage's text and its probability bits. *)
+let partner_order a b =
   let c = Fact.compare (Tuple.fact a) (Tuple.fact b) in
   if c <> 0 then c
   else
@@ -495,7 +493,7 @@ let right_pass ~sanitize ?env ~theta r s ~gaps ~spanning =
   let emit =
     { count_wo = false; build_wo = sanitize; gaps = true; negs = true }
   in
-  sweep ?env ~order:mirrored_order ~emit ~theta:(Theta.swap theta) ~out:gaps
+  sweep ?env ~order:partner_order ~emit ~theta:(Theta.swap theta) ~out:gaps
     ~spanning s r
 
 let iter_right ?env ~theta r s ~gaps ~spanning =

@@ -1,4 +1,5 @@
-(** The flat struct-of-arrays window pipeline (the default executor).
+(** The flat struct-of-arrays window pipeline: the join executor's one
+    sweep engine.
 
     Computes, per group (one probe tuple), the overlapping windows plus —
     depending on [stage] — the unmatched gaps (LAWAU) and the negating
@@ -8,11 +9,14 @@
     kernel supports the full temporal component of θ: [`Overlap] and
     all 13 [`Allen] relations ({!Tpdb_engine.Flat.window_range}).
 
-    Output is window-for-window identical (content and order) to the
-    legacy [Overlap.left] → [Lawau.extend] → [Lawan.extend] chain at the
-    corresponding stage, which {!Tpdb_joins.Nj.options} keeps as the
-    ablation baseline. The right side of an outer join is the same
-    kernel over [Theta.swap theta] with [s] as the probe side.
+    Each stage's windows are exactly the paper's Table I window sets
+    ({!Spec}). Within a group, windows come in the order of the paper's
+    pipeline: by start, each gap before the overlapping window it
+    precedes, a negating window after the overlapping windows it starts
+    with; overlapping windows of equal interval by the [s] tuple
+    ({!Tpdb_relation.Tuple.compare_fact_start}). The right side of an
+    outer join is the same kernel over [Theta.swap theta] with [s] as
+    the probe side.
 
     With [?env] (a statically safe plan) each build side carries its
     tuples' probabilities, [Prob.factorize env λ] of bare-variable
@@ -69,9 +73,11 @@ val iter_right :
     on [r]. The unmatched and negating windows of the [s] tuples with a
     match go to [gaps], the spanning windows of those without one to
     [spanning], each grouped by [s] tuple. Overlapping windows are
-    neither built nor counted (the left pass has them); a negating
-    window's partners come in the order of the legacy mirrored-window
-    sweep. *)
+    neither built nor counted (the left pass has them). A negating
+    window's partners, which fix the disjunct order of its λs and so
+    the output lineage's text and probability bits, come ordered by
+    intersection interval, then [r] fact, then normalized [r] lineage,
+    then {!Tpdb_relation.Tuple.compare_fact_start}. *)
 
 val right :
   ?sanitize:bool ->
@@ -89,5 +95,6 @@ val count : ?stage:stage -> theta:Theta.t -> Relation.t -> Relation.t -> int
     records, no lineage, no probe-order sort — the windows of each group
     are only {e counted} from one ascending event sweep over the match
     endpoints. This is the sweep core's raw throughput (the quantity the
-    bench regression gate holds ≥5x over the legacy chain) and the fast
-    path for count-only consumers. *)
+    bench regression gate holds above a floor relative to TA's
+    conventional outer join, {!Overlap.left}) and the fast path for
+    count-only consumers. *)

@@ -1,40 +1,29 @@
 (** Overlapping windows: the conventional outer join r ⟕(θo ∧ θ) s
-    (paper §III-A).
+    (paper §III-A), the building block of the Temporal Alignment baseline.
 
     Produces, grouped by [r] tuple and ordered by window start inside each
     group, one {e overlapping} window per θ-matching pair of tuples with
     intersecting intervals — plus one spanning {e unmatched} window for
     every [r] tuple that matches nothing at all (the outer part of the
-    join). Every window carries the original interval of its [r] tuple, as
-    the paper requires for the later LAWAU sweep.
+    join). Every window carries the original interval of its [r] tuple.
+    The NJ executor derives the same windows in its flat sweep
+    ({!Flat_join}, stage [`Wo]).
 
-    With an equality atom in θ the build side is hash-partitioned on the
-    join key and each [r] tuple probes only its bucket; [`Merge]
-    additionally keeps every bucket sorted by interval start and cuts each
-    probe off at the first start point past the probing tuple's end (in
-    the spirit of the sorted/partitioned interval joins the paper cites);
-    [`Index] builds an interval tree per bucket and answers each probe in
-    O(log n + matches); [`Nested_loop] forces the quadratic plan (used by
-    the ablation bench and by the TA baseline's cost model). All four
-    produce identical window streams. *)
+    With an equality atom in θ, [`Hash] partitions the build side on the
+    join key and each [r] tuple probes only its bucket; [`Nested_loop]
+    forces the quadratic plan, the one PostgreSQL picks for TA's
+    queries. Both produce identical window streams. *)
 
-type algorithm = [ `Flat | `Hash | `Merge | `Index | `Nested_loop ]
-(** [`Flat] selects the struct-of-arrays pipeline ({!Flat_join}) — the
-    default; {!Tpdb_joins.Nj} dispatches it before this module is
-    reached. Passed directly to this module (the TA baseline does), it
-    behaves like [`Hash]. The other four are the legacy Seq-of-records
-    paths, kept as ablation baselines and oracle configurations. *)
+type algorithm = [ `Hash | `Nested_loop ]
 
 val left :
   ?algorithm:algorithm ->
-  ?sanitize:bool ->
   theta:Theta.t ->
   Tpdb_relation.Relation.t ->
   Tpdb_relation.Relation.t ->
   Window.t Seq.t
-(** The stream is re-computed on every traversal. With [~sanitize:true]
-    the stream is wrapped in {!Invariant.wrap} at stage
-    {!Invariant.Overlap} (default [false]). *)
+(** [algorithm] defaults to [`Hash]. The stream is re-computed on every
+    traversal. *)
 
 val prober :
   ?algorithm:algorithm ->
@@ -45,23 +34,4 @@ val prober :
 (** [prober ~theta s] prepares the build side once (hash partition on the
     equi-key, or the bare tuple list for nested loop) and returns the
     probe: every [s] tuple that θ-matches and temporally overlaps the
-    argument. This is the conventional-join building block; the TA
-    baseline calls it once per pass, NJ exactly once. *)
-
-type right_tracker
-(** Remembers which [s] tuples matched at least once, so a full outer join
-    can emit spanning unmatched windows for the never-matched ones without
-    a second join pass. *)
-
-val left_tracking :
-  ?algorithm:algorithm ->
-  ?sanitize:bool ->
-  theta:Theta.t ->
-  Tpdb_relation.Relation.t ->
-  Tpdb_relation.Relation.t ->
-  Window.t Seq.t * right_tracker
-
-val unmatched_right : right_tracker -> Window.t Seq.t
-(** Spanning unmatched windows (grouped per [s] tuple) of the [s] tuples
-    that matched no [r] tuple. Only meaningful after the main stream has
-    been drained; raises [Invalid_argument] before that. *)
+    argument. The TA baseline calls it once per pass. *)

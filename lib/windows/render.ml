@@ -110,9 +110,7 @@ let join_picture ?(max_width = 60) ~theta r s =
     | Some span -> span
     | None -> Interval.make 0 1
   in
-  let pipeline =
-    List.of_seq (Lawan.extend (Lawau.extend (Overlap.left ~theta r s)))
-  in
+  let pipeline = Array.to_list (Flat_join.windows ~stage:`Wuon ~theta r s) in
   String.concat "\n"
     [
       relation ~max_width r;

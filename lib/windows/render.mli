@@ -17,5 +17,6 @@ val windows : ?max_width:int -> span:Interval.t -> Window.t list -> string
 val join_picture :
   ?max_width:int -> theta:Theta.t -> Relation.t -> Relation.t -> string
 (** The full picture: both inputs' tuples, then every generalized window
-    of [r] w.r.t. [s] produced by the Overlap → LAWAU → LAWAN pipeline —
-    the machine-generated analogue of the paper's Fig. 2. *)
+    of [r] w.r.t. [s] (the flat pipeline's WUON stage: overlapping, then
+    LAWAU's gaps and LAWAN's negating windows) — the machine-generated
+    analogue of the paper's Fig. 2. *)

@@ -2,8 +2,8 @@
 
     Everything here evaluates the definitions {e pointwise} over the
     discrete timeline — quadratic and meant for tests, where it serves as
-    the ground-truth oracle against which {!Overlap}, {!Lawau} and
-    {!Lawan} are verified. *)
+    the ground-truth oracle against which {!Flat_join}'s stages and
+    {!Overlap} are verified. *)
 
 module Interval = Tpdb_interval.Interval
 module Formula = Tpdb_lineage.Formula

@@ -56,22 +56,6 @@ let ls w = w.ls
 let rspan w = w.rspan
 let p w = w.p
 
-let mirror w =
-  match (w.kind, w.fs, w.ls, w.sspan) with
-  | Overlapping, Some fs, Some ls, Some sspan ->
-      {
-        kind = Overlapping;
-        fr = fs;
-        fs = Some w.fr;
-        iv = w.iv;
-        lr = ls;
-        ls = Some w.lr;
-        rspan = sspan;
-        sspan = Some w.rspan;
-        p = Float.nan;
-      }
-  | _ -> invalid_arg "Window.mirror: not an overlapping window"
-
 let same_group a b =
   Interval.equal a.rspan b.rspan
   && Fact.equal a.fr b.fr

@@ -82,12 +82,6 @@ val rspan : t -> Interval.t
 val p : t -> float
 (** The precomputed output probability, or [nan]. *)
 
-val mirror : t -> t
-(** Swaps the two sides of an {e overlapping} window, so that the result
-    is grouped and spanned by the original [s] tuple ([p] resets to
-    [nan]: the conjunction's order changes). Raises [Invalid_argument]
-    on unmatched/negating windows. *)
-
 val same_group : t -> t -> bool
 (** Two windows belong to the same LAWAU/LAWAN group iff they stem from
     the same spanning [r] tuple: equal [fr], [lr] and [rspan]. *)

@@ -128,7 +128,6 @@ let hand_join theta =
   Physical.Tp_join
     {
       kind = Nj.Inner;
-      algorithm = `Hash;
       parallelism = 1;
       sanitize = false;
       prob_cache = true;

@@ -115,7 +115,6 @@ let hand_join ?(kind = Nj.Inner) ?(theta = Theta.eq 0 0) left right =
   Physical.Tp_join
     {
       kind;
-      algorithm = `Hash;
       parallelism = 1;
       sanitize = false;
       prob_cache = true;

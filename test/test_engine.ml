@@ -1,52 +1,6 @@
-module Operator = Tpdb_engine.Operator
 module Grouping = Tpdb_engine.Grouping
 module Hash_partition = Tpdb_engine.Hash_partition
 module Heap = Tpdb_engine.Heap
-
-(* --- Operator --- *)
-
-let test_operator_basics () =
-  let op =
-    Operator.of_list [ 1; 2; 3; 4 ]
-    |> Operator.filter (fun x -> x mod 2 = 0)
-    |> Operator.map (fun x -> x * 10)
-  in
-  Alcotest.(check (list int)) "map/filter pipeline" [ 20; 40 ]
-    (Operator.to_list op)
-
-let test_operator_rescan () =
-  let op = Operator.of_list [ 3; 1; 2 ] |> Operator.sort Int.compare in
-  Operator.open_ op;
-  Alcotest.(check (option int)) "first" (Some 1) (Operator.next op);
-  Alcotest.(check (option int)) "second" (Some 2) (Operator.next op);
-  (* Re-open rescans from the start, as a nested loop would. *)
-  Operator.open_ op;
-  Alcotest.(check (option int)) "rescan first" (Some 1) (Operator.next op);
-  Alcotest.(check (option int)) "rescan second" (Some 2) (Operator.next op);
-  Alcotest.(check (option int)) "rescan third" (Some 3) (Operator.next op);
-  Alcotest.(check (option int)) "exhausted" None (Operator.next op)
-
-let test_operator_counted () =
-  let op, count = Operator.counted (Operator.of_list [ 1; 2; 3 ]) in
-  Alcotest.(check int) "before" 0 (count ());
-  ignore (Operator.to_list op);
-  Alcotest.(check int) "after" 3 (count ())
-
-let test_operator_pipelining () =
-  (* The pipeline must not force its input beyond what is consumed. *)
-  let forced = ref 0 in
-  let source () =
-    Seq.map
-      (fun x ->
-        incr forced;
-        x)
-      (List.to_seq [ 1; 2; 3; 4; 5 ])
-  in
-  let op = Operator.of_seq source |> Operator.map (fun x -> x + 1) in
-  Operator.open_ op;
-  ignore (Operator.next op);
-  ignore (Operator.next op);
-  Alcotest.(check int) "only consumed prefix forced" 2 !forced
 
 (* --- Grouping --- *)
 
@@ -80,10 +34,7 @@ let test_hash_partition () =
   Alcotest.(check (list string)) "bucket order stable" [ "aa"; "cc" ]
     (Hash_partition.probe part 2);
   Alcotest.(check (list string)) "missing key" [] (Hash_partition.probe part 9);
-  Alcotest.(check int) "distinct keys" 3 (Hash_partition.size part);
-  Hash_partition.map_buckets List.rev part;
-  Alcotest.(check (list string)) "map_buckets" [ "cc"; "aa" ]
-    (Hash_partition.probe part 2)
+  Alcotest.(check int) "distinct keys" 3 (Hash_partition.size part)
 
 (* --- Heap --- *)
 
@@ -97,28 +48,6 @@ let test_heap_basics () =
   Alcotest.(check (option int)) "pop duplicate" (Some 1) (Heap.pop h);
   Heap.clear h;
   Alcotest.(check (option int)) "cleared" None (Heap.pop h)
-
-(* --- Interval tree --- *)
-
-module Interval = Tpdb_interval.Interval
-module Interval_tree = Tpdb_engine.Interval_tree
-
-let test_interval_tree_basics () =
-  let iv = Interval.make in
-  let tree =
-    Interval_tree.build snd
-      [ ("a", iv 0 4); ("b", iv 2 6); ("c", iv 8 10); ("d", iv 3 9) ]
-  in
-  Alcotest.(check int) "size" 4 (Interval_tree.size tree);
-  let names q = List.map fst (Interval_tree.overlapping tree q) in
-  Alcotest.(check (list string)) "overlap query" [ "a"; "b"; "d" ] (names (iv 1 4));
-  Alcotest.(check (list string)) "right edge excluded" [ "b"; "d"; "c" ]
-    (names (iv 4 9));
-  Alcotest.(check (list string)) "stabbing" [ "b"; "d" ]
-    (List.map fst (Interval_tree.stabbing tree 5));
-  Alcotest.(check (list string)) "no hit" [] (names (iv 20 30));
-  Alcotest.(check (list string)) "empty tree" []
-    (List.map fst (Interval_tree.overlapping (Interval_tree.build snd []) (iv 0 5)))
 
 (* --- Pool --- *)
 
@@ -232,30 +161,6 @@ let test_parallel_equi_join () =
 
 open QCheck2
 
-let prop_interval_tree_matches_naive =
-  Test.make ~name:"interval tree = naive overlap scan" ~count:300
-    Gen.(
-      pair
-        (list_size (int_range 0 40)
-           (pair (int_range 0 30) (int_range 1 8)))
-        (pair (int_range 0 30) (int_range 1 8)))
-    (fun (raw_items, (qs, qd)) ->
-      let items =
-        List.mapi
-          (fun i (ts, d) -> (i, Tpdb_interval.Interval.make ts (ts + d)))
-          raw_items
-      in
-      let query = Tpdb_interval.Interval.make qs (qs + qd) in
-      let tree = Interval_tree.build snd items in
-      let naive =
-        List.filter
-          (fun (_, span) -> Tpdb_interval.Interval.overlaps span query)
-          (List.stable_sort
-             (fun (_, a) (_, b) -> Tpdb_interval.Interval.compare a b)
-             items)
-      in
-      Interval_tree.overlapping tree query = naive)
-
 let prop_heap_sorts =
   Test.make ~name:"heap pops in sorted order" ~count:200
     Gen.(list_size (int_range 0 50) (int_range (-100) 100))
@@ -318,22 +223,16 @@ let qcheck = QCheck_alcotest.to_alcotest ~speed_level:`Quick
 
 let suite =
   [
-    Alcotest.test_case "operator map/filter" `Quick test_operator_basics;
-    Alcotest.test_case "operator sort + rescan" `Quick test_operator_rescan;
-    Alcotest.test_case "operator instrumentation" `Quick test_operator_counted;
-    Alcotest.test_case "operator pipelining" `Quick test_operator_pipelining;
     Alcotest.test_case "grouping runs" `Quick test_runs;
     Alcotest.test_case "grouping map_runs" `Quick test_map_runs;
     Alcotest.test_case "hash partition" `Quick test_hash_partition;
     Alcotest.test_case "heap basics" `Quick test_heap_basics;
-    Alcotest.test_case "interval tree" `Quick test_interval_tree_basics;
     Alcotest.test_case "pool map" `Quick test_pool_map;
     Alcotest.test_case "pool exception propagation" `Quick test_pool_exception;
     Alcotest.test_case "pool shutdown" `Quick test_pool_shutdown;
     Alcotest.test_case "shard2 partitioning" `Quick test_shard2;
     Alcotest.test_case "grouped k-way merge" `Quick test_merge_grouped;
     Alcotest.test_case "partitioned equi join" `Quick test_parallel_equi_join;
-    qcheck prop_interval_tree_matches_naive;
     qcheck prop_heap_sorts;
     qcheck prop_merge_grouped_is_fold;
     qcheck prop_runs_concat;

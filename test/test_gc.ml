@@ -14,6 +14,10 @@ module Planner = Tpdb_query.Planner
 module Nj = Tpdb_joins.Nj
 module Theta = Tpdb_windows.Theta
 module Gc_events = Tpdb_obs.Gc_events
+module Formula = Tpdb_lineage.Formula
+module Var = Tpdb_lineage.Var
+module Prob = Tpdb_lineage.Prob
+module Parallel = Tpdb_engine.Parallel
 module Server = Tpdb_server_lib.Server
 module Client = Tpdb_server_lib.Client
 
@@ -95,6 +99,37 @@ let test_server_cycle () =
           (Client.query client (Printf.sprintf "SELECT * FROM r %s s ON r.File = s.File" op)).Client.text)
         four)
 
+(* Exact probability goes through a BDD with one level per variable.
+   The formula, (x0 ∧ x1) ∨ x299 ∨ … ∨ x1, is not read-once (x1 occurs
+   twice), and its BDD builds in linear time, so no minor collection
+   runs before the probability sweep. Each run takes 300 fresh
+   variables, so the manager's first variable is still young, as it is
+   for a lineage the request has just built. *)
+let test_bdd_levels () =
+  let next = ref 0 in
+  check_no_forced "Prob.exact over 300 fresh variables" (fun () ->
+      let base = !next in
+      next := base + 300;
+      let x i = Formula.var (Var.make "gc" (base + i)) in
+      Prob.exact
+        (fun _ -> 0.5)
+        (Formula.disj
+           (Formula.conj [ x 0; x 1 ] :: List.init 299 (fun i -> x (299 - i)))))
+
+(* Sharding only buckets the inputs: it starts no domain. *)
+let test_shard2_partitions () =
+  check_no_forced "shard2 into 300 partitions" (fun () ->
+      Parallel.shard2 ~partitions:300 ~left_key:Fun.id ~right_key:Fun.id
+        [ 1; 2; 3 ] [ 4; 5; 6 ])
+
+(* The whole parallel join at 300 partitions, on the shared pool's fixed
+   workers. *)
+let test_many_partitions_join () =
+  let r, s = Datasets.Webkit.pair ~seed:7 400 in
+  let options = Nj.options ~sanitize:false ~parallelism:300 () in
+  check_no_forced "parallelism 300 join" (fun () ->
+      render (Nj.join ~options ~kind:Nj.Full ~theta:(Theta.eq 0 0) r s))
+
 let suite =
   [
     Alcotest.test_case "Csv.load forces no minor collection" `Quick test_csv_load;
@@ -103,4 +138,9 @@ let suite =
     Alcotest.test_case "parallel join forces no minor collection" `Quick test_parallel_join;
     Alcotest.test_case "WHERE/timeslice forces no minor collection" `Quick test_where_timeslice;
     Alcotest.test_case "server cycle forces no minor collection" `Quick test_server_cycle;
+    Alcotest.test_case "300-variable BDD forces no minor collection" `Quick test_bdd_levels;
+    Alcotest.test_case "300-way shard2 forces no minor collection" `Quick
+      test_shard2_partitions;
+    Alcotest.test_case "300-way join forces no minor collection" `Quick
+      test_many_partitions_join;
   ]

@@ -563,7 +563,6 @@ let paper_plan ?(kind = Nj.Left) ?(parallelism = 1) ?(sanitize = false) () =
   Physical.Tp_join
     {
       kind;
-      algorithm = `Hash;
       parallelism;
       sanitize;
       prob_cache = true;
@@ -680,7 +679,6 @@ let test_analyze_window_annotations () =
     Physical.Tp_join
       {
         kind = Nj.Left;
-        algorithm = `Hash;
         parallelism = 1;
         sanitize = false;
         prob_cache = true;

@@ -15,7 +15,6 @@ module Tuple = Tpdb_relation.Tuple
 module Fact = Tpdb_relation.Fact
 module Theta = Tpdb_windows.Theta
 module Nj = Tpdb_joins.Nj
-module Reference = Tpdb_joins.Reference
 module Oracle = Tpdb_oracle.Oracle
 module Metrics = Tpdb_obs.Metrics
 
@@ -72,22 +71,7 @@ let test_paper_example () =
           (Nj.kind_name kind)
           (Format.asprintf "%a" Relation.pp want)
           (Format.asprintf "%a" Relation.pp got))
-    Nj.all_kinds;
-  List.iter
-    (fun (name, kind, reference) ->
-      let want = reference ?env:None ~theta a b in
-      let got = Oracle.eval ~kind ~theta a b in
-      if not (Relation.equal_as_sets want got) then
-        Alcotest.failf "%s: oracle disagrees with Reference:\n%s\nvs\n%s" name
-          (Format.asprintf "%a" Relation.pp want)
-          (Format.asprintf "%a" Relation.pp got))
-    [
-      ("inner", Nj.Inner, Reference.inner);
-      ("anti", Nj.Anti, Reference.anti);
-      ("left", Nj.Left, Reference.left_outer);
-      ("right", Nj.Right, Reference.right_outer);
-      ("full", Nj.Full, Reference.full_outer);
-    ]
+    Nj.all_kinds
 
 (* --- the diff catches seeded defects of every class --- *)
 
@@ -211,19 +195,13 @@ let differential ?(configs = axis_configs) ?(count = 120) kind =
                (List.map (Oracle.report ~theta) ds
                @ [ print_scenario (theta, r, s) ])))
 
-(* The remaining shipped axes (sanitizer, legacy hash/merge/index
-   algorithms) at a lower count, all kinds per case. *)
+(* The remaining shipped axis (the sanitizer, sequential and parallel)
+   at a lower count, all kinds per case. *)
 let differential_full_matrix =
   let configs =
-    [
-      Oracle.config ~sanitize:true ();
-      Oracle.config ~jobs:2 ~sanitize:true ();
-      Oracle.config ~algorithm:`Hash ();
-      Oracle.config ~algorithm:`Merge ();
-      Oracle.config ~algorithm:`Index ();
-    ]
+    [ Oracle.config ~sanitize:true (); Oracle.config ~jobs:2 ~sanitize:true () ]
   in
-  Test.make ~name:"differential: all kinds under sanitize/hash/merge/index"
+  Test.make ~name:"differential: all kinds under sanitize"
     ~count:40 ~print:print_scenario
     (Tp_gen.scenario_gen ())
     (fun (theta, r, s) ->

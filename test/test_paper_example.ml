@@ -4,9 +4,6 @@
 
 open Fixtures
 module Window = Tpdb_windows.Window
-module Overlap = Tpdb_windows.Overlap
-module Lawau = Tpdb_windows.Lawau
-module Lawan = Tpdb_windows.Lawan
 module Nj = Tpdb_joins.Nj
 module Oracle = Tpdb_oracle.Oracle
 

@@ -20,7 +20,6 @@ let join kind =
   Physical.Tp_join
     {
       kind;
-      algorithm = `Hash;
       parallelism = 1;
       sanitize = false;
       prob_cache = true;

@@ -204,21 +204,6 @@ let test_sql_set_operation () =
   let via_sql = Planner.run_string c "SELECT * FROM r UNION SELECT * FROM s" in
   Fixtures.check_relation "sql union = api" (Set_ops.union r s) via_sql
 
-let test_planner_algorithm_choice () =
-  let c = catalog () in
-  let explain sql = Planner.explain (Planner.plan c (Parser.parse sql)) in
-  let equi = explain "SELECT * FROM a TPJOIN b ON a.Loc = b.Loc" in
-  let contains needle haystack =
-    let nl = String.length needle and hl = String.length haystack in
-    let rec at i = i + nl <= hl && (String.sub haystack i nl = needle || at (i + 1)) in
-    at 0
-  in
-  Alcotest.(check bool) "equi-join runs on the flat core" true
-    (contains "overlap[flat]" equi);
-  let nested = explain "SELECT * FROM a TPJOIN b ON a.Name <> b.Hotel" in
-  Alcotest.(check bool) "inequality also runs on the flat core" true
-    (contains "overlap[flat]" nested)
-
 let test_sql_distinct () =
   (* DISTINCT Loc over relation a: one tuple per location per maximal
      witness-constant interval, lineages disjoined. *)
@@ -562,7 +547,6 @@ let suite =
     Alcotest.test_case "where + projection" `Quick test_sql_where_and_projection;
     Alcotest.test_case "constant in theta" `Quick test_sql_constant_condition;
     Alcotest.test_case "sql set operation" `Quick test_sql_set_operation;
-    Alcotest.test_case "planner algorithm choice" `Quick test_planner_algorithm_choice;
     Alcotest.test_case "sql distinct" `Quick test_sql_distinct;
     Alcotest.test_case "sql slices (AT / DURING)" `Quick test_sql_slices;
     Alcotest.test_case "round-trip new syntax" `Quick test_sql_roundtrip_new_syntax;

@@ -5,8 +5,6 @@ module Fact = Tpdb_relation.Fact
 module Theta = Tpdb_windows.Theta
 module Window = Tpdb_windows.Window
 module Overlap = Tpdb_windows.Overlap
-module Lawau = Tpdb_windows.Lawau
-module Lawan = Tpdb_windows.Lawan
 module Flat_join = Tpdb_windows.Flat_join
 module Spec = Tpdb_windows.Spec
 module Tuple = Tpdb_relation.Tuple
@@ -65,19 +63,12 @@ let test_window_invariants () =
   (match Window.unmatched ~fr ~iv:(iv 0 9) ~lr ~rspan:(iv 2 5) () with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "window outside rspan accepted");
-  let w =
-    Window.overlapping ~fr ~fs:(Fact.of_strings [ "y" ]) ~iv:(iv 3 5) ~lr
-      ~ls:(Formula.of_string "b1") ~rspan:(iv 2 5) ~sspan:(iv 3 8) ()
-  in
-  let m = Window.mirror w in
-  Alcotest.(check bool) "mirror swaps facts" true
-    (Fact.equal (Window.fr m) (Fact.of_strings [ "y" ]));
-  Alcotest.(check bool) "mirror swaps spans" true
-    (Interval.equal (Window.rspan m) (iv 3 8));
-  Alcotest.(check bool) "mirror involutive" true (Window.equal w (Window.mirror m));
-  match Window.mirror (Window.unmatched ~fr ~iv:(iv 2 5) ~lr ~rspan:(iv 2 5) ()) with
+  match
+    Window.overlapping ~fr ~fs:(Fact.of_strings [ "y" ]) ~iv:(iv 3 6) ~lr
+      ~ls:(Formula.of_string "b1") ~rspan:(iv 2 8) ~sspan:(iv 4 8) ()
+  with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "mirrored unmatched window"
+  | _ -> Alcotest.fail "window outside sspan accepted"
 
 (* --- LAWAU: the five ending-point cases of Fig. 3 ---
    Single r tuple [0,10); s tuples arranged per case. Join on K. *)
@@ -93,11 +84,7 @@ let lawau_case ~s_rows ~expected_unmatched () =
     "unmatched gaps"
     (List.map Interval.to_string expected_unmatched)
     (unmatched
-       (Array.to_list (Flat_join.windows ~stage:`Wuo ~theta:theta_k r s)));
-  Alcotest.(check (list string))
-    "legacy unmatched gaps"
-    (List.map Interval.to_string expected_unmatched)
-    (unmatched (List.of_seq (Lawau.extend (Overlap.left ~theta:theta_k r s))))
+       (Array.to_list (Flat_join.windows ~stage:`Wuo ~theta:theta_k r s)))
 
 let test_lawau_no_overlap =
   (* Case: r matches nothing; the spanning unmatched window comes from the
@@ -124,14 +111,6 @@ let test_lawau_nested_overlaps =
      reopen a gap (cursor keeps the max ending point). *)
   lawau_case ~s_rows:[ iv 0 8; iv 2 4; iv 9 10 ] ~expected_unmatched:[ iv 8 9 ]
 
-let test_lawau_idempotent () =
-  let r = rel "r" [ ([ "x" ], iv 0 10, 0.5); ([ "y" ], iv 2 6, 0.5) ] in
-  let s = rel "s" [ ([ "x" ], iv 3 5, 0.5) ] in
-  let once = List.of_seq (Lawau.extend (Overlap.left ~theta:theta_k r s)) in
-  let twice = List.of_seq (Lawau.extend (List.to_seq once)) in
-  Alcotest.(check int) "same size" (List.length once) (List.length twice);
-  Alcotest.(check bool) "same windows" true (List.for_all2 Window.equal once twice)
-
 (* --- LAWAN: the ending-point cases of Fig. 4 --- *)
 
 let lawan_case ~s_rows ~expected () =
@@ -150,10 +129,7 @@ let lawan_case ~s_rows ~expected () =
   in
   Alcotest.(check (list (pair string string))) "negating windows" expected
     (negating
-       (Array.to_list (Flat_join.windows ~stage:`Wuon ~theta:theta_k r s)));
-  Alcotest.(check (list (pair string string))) "legacy negating windows" expected
-    (negating
-       (List.of_seq (Lawan.extend (Lawau.extend (Overlap.left ~theta:theta_k r s)))))
+       (Array.to_list (Flat_join.windows ~stage:`Wuon ~theta:theta_k r s)))
 
 let test_lawan_single =
   (* One matching tuple: a single negating window over the overlap. *)
@@ -209,10 +185,7 @@ let test_flat_stream_order_unit () =
   in
   let strings ws = List.map Window.to_string ws in
   Alcotest.(check (list string)) "WUON stream" expected
-    (strings (Array.to_list (Flat_join.windows ~stage:`Wuon ~theta:theta_k r s)));
-  Alcotest.(check (list string)) "legacy WUON stream" expected
-    (strings
-       (List.of_seq (Lawan.extend (Lawau.extend (Overlap.left ~theta:theta_k r s)))))
+    (strings (Array.to_list (Flat_join.windows ~stage:`Wuon ~theta:theta_k r s)))
 
 (* --- Render --- *)
 
@@ -347,25 +320,6 @@ let spec_right ~theta r s =
   in
   (gaps, spanning)
 
-(* --- the flat right pass against the mirrored legacy sweep --- *)
-
-(* The right side of an outer join as the executor derived it before the
-   flat right pass, kept as the oracle: the tracking sweep's overlapping
-   windows, mirrored, re-sorted and extended by LAWAU/LAWAN, then the
-   spanning windows of the s tuples the tracker never saw match. *)
-let legacy_right ?sanitize ~theta r s =
-  let stream, tracker = Overlap.left_tracking ?sanitize ~theta r s in
-  let gaps =
-    List.of_seq stream
-    |> List.filter (fun w -> Window.kind w = Window.Overlapping)
-    |> List.map Window.mirror
-    |> List.sort Window.compare_group_start
-    |> List.to_seq |> Lawau.extend ?sanitize |> Lawan.extend ?sanitize
-    |> Seq.filter (fun w -> Window.kind w <> Window.Overlapping)
-    |> List.of_seq
-  in
-  (gaps, List.of_seq (Overlap.unmatched_right tracker))
-
 (* Equality down to the disjunct order of a negating window's λs. *)
 let same_window a b =
   Window.kind a = Window.kind b
@@ -381,11 +335,6 @@ let same_windows expected actual =
   List.length expected = List.length actual
   && List.for_all2 same_window expected actual
 
-let right_matches_legacy ?sanitize ~theta r s =
-  let gaps, spanning = legacy_right ?sanitize ~theta r s in
-  let gaps', spanning' = Flat_join.right ?sanitize ~theta r s in
-  same_windows gaps gaps' && same_windows spanning spanning'
-
 let right_matches_spec ?sanitize ~theta r s =
   let gaps, spanning = spec_right ~theta r s in
   let gaps', spanning' = Flat_join.right ?sanitize ~theta r s in
@@ -393,8 +342,8 @@ let right_matches_spec ?sanitize ~theta r s =
 
 (* Null keys never match, on either side; an r fact repeated with
    overlapping intervals (not duplicate-free, on purpose) puts two
-   partners on one intersection interval, where the legacy sort orders
-   them by normalized lineage rather than by interval. *)
+   partners on one intersection interval, where the executor orders them
+   by normalized lineage. *)
 let test_flat_right_nulls_and_ties () =
   let tuple tag i key ts te =
     Tuple.make
@@ -424,13 +373,9 @@ let test_flat_right_nulls_and_ties () =
         (right_matches_spec ~theta r s);
       Alcotest.(check bool) "sanitized right pass = Spec" true
         (right_matches_spec ~sanitize:true ~theta r s);
-      Alcotest.(check bool) "right pass = legacy" true
-        (right_matches_legacy ~theta r s);
-      Alcotest.(check bool) "sanitized right pass = legacy" true
-        (right_matches_legacy ~sanitize:true ~theta r s);
       let gaps, spanning = Flat_join.right ~theta r s in
       Alcotest.(check (list string))
-        "one negating window, partners in the legacy order"
+        "one negating window, partners in lineage order"
         [ "r2 | r3" ]
         (List.filter_map
            (fun w -> Option.map Formula.to_string_ascii (Window.ls w))
@@ -445,14 +390,8 @@ open QCheck2
 
 let qtest = QCheck_alcotest.to_alcotest ~speed_level:`Quick
 
-let legacy_windows theta r s =
-  List.of_seq (Lawan.extend (Lawau.extend (Overlap.left ~theta r s)))
-
 let flat_windows ?(stage = `Wuon) theta r s =
   Array.to_list (Flat_join.windows ~stage ~theta r s)
-
-(* Both pipelines, so that each Spec property checks the two *)
-let pipelines = [ legacy_windows; flat_windows ?stage:None ]
 
 (* A sort that keeps duplicates: a pipeline that emits a window twice
    must not compare equal to the definitions. *)
@@ -467,10 +406,7 @@ let prop_pipeline_matches_spec =
     ~print:Tp_gen.print_triple
     (Tp_gen.scenario_gen ())
     (fun (theta, r, s) ->
-      List.for_all
-        (fun pipeline ->
-          windows_equal (pipeline theta r s) (Spec.windows ~theta r s))
-        pipelines)
+      windows_equal (flat_windows theta r s) (Spec.windows ~theta r s))
 
 let prop_each_window_satisfies_definition =
   Test.make ~name:"every produced window satisfies its definition" ~count:150
@@ -478,15 +414,12 @@ let prop_each_window_satisfies_definition =
     (Tp_gen.scenario_gen ())
     (fun (theta, r, s) ->
       List.for_all
-        (fun pipeline ->
-          List.for_all
-            (fun w ->
-              match Window.kind w with
-              | Window.Overlapping -> Spec.is_overlapping_window ~theta r s w
-              | Window.Unmatched -> Spec.is_unmatched_window ~theta r s w
-              | Window.Negating -> Spec.is_negating_window ~theta r s w)
-            (pipeline theta r s))
-        pipelines)
+        (fun w ->
+          match Window.kind w with
+          | Window.Overlapping -> Spec.is_overlapping_window ~theta r s w
+          | Window.Unmatched -> Spec.is_unmatched_window ~theta r s w
+          | Window.Negating -> Spec.is_negating_window ~theta r s w)
+        (flat_windows theta r s))
 
 let prop_group_partition =
   Test.make
@@ -494,8 +427,7 @@ let prop_group_partition =
     ~count:150 ~print:Tp_gen.print_triple
     (Tp_gen.scenario_gen ())
     (fun (theta, r, s) ->
-      List.for_all (fun pipeline ->
-      let windows = pipeline theta r s in
+      let windows = flat_windows theta r s in
       List.for_all
         (fun tp ->
           let mine =
@@ -516,38 +448,16 @@ let prop_group_partition =
             | i :: rest -> Interval.ts i = cursor && covers (Interval.te i) rest
           in
           covers (Interval.ts (Tpdb_relation.Tuple.iv tp)) sorted)
-        (Relation.tuples r)) pipelines)
+        (Relation.tuples r))
 
+(* TA's two probes for the conventional outer join. *)
 let prop_hash_equals_nested_loop =
-  Test.make ~name:"hash, merge and nested-loop overlap joins agree" ~count:150
+  Test.make ~name:"hash and nested-loop overlap joins agree" ~count:150
     ~print:Tp_gen.print_triple
     (Tp_gen.scenario_gen ())
     (fun (theta, r, s) ->
       let run algorithm = List.of_seq (Overlap.left ~algorithm ~theta r s) in
-      let hash = run `Hash in
-      windows_equal hash (run `Nested_loop)
-      && windows_equal hash (run `Merge)
-      && windows_equal hash (run `Index))
-
-(* The tentpole equivalence: the one-pass flat struct-of-arrays pipeline
-   produces the same window stream — content AND order — as the legacy
-   three-stage Seq chain, at every stage depth. *)
-let prop_flat_equals_legacy =
-  Test.make ~name:"flat pipeline = legacy chain at every stage" ~count:150
-    ~print:Tp_gen.print_triple
-    (Tp_gen.scenario_gen ())
-    (fun (theta, r, s) ->
-      let legacy_wo = List.of_seq (Overlap.left ~theta r s) in
-      let legacy_wuo =
-        List.of_seq (Lawau.extend (List.to_seq legacy_wo))
-      in
-      let legacy_wuon =
-        List.of_seq (Lawan.extend (List.to_seq legacy_wuo))
-      in
-      let flat stage = Array.to_list (Flat_join.windows ~stage ~theta r s) in
-      windows_equal legacy_wo (flat `Wo)
-      && windows_equal legacy_wuo (flat `Wuo)
-      && windows_equal legacy_wuon (flat `Wuon))
+      windows_equal (run `Hash) (run `Nested_loop))
 
 (* Each stage of the flat pipeline against the definitions: [`Wo] is the
    conventional outer join (the overlapping windows, plus one spanning
@@ -629,8 +539,8 @@ let right_theta_gen =
   in
   return (Theta.with_temporal temporal theta)
 
-let prop_flat_right_equals_legacy =
-  Test.make ~name:"flat right pass = legacy mirrored sweep, in order"
+let prop_flat_right_equals_spec =
+  Test.make ~name:"flat right pass = Spec, in executor order"
     ~count:200 ~print:Tp_gen.print_triple
     Gen.(
       map
@@ -638,9 +548,7 @@ let prop_flat_right_equals_legacy =
         (pair right_theta_gen (Tp_gen.pair_gen ())))
     (fun (theta, r, s) ->
       right_matches_spec ~theta r s
-      && right_matches_spec ~sanitize:true ~theta r s
-      && right_matches_legacy ~theta r s
-      && right_matches_legacy ~sanitize:true ~theta r s)
+      && right_matches_spec ~sanitize:true ~theta r s)
 
 (* Every window the sweep prices carries the very float
    [Prob.factorize] returns for its output lineage; over base relations
@@ -673,14 +581,13 @@ let suite =
     Alcotest.test_case "theta matches" `Quick test_theta_matches;
     Alcotest.test_case "theta equi/residual split" `Quick test_theta_split;
     Alcotest.test_case "theta swap" `Quick test_theta_swap;
-    Alcotest.test_case "window invariants + mirror" `Quick test_window_invariants;
+    Alcotest.test_case "window invariants" `Quick test_window_invariants;
     Alcotest.test_case "LAWAU: fully unmatched tuple" `Quick test_lawau_no_overlap;
     Alcotest.test_case "LAWAU: gap before overlap (Fig3)" `Quick test_lawau_gap_before;
     Alcotest.test_case "LAWAU: gap after overlap (Fig3)" `Quick test_lawau_gap_after;
     Alcotest.test_case "LAWAU: gap between overlaps (Fig3)" `Quick test_lawau_gap_between;
     Alcotest.test_case "LAWAU: fully covered (Fig3)" `Quick test_lawau_covered;
     Alcotest.test_case "LAWAU: nested overlaps (Fig3)" `Quick test_lawau_nested_overlaps;
-    Alcotest.test_case "LAWAU: idempotent" `Quick test_lawau_idempotent;
     Alcotest.test_case "LAWAN: single match" `Quick test_lawan_single;
     Alcotest.test_case "LAWAN: event-point segmentation (Fig4)" `Quick test_lawan_event_points;
     Alcotest.test_case "LAWAN: gap separates groups (Fig4)" `Quick test_lawan_gap_between_groups;
@@ -697,10 +604,9 @@ let suite =
     qtest prop_each_window_satisfies_definition;
     qtest prop_group_partition;
     qtest prop_hash_equals_nested_loop;
-    qtest prop_flat_equals_legacy;
     qtest prop_flat_equals_spec;
     qtest prop_flat_count_equals_length;
-    qtest prop_flat_right_equals_legacy;
+    qtest prop_flat_right_equals_spec;
     qtest prop_sweep_prices_bit_identical;
     Alcotest.test_case "in-sweep p = Prob.factorize bits (Meteo)" `Quick
       test_sweep_prices_meteo;

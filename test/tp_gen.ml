@@ -1,5 +1,5 @@
 (* QCheck2 generators for small TP relations, sized so the quadratic
-   oracles (Spec, Reference, Set_ops.Oracle) stay fast. *)
+   oracles (Spec, Oracle.eval, Set_ops.Oracle) stay fast. *)
 
 module Interval = Tpdb_interval.Interval
 module Relation = Tpdb_relation.Relation
