@@ -77,7 +77,7 @@ let figure_tests dataset =
            List.length (Ta.windows_wuon ~algorithm:`Hash ~theta r s)));
     Test.make
       ~name:(name "fig7/%s/NJ")
-      (Staged.stage (fun () -> Relation.cardinality (Nj.left_outer ~theta r s)));
+      (Staged.stage (fun () -> Relation.cardinality (Nj.join ~kind:Nj.Left ~theta r s)));
     Test.make
       ~name:(name "fig7/%s/TA")
       (Staged.stage (fun () ->

@@ -678,7 +678,8 @@ let render_cmd =
 (* --- fuzz: differential oracle fuzzing --- *)
 
 (* Runs random TP scenarios through Oracle.check — the snapshot-semantics
-   ground truth diffed against Nj.join under every shipped execution
+   ground truth diffed against Nj.join, and against Nj.set_op for the
+   three set operations on the same (r, s), under every shipped execution
    configuration — until the time budget runs out. Each case derives its
    own seed from the base seed, so any failure reproduces with
    [--seed CASE_SEED --seconds 0] regardless of how long the original
@@ -697,7 +698,7 @@ let fuzz oracle seconds seed out trace_out stats_out =
     incr cases;
     let rand = Random.State.make [| case_seed |] in
     let theta, r, s = QCheck2.Gen.generate1 ~rand (Tp_gen.scenario_gen ()) in
-    match Tpdb.Oracle.check ~theta r s with
+    match Tpdb.Oracle.check ~set_kinds:Tpdb.Nj.all_set_kinds ~theta r s with
     | [] -> ()
     | divergences ->
         incr failures;
@@ -738,8 +739,9 @@ let fuzz_cmd =
     Arg.(value & flag & info [ "oracle" ]
            ~doc:"Differential-oracle mode: evaluate each random scenario \
                  point by point from the paper's snapshot semantics (exact \
-                 BDD probabilities) and diff every join kind against the \
-                 optimized pipeline across all execution configurations \
+                 BDD probabilities) and diff every join kind and set \
+                 operation against the optimized pipeline across all \
+                 execution configurations \
                  (parallelism, probability cache, sanitizer, spilling and \
                  the statically safe probability path). This is the \
                  default and currently only mode.")

@@ -105,7 +105,7 @@ let run_round ~seed ~round ~size =
   let ta = windows_of (Ta.windows_wuon ~algorithm:`Hash ~theta r s) in
   if nj <> ta then fail_round ~seed ~round "NJ and TA window sets differ";
   (* 2. Snapshot semantics at sampled time points. *)
-  let output = Nj.left_outer ~theta r s in
+  let output = Nj.join ~kind:Nj.Left ~theta r s in
   let r_arity = Schema.arity (Relation.schema r) in
   for _ = 1 to 25 do
     let t = Rng.int rng horizon in

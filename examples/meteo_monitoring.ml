@@ -42,9 +42,9 @@ let () =
   let net1 = Datasets.subset ~seed:11 ~k:half r in
   let net2 = Datasets.subset ~seed:12 ~k:half r in
   let env = Relation.prob_env [ r ] in
-  let both = Set_ops.intersection ~env net1 net2 in
-  let merged = Set_ops.union ~env net1 net2 in
-  let only1 = Set_ops.difference ~env net1 net2 in
+  let both = Nj.set_op ~env ~kind:`Intersect net1 net2 in
+  let merged = Nj.set_op ~env ~kind:`Union net1 net2 in
+  let only1 = Nj.set_op ~env ~kind:`Except net1 net2 in
   Printf.printf
     "set operations over two %d-tuple subnetworks:\n\
     \  union %d tuples, intersection %d tuples, difference %d tuples\n"
@@ -59,6 +59,6 @@ let () =
   let sample2 = Datasets.subset ~seed:22 ~k:(min 150 half) net2 in
   assert (
     Relation.equal_as_sets
-      (Set_ops.union ~env sample1 sample2)
-      (Set_ops.Oracle.union ~env sample1 sample2));
+      (Nj.set_op ~env ~kind:`Union sample1 sample2)
+      (Oracle.set_op ~env ~kind:`Union sample1 sample2));
   print_endline "oracle agreement on sampled union: ok"

@@ -93,7 +93,8 @@ let anti ?(algorithm = default_algorithm) ?env ~theta r s =
   let tuples =
     windows_wuon ~algorithm ~theta r s
     |> List.filter (fun w -> Window.kind w <> Window.Overlapping)
-    |> List.map (Concat.tuple_of_window_no_fs ~prob:(Prob.compute env))
+    |> List.map
+         (Concat.tuple_of_set_window ~prob:(Prob.compute env) ~kind:`Except)
   in
   let schema =
     Schema.rename

@@ -17,15 +17,17 @@
       flat endpoint arrays.
     - {!Overlap}: the conventional outer join, TA's building block.
     - {!Spec}: the Table I definitions, executable (test oracle).
-    - {!Nj}: TP inner/outer/anti joins over windows.
+    - {!Nj}: TP inner/outer/anti joins over windows, and the TP set
+      operations (prior work) as joins under fact equality.
     - {!Oracle}: the differential snapshot-semantics oracle — ground
-      truth evaluated point by point and diffed against {!Nj.join}
-      across every execution configuration (behind the qcheck
-      differential suite and [tpdb_cli fuzz --oracle]).
+      truth evaluated point by point and diffed against {!Nj.join} and
+      {!Nj.set_op} across every execution configuration (behind the
+      qcheck differential suite and [tpdb_cli fuzz --oracle]).
 
     {1 Baseline and extensions}
     - {!Align}, {!Ta}: the Temporal Alignment baseline.
-    - {!Set_ops}: TP set operations (prior work, same windows).
+    - {!Projection}, {!Aggregate}: duplicate-eliminating TP projection
+      and sequenced aggregation.
 
     {1 Infrastructure}
     - {!Grouping}, {!Hash_partition}, {!Heap}, {!Sweep}: the executor
@@ -82,7 +84,6 @@ module Nj = Tpdb_joins.Nj
 module Oracle = Tpdb_oracle.Oracle
 module Align = Tpdb_alignment.Align
 module Ta = Tpdb_alignment.Ta
-module Set_ops = Tpdb_setops.Set_ops
 module Projection = Tpdb_setops.Projection
 module Aggregate = Tpdb_setops.Aggregate
 module Codec = Tpdb_storage.Codec

@@ -111,7 +111,7 @@ let fig6 ?scale dataset =
 let fig7 ?scale dataset =
   sweep ?scale dataset
     [
-      ("NJ", fun ~theta r s -> Relation.cardinality (Nj.left_outer ~theta r s));
+      ("NJ", fun ~theta r s -> Relation.cardinality (Nj.join ~kind:Nj.Left ~theta r s));
       ( "TA",
         fun ~theta r s ->
           Relation.cardinality (Ta.left_outer ~algorithm:`Nested_loop ~theta r s) );
@@ -122,7 +122,7 @@ let nj_paper_scale dataset =
   List.map
     (fun size ->
       let r, s = pair ~scale:Paper dataset ~size in
-      point "NJ" size (fun () -> Relation.cardinality (Nj.left_outer ~theta r s)))
+      point "NJ" size (fun () -> Relation.cardinality (Nj.join ~kind:Nj.Left ~theta r s)))
     (sizes dataset Paper)
 
 (* The domain-parallel partitioned sweep vs the sequential one: the same
@@ -204,7 +204,7 @@ let selectivity_sweep ?(size = 4_000) () =
       let r = make "r" 100 and s = make "s" 200 in
       [
         { (point "NJ" keys (fun () ->
-               Relation.cardinality (Nj.left_outer ~theta r s)))
+               Relation.cardinality (Nj.join ~kind:Nj.Left ~theta r s)))
           with size = keys };
         { (point "TA" keys (fun () ->
                Relation.cardinality (Ta.left_outer ~algorithm:`Hash ~theta r s)))
@@ -225,7 +225,7 @@ let skew_sweep ?(size = 4_000) () =
       let r = make "r" 300 and s = make "s" 400 in
       [
         { (point "NJ" tenths (fun () ->
-               Relation.cardinality (Nj.left_outer ~theta r s)))
+               Relation.cardinality (Nj.join ~kind:Nj.Left ~theta r s)))
           with size = tenths };
         { (point "TA" tenths (fun () ->
                Relation.cardinality (Ta.left_outer ~algorithm:`Hash ~theta r s)))

@@ -45,12 +45,18 @@ let tuple_of_window ~prob ~side ~pad w =
     ~fact:(output_fact ~side ~pad w)
     ~lineage ~iv:(Window.iv w) ~p:(p_of ~prob w lineage)
 
-let tuple_of_window_no_fs ~prob w =
-  match Window.kind w with
-  | Window.Overlapping ->
-      invalid_arg "Concat.tuple_of_window_no_fs: overlapping window"
-  | Window.Unmatched | Window.Negating ->
-      let lineage = output_lineage w in
-      count_lineage lineage;
-      Tuple.make ~fact:(Window.fr w) ~lineage ~iv:(Window.iv w)
-        ~p:(p_of ~prob w lineage)
+let set_lineage kind w =
+  match (kind, Window.kind w, Window.ls w) with
+  | `Union, Window.Overlapping, Some ls -> Formula.( ||| ) (Window.lr w) ls
+  | `Intersect, Window.Overlapping, _
+  | `Union, Window.Unmatched, _
+  | `Except, (Window.Unmatched | Window.Negating), _ ->
+      output_lineage w
+  | (`Union | `Intersect | `Except), _, _ ->
+      invalid_arg "Concat.tuple_of_set_window: window not of this operation"
+
+let tuple_of_set_window ~prob ~kind w =
+  let lineage = set_lineage kind w in
+  count_lineage lineage;
+  Tuple.make ~fact:(Window.fr w) ~lineage ~iv:(Window.iv w)
+    ~p:(p_of ~prob w lineage)

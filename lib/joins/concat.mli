@@ -3,7 +3,9 @@
     Each window class has a fixed lineage-concatenation function:
     overlapping windows use [and], negating windows use [andNot], and
     unmatched windows pass [λr] through. Facts are concatenated, with the
-    missing side null-padded for unmatched and negating windows. *)
+    missing side null-padded for unmatched and negating windows. The set
+    operations keep the window's own fact and differ only in the union's
+    overlapping windows, which use [or] ({!tuple_of_set_window}). *)
 
 module Formula = Tpdb_lineage.Formula
 module Prob = Tpdb_lineage.Prob
@@ -28,6 +30,14 @@ val tuple_of_window :
     [Right] side are rejected with [Invalid_argument] (they are emitted
     by the left pass already). *)
 
-val tuple_of_window_no_fs : prob:(Formula.t -> float) -> Window.t -> Tuple.t
-(** Output formation for the anti join: no [s] columns at all. Raises
-    [Invalid_argument] on overlapping windows. *)
+val tuple_of_set_window :
+  prob:(Formula.t -> float) ->
+  kind:[ `Union | `Intersect | `Except ] ->
+  Window.t ->
+  Tuple.t
+(** Output formation for the set operations and the anti join: the
+    window's own fact [fr], no [s] columns. The lineage is [λr ∨ λs] on
+    a union's overlapping windows and {!output_lineage} otherwise.
+    [`Except] (also the anti join) takes unmatched and negating windows,
+    [`Intersect] overlapping ones and [`Union] overlapping and unmatched
+    ones; any other window raises [Invalid_argument]. *)

@@ -214,27 +214,27 @@ let stage_pass ?env ~options (stage : Flat_join.stage) ~theta r s emit =
   | `Wuon | `Wun ->
       traced "lawan" (fun () -> traced "lawau" (fun () -> traced "overlap" run))
 
-(* One partition (or the whole input, when sequential) of a right/full
-   outer join, into three streams: the left-side windows
-   (overlapping-only for the right outer join, extended by the gap and
-   negating windows for the full outer join), the right side's gap and
-   negating windows, and the spanning windows of the never-matched s
-   tuples. The right side is a second pass of the kernel with the sides
-   swapped. *)
-let tracked_pass ?env ~options ~extend_left ~theta r s emits =
+(* One partition (or the whole input, when sequential) of a join that
+   tracks both sides — the right and full outer joins and the union —
+   into three streams: the left-side windows at stage [left], the right
+   side's windows of the matched s tuples at stage [right] (gaps, plus
+   negating windows at [`Wun]), and the spanning windows of the
+   never-matched s tuples. A [`Wo] left pass is the right outer join's
+   and keeps only the overlapping windows. The right side is a second
+   pass of the kernel with the sides swapped. *)
+let tracked_pass ?env ~options ~left ~right ~theta r s emits =
   let sanitize = options.sanitize in
-  let left = emits.(0) and gaps = emits.(1) and spanning = emits.(2) in
-  stage_pass ?env ~options
-    (if extend_left then `Wuon else `Wo)
-    ~theta r s
-    (fun w -> if extend_left || overlapping w then left w);
+  let left_emit = emits.(0) and gaps = emits.(1) and spanning = emits.(2) in
+  let keep = match left with `Wo -> overlapping | _ -> fun _ -> true in
+  stage_pass ?env ~options left ~theta r s (fun w ->
+      if keep w then left_emit w);
   traced "right-sweep" (fun () ->
       if sanitize then begin
-        let g, u = Flat_join.right ~sanitize ?env ~theta r s in
+        let g, u = Flat_join.right ~stage:right ~sanitize ?env ~theta r s in
         Array.iter gaps g;
         Array.iter spanning u
       end
-      else Flat_join.iter_right ?env ~theta r s ~gaps ~spanning)
+      else Flat_join.iter_right ~stage:right ?env ~theta r s ~gaps ~spanning)
 
 (* A pass feeds each of its window streams, in order, to one consumer.
    A join runs its passes over the whole input, straight into the
@@ -250,7 +250,11 @@ let per_partition ~options pass run_parts emits =
   let parts = run_parts collect in
   Array.iteri
     (fun i emit ->
-      Array.iter emit (merge ~options (Array.map (fun part -> part.(i)) parts)))
+      (* [Vec.of_list], not [Array.map]: an array made from a young
+         stream forces a minor collection past 256 partitions
+         (DESIGN.md §7) *)
+      let streams = Array.fold_right (fun part acc -> part.(i) :: acc) parts [] in
+      Array.iter emit (merge ~options (Vec.of_list streams)))
     emits
 
 (* The materialized inputs: spilled to disk when the working set exceeds
@@ -320,7 +324,31 @@ let kind_name = function
   | Right -> "right-outer"
   | Full -> "full-outer"
 
-(* Runs the passes of [kind] through [runner] and forms each window's
+type set_kind = [ `Union | `Intersect | `Except ]
+
+let all_set_kinds = [ `Union; `Intersect; `Except ]
+
+let set_kind_name = function
+  | `Union -> "union"
+  | `Intersect -> "intersect"
+  | `Except -> "except"
+
+(* The left schema, renamed after both operands and the operation. *)
+let renamed op rschema sschema =
+  Schema.rename
+    (Schema.name rschema ^ "_" ^ op ^ "_" ^ Schema.name sschema)
+    rschema
+
+let set_op_schema kind =
+  renamed
+    (match kind with `Union -> "union" | `Intersect -> "isect" | `Except -> "minus")
+
+(* What [form] builds: a join of Table II, or a set operation. *)
+type op = Join of join_kind | Set of set_kind
+
+let op_name = function Join kind -> kind_name kind | Set kind -> set_kind_name kind
+
+(* Runs the passes of [op] through [runner] and forms each window's
    output tuple as the window arrives, given only the input schemas — so
    the materialized path ({!join}) and the streamed out-of-core path
    ({!join_spilled}, which never materializes its inputs) share it
@@ -330,7 +358,7 @@ let kind_name = function
    that is sound because the merge is a stable group-order merge of
    sorted lists, so merging the filtered lists equals filtering the
    merged one. *)
-let form ~runner ~options ~env ~kind ~theta ~rschema ~sschema =
+let form ~runner ~options ~env ~op ~theta ~rschema ~sschema =
   let prob = prob_fn ~options ~env in
   let env = if options.static_safe then Some env else None in
   let pad_r = Schema.arity rschema and pad_s = Schema.arity sschema in
@@ -338,36 +366,49 @@ let form ~runner ~options ~env ~kind ~theta ~rschema ~sschema =
   let into v side pad w =
     Vec.push v (Concat.tuple_of_window ~prob ~side ~pad w)
   in
+  (* the set operations' rows (and the anti join's): r's own fact *)
+  let own v kind w = Vec.push v (Concat.tuple_of_set_window ~prob ~kind w) in
   let stage ?(keep = fun _ -> true) stage rp sp emits =
     stage_pass ?env ~options stage ~theta rp sp (fun w ->
         if keep w then emits.(0) w)
   in
+  let tracked ~left ~right = tracked_pass ?env ~options ~left ~right ~theta in
   let schema =
-    match kind with
-    | Inner ->
+    match op with
+    | Join Inner ->
         runner
           (stage ~keep:overlapping `Wo)
           [| into tuples Concat.Left pad_s |];
         Schema.join rschema sschema
-    | Left ->
+    | Join Left ->
         runner (stage `Wuon) [| into tuples Concat.Left pad_s |];
         Schema.join rschema sschema
-    | Anti ->
-        runner (stage `Wun)
-          [| (fun w -> Vec.push tuples (Concat.tuple_of_window_no_fs ~prob w)) |];
-        Schema.rename
-          (Schema.name rschema ^ "_anti_" ^ Schema.name sschema)
-          rschema
-    | Right | Full ->
-        let extend_left = match kind with Full -> true | _ -> false in
+    | Join Anti | Set `Except ->
+        runner (stage `Wun) [| own tuples `Except |];
+        (match op with Set kind -> set_op_schema kind | Join _ -> renamed "anti")
+          rschema sschema
+    | Join ((Right | Full) as kind) ->
         runner
-          (tracked_pass ?env ~options ~extend_left ~theta)
+          (tracked
+             ~left:(match kind with Full -> `Wuon | _ -> `Wo)
+             ~right:`Wun)
           [|
             into tuples Concat.Left pad_s;
             into tuples Concat.Right pad_r;
             into spanning Concat.Right pad_r;
           |];
         Schema.join rschema sschema
+    | Set `Intersect ->
+        runner (stage ~keep:overlapping `Wo) [| own tuples `Intersect |];
+        set_op_schema `Intersect rschema sschema
+    | Set `Union ->
+        (* λr ∨ λs where both hold, then the one side's own lineage:
+           r's gaps and spanning windows, s's gaps, s's spanning
+           windows *)
+        runner
+          (tracked ~left:`Wuo ~right:`Wuo)
+          [| own tuples `Union; own tuples `Union; own spanning `Union |];
+        set_op_schema `Union rschema sschema
   in
   let tuples = Vec.contents tuples and spanning = Vec.contents spanning in
   Relation.of_array schema
@@ -390,14 +431,34 @@ let finish ~options ~env ~span run =
 
 (* --- the unified entry point ----------------------------------------- *)
 
-let join ?(options = default_options) ?env ~kind ~theta r s =
+let materialized ~options ?env ~op ~theta r s =
   let env = env_default env r s in
   if Metrics.enabled () then
     Metrics.add Metrics.Tuples_in
       (Relation.cardinality r + Relation.cardinality s);
-  finish ~options ~env ~span:("nj-" ^ kind_name kind) (fun () ->
-      form ~runner:(in_memory ~options ~theta r s) ~options ~env ~kind ~theta
+  finish ~options ~env ~span:("nj-" ^ op_name op) (fun () ->
+      form ~runner:(in_memory ~options ~theta r s) ~options ~env ~op ~theta
         ~rschema:(Relation.schema r) ~sschema:(Relation.schema s))
+
+let join ?(options = default_options) ?env ~kind ~theta r s =
+  materialized ~options ?env ~op:(Join kind) ~theta r s
+
+(* A set operation is a join under fact equality (null-safe: SQL's set
+   operations treat two nulls as not distinct). Its overlapping windows
+   carry a per-operation lineage, so the sweep's Table I prices never
+   apply: [static_safe] is off. *)
+let set_op ?(options = default_options) ?env ~kind r s =
+  let columns rel = Schema.columns (Relation.schema rel) in
+  if not (List.equal String.equal (columns r) (columns s)) then
+    invalid_arg
+      (Printf.sprintf "Nj.set_op: operand schemas differ (%s vs %s)"
+         (String.concat "," (columns r))
+         (String.concat "," (columns s)));
+  materialized
+    ~options:{ options with static_safe = false }
+    ?env ~op:(Set kind)
+    ~theta:(Theta.fact_equality (Schema.arity (Relation.schema r)))
+    r s
 
 (* Out-of-core join over tuple streams: the inputs are never
    materialized — they stream straight into the spill partitioner — so
@@ -448,13 +509,4 @@ let join_spilled ?(options = default_options) ?partitions ~env ~kind ~theta
           (sschema, counted sseq))
   in
   finish ~options ~env ~span:("nj-" ^ kind_name kind ^ "-spilled") (fun () ->
-      form ~runner ~options ~env ~kind ~theta ~rschema ~sschema)
-
-let inner ?options ?env ~theta r s = join ?options ?env ~kind:Inner ~theta r s
-let anti ?options ?env ~theta r s = join ?options ?env ~kind:Anti ~theta r s
-let left_outer ?options ?env ~theta r s = join ?options ?env ~kind:Left ~theta r s
-
-let right_outer ?options ?env ~theta r s =
-  join ?options ?env ~kind:Right ~theta r s
-
-let full_outer ?options ?env ~theta r s = join ?options ?env ~kind:Full ~theta r s
+      form ~runner ~options ~env ~op:(Join kind) ~theta ~rschema ~sschema)

@@ -8,14 +8,32 @@
     - inner join [r ⋈ s]: WO only (for completeness)
 
     All five are served by the single entry point {!join}, selected by
-    {!join_kind}; the named operators remain as one-line wrappers. The
-    pipeline is the flat struct-of-arrays sweep
+    {!join_kind}. The pipeline is the flat struct-of-arrays sweep
     ({!Tpdb_windows.Flat_join}), which derives the overlapping (WO),
     unmatched (WU) and negating (WN) windows in one pass, → output
     formation ({!Concat}). Right and full outer joins find the [s]
     side's windows in a second pass of the kernel with the sides swapped
     ({!Tpdb_windows.Flat_join.right}), which builds no overlapping
     window.
+
+    {2 Set operations}
+
+    {!set_op} runs the TP set operations (the authors' prior work,
+    "Supporting set operations in temporal-probabilistic databases",
+    ICDE 2018 — reference [1] of the paper; arXiv:1910.00474) on the
+    same pipeline. A set operation is a TP join with θ = equality on
+    {e all} fact columns ({!Theta.fact_equality}, under which two nulls
+    are equal, as in SQL's set operations) and a per-operation lineage
+    concatenation: at every time point and for every fact [F],
+
+    - [`Union]: [λr ∨ λs] where both operands contain [F], the single
+      operand's lineage elsewhere;
+    - [`Intersect]: [λr ∧ λs] where both contain [F];
+    - [`Except]: [λr ∧ ¬λs] where both contain [F], [λr] where only
+      [r] does (exactly the anti join of Table II under fact equality).
+
+    Operands must have schemas with equal column lists; the result uses
+    the left schema ({!set_op_schema}).
 
     {2 Parallel execution}
 
@@ -128,6 +146,19 @@ val kind_name : join_kind -> string
     ["inner"], ["anti"], ["left-outer"], ["right-outer"],
     ["full-outer"]. *)
 
+type set_kind = [ `Union | `Intersect | `Except ]
+
+val all_set_kinds : set_kind list
+(** [[`Union; `Intersect; `Except]]. *)
+
+val set_kind_name : set_kind -> string
+(** ["union"], ["intersect"], ["except"]. *)
+
+val set_op_schema :
+  set_kind -> Tpdb_relation.Schema.t -> Tpdb_relation.Schema.t -> Tpdb_relation.Schema.t
+(** The schema of {!set_op} on operands of these schemas: the left one,
+    renamed [r_union_s], [r_isect_s] or [r_minus_s]. *)
+
 val join :
   ?options:options ->
   ?env:Prob.env ->
@@ -138,6 +169,20 @@ val join :
   Relation.t
 (** The unified TP join: every operator of the paper's Table II, selected
     by [kind]. Used by the query planner and the CLI. *)
+
+val set_op :
+  ?options:options ->
+  ?env:Prob.env ->
+  kind:set_kind ->
+  Relation.t ->
+  Relation.t ->
+  Relation.t
+(** The TP set operation [kind] (see {e Set operations} above) on the
+    join's executor: it spills, runs in parallel and is sanitized as
+    {!join} is under [options], except that [static_safe] is ignored —
+    the sweep prices windows by the Table I concatenation, not by the
+    set operations'. Raises [Invalid_argument] when the operands' column
+    lists differ. *)
 
 val join_spilled :
   ?options:options ->
@@ -171,20 +216,3 @@ val windows_wuon :
   ?options:options -> theta:Theta.t -> Relation.t -> Relation.t -> Window.t Seq.t
 (** WUO extended with LAWAN's negating windows (stage [`Wuon]). Benched
     as Fig. 6. *)
-
-(** The five named operators: one-line wrappers around {!join}. *)
-
-val inner :
-  ?options:options -> ?env:Prob.env -> theta:Theta.t -> Relation.t -> Relation.t -> Relation.t
-
-val anti :
-  ?options:options -> ?env:Prob.env -> theta:Theta.t -> Relation.t -> Relation.t -> Relation.t
-
-val left_outer :
-  ?options:options -> ?env:Prob.env -> theta:Theta.t -> Relation.t -> Relation.t -> Relation.t
-
-val right_outer :
-  ?options:options -> ?env:Prob.env -> theta:Theta.t -> Relation.t -> Relation.t -> Relation.t
-
-val full_outer :
-  ?options:options -> ?env:Prob.env -> theta:Theta.t -> Relation.t -> Relation.t -> Relation.t

@@ -84,6 +84,37 @@ let snapshot_rows ~kind ~theta r s t =
   | Nj.Right -> inner_rows () @ right_null_rows ()
   | Nj.Full -> inner_rows () @ left_null_rows () @ right_null_rows ()
 
+(* Each distinct [key] of [tuples] once, with the disjunction of the
+   lineages of its tuples: the union's rows, and the projection's. Keys
+   are compared with [Fact.equal], under which two nulls are equal. *)
+let disjoined key tuples =
+  List.sort_uniq Fact.compare (List.map key tuples)
+  |> List.map (fun k ->
+         ( k,
+           Formula.disj
+             (List.filter_map
+                (fun tp ->
+                  if Fact.equal (key tp) k then Some (Tuple.lineage tp) else None)
+                tuples) ))
+
+(* The set operations' rows of one snapshot. *)
+let set_rows ~kind r s t =
+  let r_valid = valid_at r t and s_valid = valid_at s t in
+  let in_s rt =
+    List.filter (fun st -> Fact.equal (Tuple.fact st) (Tuple.fact rt)) s_valid
+  in
+  match kind with
+  | `Union -> disjoined Tuple.fact (r_valid @ s_valid)
+  | `Intersect ->
+      List.filter_map
+        (fun rt ->
+          match in_s rt with
+          | [] -> None
+          | ms -> Some (Tuple.fact rt, Formula.conj (List.map Tuple.lineage (rt :: ms))))
+        r_valid
+  | `Except ->
+      List.map (fun rt -> (Tuple.fact rt, negation (Tuple.lineage rt) (in_s rt))) r_valid
+
 (* Same schema conventions as Nj.join. *)
 let output_schema ~kind r s =
   match kind with
@@ -104,13 +135,18 @@ end
 
 module Row_map = Map.Make (Row_key)
 
-let eval ?env ~kind ~theta r s =
-  let env = match env with Some e -> e | None -> Relation.prob_env [ r; s ] in
+let env_default env rels =
+  match env with Some e -> e | None -> Relation.prob_env rels
+
+(* The one point-wise materializer: [rows_at t] is the snapshot at [t],
+   evaluated at every point of the active timeline of [over]. *)
+let materialize ~env ~name ~schema ~over rows_at =
   Metrics.incr Metrics.Oracle_evals;
   let run () =
     Metrics.time Metrics.Oracle_eval_ns @@ fun () ->
     let domain =
-      Timeline.span (List.map Tuple.iv (Relation.tuples r @ Relation.tuples s))
+      Timeline.span
+        (List.concat_map (fun rel -> List.map Tuple.iv (Relation.tuples rel)) over)
     in
     let points =
       match domain with
@@ -127,8 +163,7 @@ let eval ?env ~kind ~theta r s =
               let key = (fact, Formula.normalize lineage) in
               let sofar = Option.value (Row_map.find_opt key acc) ~default:[] in
               Row_map.add key (t :: sofar) acc)
-            acc
-            (snapshot_rows ~kind ~theta r s t))
+            acc (rows_at t))
         Row_map.empty points
     in
     let tuples =
@@ -146,11 +181,31 @@ let eval ?env ~kind ~theta r s =
             acc intervals)
         by_row []
     in
-    Relation.of_tuples (output_schema ~kind r s) (List.rev tuples)
+    Relation.of_tuples schema (List.rev tuples)
   in
-  if Trace.enabled () then
-    Trace.with_span ~cat:"oracle" ("oracle-" ^ Nj.kind_name kind) run
+  if Trace.enabled () then Trace.with_span ~cat:"oracle" ("oracle-" ^ name) run
   else run ()
+
+let eval ?env ~kind ~theta r s =
+  materialize ~env:(env_default env [ r; s ]) ~name:(Nj.kind_name kind)
+    ~schema:(output_schema ~kind r s) ~over:[ r; s ]
+    (snapshot_rows ~kind ~theta r s)
+
+let set_op ?env ~kind r s =
+  materialize ~env:(env_default env [ r; s ]) ~name:(Nj.set_kind_name kind)
+    ~schema:(Nj.set_op_schema kind (Relation.schema r) (Relation.schema s))
+    ~over:[ r; s ] (set_rows ~kind r s)
+
+(* Duplicate-eliminating projection: each projected fact once per
+   point, with the disjunction of its witnesses' lineages. *)
+let project ?env ~columns r =
+  let names = Schema.columns (Relation.schema r) in
+  let schema =
+    Schema.make ~name:(Relation.name r) (List.map (List.nth names) columns)
+  in
+  materialize ~env:(env_default env [ r ]) ~name:"project" ~schema ~over:[ r ]
+    (fun t ->
+      disjoined (fun tp -> Fact.project columns (Tuple.fact tp)) (valid_at r t))
 
 (* --- configurations -------------------------------------------------- *)
 
@@ -238,8 +293,14 @@ type mismatch =
   | Probability of { expected : Tuple.t; actual : Tuple.t; delta : float }
   | Schema of { expected : string list; actual : string list }
 
+type operation = Join of Nj.join_kind | Set_op of Nj.set_kind
+
+let operation_name = function
+  | Join kind -> Nj.kind_name kind ^ " join"
+  | Set_op kind -> Nj.set_kind_name kind
+
 type divergence = {
-  kind : Nj.join_kind;
+  op : operation;
   config : config;
   mismatches : mismatch list;
 }
@@ -299,29 +360,36 @@ let diff ~expected ~actual =
     pending;
   schema_mismatches @ List.rev !mismatches
 
-let check ?(configs = default_configs) ?(kinds = Nj.all_kinds) ?env ~theta r s
-    =
-  let env = match env with Some e -> e | None -> Relation.prob_env [ r; s ] in
-  let configs =
-    if static_safe_inputs r s then configs
-    else List.filter (fun c -> not c.static_safe) configs
+let check ?(configs = default_configs) ?(kinds = Nj.all_kinds)
+    ?(set_kinds = []) ?env ~theta r s =
+  let env = env_default env [ r; s ] in
+  (* the set operations never take the statically safe path *)
+  let dynamic = List.filter (fun c -> not c.static_safe) configs in
+  let join_configs = if static_safe_inputs r s then configs else dynamic in
+  let against op configs ~expected run =
+    List.filter_map
+      (fun config ->
+        let actual = run (options_of config) in
+        Metrics.incr Metrics.Oracle_comparisons;
+        match diff ~expected ~actual with
+        | [] -> None
+        | mismatches ->
+            Metrics.add Metrics.Oracle_mismatches (List.length mismatches);
+            Some { op; config; mismatches })
+      configs
   in
   List.concat_map
     (fun kind ->
-      let expected = eval ~env ~kind ~theta r s in
-      List.filter_map
-        (fun config ->
-          let actual =
-            Nj.join ~options:(options_of config) ~env ~kind ~theta r s
-          in
-          Metrics.incr Metrics.Oracle_comparisons;
-          match diff ~expected ~actual with
-          | [] -> None
-          | mismatches ->
-              Metrics.add Metrics.Oracle_mismatches (List.length mismatches);
-              Some { kind; config; mismatches })
-        configs)
+      against (Join kind) join_configs
+        ~expected:(eval ~env ~kind ~theta r s)
+        (fun options -> Nj.join ~options ~env ~kind ~theta r s))
     kinds
+  @ List.concat_map
+      (fun kind ->
+        against (Set_op kind) dynamic
+          ~expected:(set_op ~env ~kind r s)
+          (fun options -> Nj.set_op ~options ~env ~kind r s))
+      set_kinds
 
 (* --- reporting -------------------------------------------------------- *)
 
@@ -349,8 +417,8 @@ let mismatch_to_string = function
 
 let report ~theta d =
   String.concat "\n"
-    (Printf.sprintf "divergence: %s join, config %s, theta %s (%d mismatches)"
-       (Nj.kind_name d.kind) (config_name d.config) (Theta.to_string theta)
+    (Printf.sprintf "divergence: %s, config %s, theta %s (%d mismatches)"
+       (operation_name d.op) (config_name d.config) (Theta.to_string theta)
        (List.length d.mismatches)
     :: List.map (fun m -> "  " ^ mismatch_to_string m) d.mismatches)
 

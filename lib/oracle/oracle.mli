@@ -2,7 +2,8 @@
 
     The paper defines every TP join point-wise: at each time point [t]
     the output contains a row iff the §I snapshot semantics says so,
-    with the Table I lineage. The optimized flat sweep never evaluates
+    with the Table I lineage. The set operations (arXiv:1910.00474) and
+    the duplicate-eliminating projection are defined the same way. The optimized flat sweep never evaluates
     that definition directly — it sweeps intervals — and
     TPSan re-derives the same lemmas with the same interval bookkeeping,
     so a misconception shared between the sweep and the sanitizer passes
@@ -12,7 +13,9 @@
     - materializes both inputs point by point over the active timeline,
     - computes each snapshot's output rows from first principles (match
       rows with [λr ∧ λs], negation rows with [λr ∧ ¬(∨ λs)], unmatched
-      rows with [λr] — §I / Table I),
+      rows with [λr] — §I / Table I; for the set operations, per fact:
+      [λr ∨ λs], [λr ∧ λs], [λr ∧ ¬λs]; for a projection, the
+      disjunction of the witnesses),
     - re-coalesces maximal intervals from the per-point rows, and
     - computes every probability by exact weighted model counting on the
       BDD ({!Tpdb_lineage.Prob.exact}), bypassing the read-once fast
@@ -25,8 +28,8 @@
     axis the repo ships (parallelism, probability cache, sanitizer,
     out-of-core spilling and the statically safe probability path).
 
-    Deliberately quadratic in active-domain size — an oracle, not an
-    operator. It shares only {!Tpdb_interval.Interval} arithmetic and
+    All of them go through one point-wise materializer. Deliberately
+    quadratic in active-domain size — an oracle, not an operator. It shares only {!Tpdb_interval.Interval} arithmetic and
     the lineage constructors with the pipeline under test; none of the
     window machinery ({!Tpdb_windows.Flat_join}), the sweep bookkeeping,
     or {!Tpdb_joins.Concat}.
@@ -58,6 +61,18 @@ val eval :
     parts, renamed [r] schema for the anti join), maximal intervals,
     exact-WMC probabilities. [env] defaults to
     [Relation.prob_env [r; s]]. *)
+
+val set_op :
+  ?env:Prob.env -> kind:Nj.set_kind -> Relation.t -> Relation.t -> Relation.t
+(** The snapshot-semantics ground truth of the set operation [kind]:
+    facts compared with {!Tpdb_relation.Fact.equal} (two nulls are
+    equal), the schema of {!Nj.set_op}. *)
+
+val project : ?env:Prob.env -> columns:int list -> Relation.t -> Relation.t
+(** The ground truth of the duplicate-eliminating TP projection
+    ({!Tpdb_setops.Projection.project}): at every point, each projected
+    fact once, with the disjunction of its witnesses' lineages. [env]
+    defaults to [Relation.prob_env [r]]. *)
 
 (** {2 Configurations} *)
 
@@ -124,8 +139,10 @@ type mismatch =
   | Schema of { expected : string list; actual : string list }
       (** output column lists differ *)
 
+type operation = Join of Nj.join_kind | Set_op of Nj.set_kind
+
 type divergence = {
-  kind : Nj.join_kind;
+  op : operation;
   config : config;
   mismatches : mismatch list;  (** non-empty *)
 }
@@ -140,6 +157,7 @@ val diff : expected:Relation.t -> actual:Relation.t -> mismatch list
 val check :
   ?configs:config list ->
   ?kinds:Nj.join_kind list ->
+  ?set_kinds:Nj.set_kind list ->
   ?env:Prob.env ->
   theta:Theta.t ->
   Relation.t ->
@@ -148,15 +166,18 @@ val check :
 (** Evaluates the oracle once per [kind] (default {!Nj.all_kinds}) and
     diffs [Nj.join] under every [config] (default {!default_configs})
     against it, skipping the [static_safe] ones unless
-    {!static_safe_inputs} holds. Empty iff every configuration of every
-    kind agrees with the snapshot semantics. *)
+    {!static_safe_inputs} holds; then the same for [Nj.set_op] on every
+    set operation of [set_kinds] (default none; θ does not apply), under
+    the configurations that are not [static_safe]. Empty iff every
+    configuration of every operation agrees with the snapshot
+    semantics. *)
 
 (** {2 Reporting} *)
 
 val mismatch_to_string : mismatch -> string
 
 val report : theta:Theta.t -> divergence -> string
-(** Multi-line human-readable account of one divergence: kind, config,
+(** Multi-line human-readable account of one divergence: operation, config,
     θ, and every mismatch. *)
 
 val repro : theta:Theta.t -> Relation.t -> Relation.t -> string

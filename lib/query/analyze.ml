@@ -169,6 +169,7 @@ let op_string : Theta.op -> string = function
   | `Le -> "<="
   | `Gt -> ">"
   | `Ge -> ">="
+  | `Not_distinct -> "is not distinct from"
 
 (* Satisfiability of the constant constraints accumulated on one column:
    equalities must agree with each other and with every bound, and the
@@ -177,7 +178,7 @@ let unsat_reason constraints =
   let sat_one v (op, c) =
     let cmp = Value.compare v c in
     match (op : Theta.op) with
-    | `Eq -> cmp = 0
+    | `Eq | `Not_distinct -> cmp = 0
     | `Ne -> cmp <> 0
     | `Lt -> cmp < 0
     | `Le -> cmp <= 0
@@ -664,7 +665,7 @@ let rec plan_bounds node =
           let hull = hull_union l.hull r.hull in
           if hull = None then empty_bounds
           else { hull; p_lo = 0.0; p_hi = Float.max l.p_hi r.p_hi })
-  | Set_op { kind; left; right } -> (
+  | Set_op { kind; left; right; _ } -> (
       let l = plan_bounds left and r = plan_bounds right in
       match kind with
       | `Union ->

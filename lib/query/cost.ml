@@ -250,7 +250,7 @@ let of_plan ~stats plan =
             sample = join_sample kind l.sample r.sample;
             cost = l.cost +. r.cost +. l.rows +. r.rows +. pairs;
           }
-      | Set_op { kind; left; right } ->
+      | Set_op { kind; left; right; _ } ->
           let l = go left and r = go right in
           let rows =
             match kind with

@@ -5,7 +5,6 @@ module Fact = Tpdb_relation.Fact
 module Prob = Tpdb_lineage.Prob
 module Theta = Tpdb_windows.Theta
 module Nj = Tpdb_joins.Nj
-module Set_ops = Tpdb_setops.Set_ops
 module Projection = Tpdb_setops.Projection
 module Aggregate = Tpdb_setops.Aggregate
 module Metrics = Tpdb_obs.Metrics
@@ -37,7 +36,16 @@ type t =
       limit : int option;
       child : t;
     }
-  | Set_op of { kind : [ `Union | `Intersect | `Except ]; left : t; right : t }
+  | Set_op of {
+      kind : Nj.set_kind;
+      parallelism : int;
+      sanitize : bool;
+      prob_cache : bool;
+      mem_budget : int;
+      est_rows : (int * int) option;
+      left : t;
+      right : t;
+    }
 
 let rec schema = function
   | Scan r -> Relation.schema r
@@ -50,15 +58,8 @@ let rec schema = function
       let l = schema left and r = schema right in
       Schema.rename (Schema.name l ^ "_anti_" ^ Schema.name r) l
   | Tp_join { left; right; _ } -> Schema.join (schema left) (schema right)
-  | Set_op { kind; left; right } ->
-      let op =
-        match kind with
-        | `Union -> "union"
-        | `Intersect -> "isect"
-        | `Except -> "minus"
-      in
-      let l = schema left and r = schema right in
-      Schema.rename (Schema.name l ^ "_" ^ op ^ "_" ^ Schema.name r) l
+  | Set_op { kind; left; right; _ } ->
+      Nj.set_op_schema kind (schema left) (schema right)
 
 (* Span label of one operator node, e.g. [op:tp-join:left-outer]. *)
 let op_name = function
@@ -70,11 +71,15 @@ let op_name = function
   | Aggregate _ -> "aggregate"
   | Sort_limit _ -> "sort-limit"
   | Tp_join { kind; _ } -> "tp-join:" ^ Nj.kind_name kind
-  | Set_op { kind; _ } -> (
-      match kind with
-      | `Union -> "set-op:union"
-      | `Intersect -> "set-op:intersect"
-      | `Except -> "set-op:except")
+  | Set_op { kind; _ } -> "set-op:" ^ Nj.set_kind_name kind
+
+(* [mem_budget = 0] means "not set here": leave the argument out so
+   Nj's own TPDB_MEM_BUDGET fallback still applies. *)
+let nj_options ~parallelism ~sanitize ~prob_cache ~static_safe ~mem_budget
+    ~est_rows =
+  Nj.options ~parallelism ~sanitize ~prob_cache ~static_safe
+    ?mem_budget:(if mem_budget > 0 then Some mem_budget else None)
+    ?est_rows ()
 
 let rec to_relation ~env plan =
   if Trace.enabled () then
@@ -123,23 +128,20 @@ and eval ~env plan =
         right;
       } ->
       let options =
-        (* [mem_budget = 0] means "not set here": leave the argument out
-           so Nj's own TPDB_MEM_BUDGET fallback still applies. *)
-        Nj.options ~parallelism ~sanitize ~prob_cache
-          ~static_safe:safe_lineage
-          ?mem_budget:(if mem_budget > 0 then Some mem_budget else None)
-          ?est_rows ()
+        nj_options ~parallelism ~sanitize ~prob_cache ~static_safe:safe_lineage
+          ~mem_budget ~est_rows
       in
       Nj.join ~options ~env ~kind ~theta (to_relation ~env left)
         (to_relation ~env right)
-  | Set_op { kind; left; right } ->
-      let op =
-        match kind with
-        | `Union -> Set_ops.union
-        | `Intersect -> Set_ops.intersection
-        | `Except -> Set_ops.difference
+  | Set_op
+      { kind; parallelism; sanitize; prob_cache; mem_budget; est_rows; left; right }
+    ->
+      let options =
+        nj_options ~parallelism ~sanitize ~prob_cache ~static_safe:false
+          ~mem_budget ~est_rows
       in
-      op ~env (to_relation ~env left) (to_relation ~env right)
+      Nj.set_op ~options ~env ~kind (to_relation ~env left)
+        (to_relation ~env right)
 
 (* Filters and projections stream over the child's sequence; blocking
    nodes (joins, set operations, distinct) fall back to [to_relation] for
@@ -286,13 +288,9 @@ let rec shape plan =
       Printf.sprintf "tp-join(%s;%s;%s;%s;%s)" (Nj.kind_name kind) executor
         (Theta.to_string ~left:(schema left) ~right:(schema right) theta)
         (shape left) (shape right)
-  | Set_op { kind; left; right } ->
-      Printf.sprintf "set-op(%s;%s;%s)"
-        (match kind with
-        | `Union -> "union"
-        | `Intersect -> "intersect"
-        | `Except -> "except")
-        (shape left) (shape right)
+  | Set_op { kind; left; right; _ } ->
+      Printf.sprintf "set-op(%s;%s;%s)" (Nj.set_kind_name kind) (shape left)
+        (shape right)
 
 (* FNV-1a 64-bit over the shape string: stable across runs and processes
    (no functorial hashing, no randomization), cheap, and 16 hex digits

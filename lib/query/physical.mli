@@ -61,7 +61,18 @@ type t =
       limit : int option;
       child : t;
     }  (** ORDER BY / LIMIT: blocking *)
-  | Set_op of { kind : [ `Union | `Intersect | `Except ]; left : t; right : t }
+  | Set_op of {
+      kind : Tpdb_joins.Nj.set_kind;
+      parallelism : int;
+      sanitize : bool;
+      prob_cache : bool;
+      mem_budget : int;
+      est_rows : (int * int) option;
+          (** as on [Tp_join]; {!Tpdb_joins.Nj.set_op} runs on the join's
+              executor, without the statically safe probability path *)
+      left : t;
+      right : t;
+    }
 
 val schema : t -> Schema.t
 

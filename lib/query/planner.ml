@@ -460,16 +460,19 @@ let plan ?(parallelism = 1) ?sanitize ?(prob_cache = true) ?(mem_budget = 0)
         | Ast.Intersect -> `Intersect
         | Ast.Except -> `Except
       in
+      let build = plan_select ~parallelism ~sanitize ~prob_cache ~mem_budget catalog in
+      let left = build a and right = build b in
       finish
         (Physical.Set_op
            {
              kind;
-             left =
-               plan_select ~parallelism ~sanitize ~prob_cache ~mem_budget
-                 catalog a;
-             right =
-               plan_select ~parallelism ~sanitize ~prob_cache ~mem_budget
-                 catalog b;
+             parallelism;
+             sanitize;
+             prob_cache;
+             mem_budget;
+             est_rows = join_est_rows catalog left right;
+             left;
+             right;
            })
         []
 

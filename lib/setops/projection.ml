@@ -1,5 +1,4 @@
 module Interval = Tpdb_interval.Interval
-module Timeline = Tpdb_interval.Timeline
 module Formula = Tpdb_lineage.Formula
 module Prob = Tpdb_lineage.Prob
 module Relation = Tpdb_relation.Relation
@@ -58,61 +57,3 @@ let project_names ?env ~columns r =
   project ?env
     ~columns:(List.map (Schema.column_index_exn schema) columns)
     r
-
-let oracle ?env ~columns r =
-  let env = env_default env r in
-  let schema = projected_schema ~columns r in
-  let module Key = struct
-    type t = Fact.t * Formula.t
-
-    let compare (fa, la) (fb, lb) =
-      let c = Fact.compare fa fb in
-      if c <> 0 then c else Formula.compare la lb
-  end in
-  let module M = Map.Make (Key) in
-  let domain =
-    Timeline.span (List.map Tuple.iv (Relation.tuples r))
-  in
-  let rows_at t =
-    let witnesses = List.filter (fun tp -> Tuple.valid_at tp t) (Relation.tuples r) in
-    let facts =
-      List.sort_uniq Fact.compare
-        (List.map (fun tp -> Fact.project columns (Tuple.fact tp)) witnesses)
-    in
-    List.map
-      (fun fact ->
-        let lineages =
-          List.filter_map
-            (fun tp ->
-              if Fact.equal (Fact.project columns (Tuple.fact tp)) fact then
-                Some (Tuple.lineage tp)
-              else None)
-            witnesses
-        in
-        (fact, Formula.disj lineages))
-      facts
-  in
-  let by_row =
-    match domain with
-    | None -> M.empty
-    | Some span ->
-        Seq.fold_left
-          (fun acc t ->
-            List.fold_left
-              (fun acc (fact, lineage) ->
-                let key = (fact, Formula.normalize lineage) in
-                M.add key (t :: Option.value (M.find_opt key acc) ~default:[]) acc)
-              acc (rows_at t))
-          M.empty (Interval.points span)
-  in
-  let tuples =
-    M.fold
-      (fun (fact, lineage) points acc ->
-        let p = Prob.compute env lineage in
-        Timeline.coalesce (List.map (fun t -> Interval.make t (t + 1)) points)
-        |> List.fold_left
-             (fun acc iv -> Tuple.make ~fact ~lineage ~iv ~p :: acc)
-             acc)
-      by_row []
-  in
-  Relation.of_tuples schema tuples

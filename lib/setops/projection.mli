@@ -19,7 +19,3 @@ val project :
 val project_names :
   ?env:Prob.env -> columns:string list -> Relation.t -> Relation.t
 (** Same, by column name. Raises [Not_found] for unknown columns. *)
-
-val oracle :
-  ?env:Prob.env -> columns:int list -> Relation.t -> Relation.t
-(** Pointwise reference implementation (for tests). *)

@@ -110,15 +110,16 @@ module Value_table = Hashtbl.Make (struct
 end)
 
 (* Single-column equi keys probe a [Value.t]-keyed table directly: no
-   per-probe key-fact allocation, no multi-column hash loop. Null-keyed
-   build tuples are left out of the table — a null never equals
-   anything, so they could not match. *)
-let single_key_lookup ~env ~lcol ~rcol s =
+   per-probe key-fact allocation, no multi-column hash loop. Under [`Eq]
+   null-keyed build tuples are left out of the table — a null never
+   equals anything, so they could not match; under [`Not_distinct]
+   ([null_safe]) nulls are one key like any other. *)
+let single_key_lookup ~env ~null_safe ~lcol ~rcol s =
   let by_key = Value_table.create 1024 in
   List.iteri
     (fun i tp ->
       let v = Fact.get (Tuple.fact tp) rcol in
-      if not (Value.is_null v) then
+      if null_safe || not (Value.is_null v) then
         match Value_table.find_opt by_key v with
         | Some entries -> entries := (i, tp) :: !entries
         | None -> Value_table.add by_key v (ref [ (i, tp) ]))
@@ -130,15 +131,18 @@ let single_key_lookup ~env ~lcol ~rcol s =
     by_key;
   fun r_tuple ->
     let v = Fact.get (Tuple.fact r_tuple) lcol in
-    if Value.is_null v then None else Value_table.find_opt buckets v
+    if (not null_safe) && Value.is_null v then None
+    else Value_table.find_opt buckets v
 
 let build ?env ?(order = Tuple.compare_fact_start) ~theta s =
   let indexed () = List.mapi (fun i tp -> (i, tp)) (Relation.tuples s) in
   let lookup, residual =
-    match Theta.equi_keys theta with
-    | Some ([ lcol ], [ rcol ]) ->
-        (single_key_lookup ~env ~lcol ~rcol s, Theta.residual theta)
-    | Some (left_cols, right_cols) ->
+    match (Theta.equi_keys theta, Theta.null_safe_keys theta) with
+    | Some ([ lcol ], [ rcol ]), [ null_safe ] ->
+        (single_key_lookup ~env ~null_safe ~lcol ~rcol s, Theta.residual theta)
+    | Some (left_cols, right_cols), null_safe ->
+        (* the key positions where a null matches nothing *)
+        let strict = Array.of_list (List.map not null_safe) in
         let partition =
           Hash_partition.build
             ~key:(fun (_, tp) -> Fact.key right_cols (Tuple.fact tp))
@@ -154,13 +158,14 @@ let build ?env ?(order = Tuple.compare_fact_start) ~theta s =
         in
         ( (fun r_tuple ->
             let key = Fact.key left_cols (Tuple.fact r_tuple) in
-            if Array.exists Value.is_null key then None
+            if Array.exists2 (fun strict v -> strict && Value.is_null v) strict key
+            then None
             else
               match Hash_partition.probe buckets key with
               | [] -> None
               | (_, bucket) :: _ -> Some bucket),
           Theta.residual theta )
-    | None ->
+    | None, _ ->
         let bucket = bucket_of_entries ~env (indexed ()) in
         ( (fun _ ->
             if Array.length bucket.b_tuples = 0 then None else Some bucket),
@@ -489,20 +494,20 @@ let partner_order a b =
     in
     if c <> 0 then c else Tuple.compare_fact_start a b
 
-let right_pass ~sanitize ?env ~theta r s ~gaps ~spanning =
-  let emit =
-    { count_wo = false; build_wo = sanitize; gaps = true; negs = true }
-  in
+let right_pass ~sanitize ~stage ?env ~theta r s ~gaps ~spanning =
+  let negs = match stage with `Wun -> true | `Wuo -> false in
+  let emit = { count_wo = false; build_wo = sanitize; gaps = true; negs } in
   sweep ?env ~order:partner_order ~emit ~theta:(Theta.swap theta) ~out:gaps
     ~spanning s r
 
-let iter_right ?env ~theta r s ~gaps ~spanning =
-  right_pass ~sanitize:false ?env ~theta r s ~gaps ~spanning
+let iter_right ?(stage = `Wun) ?env ~theta r s ~gaps ~spanning =
+  right_pass ~sanitize:false ~stage ?env ~theta r s ~gaps ~spanning
 
-let right ?(sanitize = false) ?env ~theta r s =
+let right ?(stage = `Wun) ?(sanitize = false) ?env ~theta r s =
   let gaps = Vec.create () and spanning = Vec.create () in
-  right_pass ~sanitize ?env ~theta r s ~gaps:(Vec.push gaps)
+  right_pass ~sanitize ~stage ?env ~theta r s ~gaps:(Vec.push gaps)
     ~spanning:(Vec.push spanning);
-  ( checked ~sanitize ~stage:`Wun ~theta:(Theta.swap theta) ~drop_wo:true
-      (Vec.contents gaps),
+  ( checked ~sanitize
+      ~stage:(stage :> stage)
+      ~theta:(Theta.swap theta) ~drop_wo:true (Vec.contents gaps),
     Vec.contents spanning )

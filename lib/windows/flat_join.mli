@@ -61,6 +61,7 @@ val windows :
     through {!Invariant.wrap} at the matching stage. *)
 
 val iter_right :
+  ?stage:[ `Wuo | `Wun ] ->
   ?env:Tpdb_lineage.Prob.env ->
   theta:Theta.t ->
   Relation.t ->
@@ -68,11 +69,12 @@ val iter_right :
   gaps:(Window.t -> unit) ->
   spanning:(Window.t -> unit) ->
   unit
-(** The right side of the outer joins [r ⟖ s] and [r ⟗ s]: one pass of
-    the kernel over [Theta.swap theta] that probes with [s] and builds
-    on [r]. The unmatched and negating windows of the [s] tuples with a
-    match go to [gaps], the spanning windows of those without one to
-    [spanning], each grouped by [s] tuple. Overlapping windows are
+(** The right side of the outer joins [r ⟖ s] and [r ⟗ s] (and of the
+    union): one pass of the kernel over [Theta.swap theta] that probes
+    with [s] and builds on [r]. The unmatched windows of the [s] tuples
+    with a match — and, at [stage] [`Wun] (the default), their negating
+    windows — go to [gaps], the spanning windows of those without one
+    to [spanning], each grouped by [s] tuple. Overlapping windows are
     neither built nor counted (the left pass has them). A negating
     window's partners, which fix the disjunct order of its λs and so
     the output lineage's text and probability bits, come ordered by
@@ -80,6 +82,7 @@ val iter_right :
     then {!Tpdb_relation.Tuple.compare_fact_start}. *)
 
 val right :
+  ?stage:[ `Wuo | `Wun ] ->
   ?sanitize:bool ->
   ?env:Tpdb_lineage.Prob.env ->
   theta:Theta.t ->
@@ -87,7 +90,7 @@ val right :
   Relation.t ->
   Window.t array * Window.t array
 (** {!iter_right}'s two streams; with [~sanitize:true] the first is
-    checked at the LAWAN stage. *)
+    checked at [stage]. *)
 
 val count : ?stage:stage -> theta:Theta.t -> Relation.t -> Relation.t -> int
 (** [count ~stage ~theta r s] is [Array.length (windows ~stage ~theta r

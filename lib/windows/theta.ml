@@ -3,7 +3,7 @@ module Value = Tpdb_relation.Value
 module Schema = Tpdb_relation.Schema
 module Interval = Tpdb_interval.Interval
 
-type op = [ `Eq | `Lt | `Le | `Gt | `Ge | `Ne ]
+type op = [ `Eq | `Lt | `Le | `Gt | `Ge | `Ne | `Not_distinct ]
 
 type atom =
   | Cols of op * int * int
@@ -19,6 +19,9 @@ let always = { temporal = `Overlap; atoms = [] }
 let of_atoms atoms = { temporal = `Overlap; atoms }
 
 let eq i j = { temporal = `Overlap; atoms = [ Cols (`Eq, i, j) ] }
+
+let fact_equality arity =
+  of_atoms (List.init arity (fun i -> Cols (`Not_distinct, i, i)))
 
 let conj a b =
   let temporal =
@@ -52,11 +55,14 @@ let temporal_matches t a b =
   | `Allen rel -> Interval.allen a b = rel
 
 let apply_op op a b =
-  if Value.is_null a || Value.is_null b then false
+  if Value.is_null a || Value.is_null b then
+    match op with
+    | `Not_distinct -> Value.is_null a && Value.is_null b
+    | `Eq | `Ne | `Lt | `Le | `Gt | `Ge -> false
   else
     let c = Value.compare a b in
     match op with
-    | `Eq -> c = 0
+    | `Eq | `Not_distinct -> c = 0
     | `Ne -> c <> 0
     | `Lt -> c < 0
     | `Le -> c <= 0
@@ -70,15 +76,28 @@ let matches_atom fr fs = function
 
 let matches t fr fs = List.for_all (matches_atom fr fs) t.atoms
 
+let key_atom = function
+  | Cols ((`Eq | `Not_distinct), _, _) -> true
+  | Cols _ | Left_const _ | Right_const _ -> false
+
 let equi_keys t =
   let keys =
     List.filter_map
-      (function Cols (`Eq, i, j) -> Some (i, j) | _ -> None)
+      (function
+        | Cols ((`Eq | `Not_distinct), i, j) -> Some (i, j) | _ -> None)
       t.atoms
   in
   match keys with
   | [] -> None
   | _ -> Some (List.map fst keys, List.map snd keys)
+
+let null_safe_keys t =
+  List.filter_map
+    (function
+      | Cols (`Not_distinct, _, _) -> Some true
+      | Cols (`Eq, _, _) -> Some false
+      | _ -> None)
+    t.atoms
 
 let op_rank : op -> int = function
   | `Eq -> 0
@@ -87,6 +106,7 @@ let op_rank : op -> int = function
   | `Le -> 3
   | `Gt -> 4
   | `Ge -> 5
+  | `Not_distinct -> 6
 
 (* Explicit structural equality: atoms embed [Value.t], whose floats and
    strings must go through [Value.compare], not the polymorphic [=]. *)
@@ -155,8 +175,7 @@ let simplify t =
 let residual t =
   {
     t with
-    atoms =
-      List.filter (function Cols (`Eq, _, _) -> false | _ -> true) t.atoms;
+    atoms = List.filter (fun a -> not (key_atom a)) t.atoms;
   }
 
 let swap_op : op -> op = function
@@ -166,6 +185,7 @@ let swap_op : op -> op = function
   | `Le -> `Ge
   | `Gt -> `Lt
   | `Ge -> `Le
+  | `Not_distinct -> `Not_distinct
 
 let swap t =
   {
@@ -189,6 +209,7 @@ let op_string : op -> string = function
   | `Le -> "<="
   | `Gt -> ">"
   | `Ge -> ">="
+  | `Not_distinct -> "is not distinct from"
 
 let column schema side i =
   match schema with

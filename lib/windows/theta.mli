@@ -12,9 +12,14 @@
     fact (or with a constant). Equality atoms are recognized so the
     executor can hash-partition on them; everything else is evaluated as
     a residual predicate — exactly the split PostgreSQL's planner
-    performs between hash clauses and join filters. *)
+    performs between hash clauses and join filters.
 
-type op = [ `Eq | `Lt | `Le | `Gt | `Ge | `Ne ]
+    Comparisons with [Null] never hold (SQL semantics), except
+    [`Not_distinct], SQL's [IS NOT DISTINCT FROM]: equality under which
+    two nulls are equal. It is the equality of the set operations, and
+    an equality atom like [`Eq]. *)
+
+type op = [ `Eq | `Lt | `Le | `Gt | `Ge | `Ne | `Not_distinct ]
 
 type atom =
   | Cols of op * int * int  (** left column ⋈ right column *)
@@ -32,6 +37,11 @@ val of_atoms : atom list -> t
 
 val eq : int -> int -> t
 (** [eq i j] : left column [i] = right column [j]. *)
+
+val fact_equality : int -> t
+(** [fact_equality arity]: every column [i < arity] of the left fact
+    [`Not_distinct] from column [i] of the right fact — the θ of the set
+    operations. *)
 
 val conj : t -> t -> t
 (** Conjunction of atoms. Temporal components combine by keeping the
@@ -57,11 +67,17 @@ val temporal_matches : t -> Tpdb_interval.Interval.t -> Tpdb_interval.Interval.t
     window. *)
 
 val matches : t -> Tpdb_relation.Fact.t -> Tpdb_relation.Fact.t -> bool
-(** Comparisons involving [Null] never match (SQL semantics). *)
+(** Comparisons involving [Null] never match (SQL semantics), except
+    [`Not_distinct] between two nulls. *)
 
 val equi_keys : t -> (int list * int list) option
-(** Columns of the column-equality atoms, left and right, positionally
-    paired; [None] when there is no equality atom to hash on. *)
+(** Columns of the column-equality atoms ([`Eq] and [`Not_distinct]),
+    left and right, positionally paired; [None] when there is no
+    equality atom to hash on. *)
+
+val null_safe_keys : t -> bool list
+(** For each {!equi_keys} pair, in the same order, whether two nulls
+    match on it ([`Not_distinct]) rather than never matching ([`Eq]). *)
 
 val atom_equal : atom -> atom -> bool
 (** Structural equality, comparing embedded constants with
@@ -79,8 +95,8 @@ val simplify : t -> t * atom list
 
 val residual : t -> t
 (** Everything but the column-equality atoms. [matches t fr fs] iff the
-    {!equi_keys} columns are pairwise equal (and non-null) and
-    [matches (residual t) fr fs]. *)
+    {!equi_keys} columns are pairwise equal (non-null on the [`Eq]
+    pairs, {!null_safe_keys}) and [matches (residual t) fr fs]. *)
 
 val swap : t -> t
 (** θ with the two sides exchanged:

@@ -49,16 +49,16 @@ let test_ta_paper_example () =
   let r, s = (Fixtures.relation_a (), Fixtures.relation_b ()) in
   let theta = Fixtures.theta_loc in
   Fixtures.check_relation "TA left outer = Fig 1b"
-    (Nj.left_outer ~theta r s)
+    (Nj.join ~kind:Nj.Left ~theta r s)
     (Ta.left_outer ~theta r s);
   Fixtures.check_relation "TA anti = NJ anti"
-    (Nj.anti ~theta r s)
+    (Nj.join ~kind:Nj.Anti ~theta r s)
     (Ta.anti ~theta r s);
   Fixtures.check_relation "TA right outer = NJ right outer"
-    (Nj.right_outer ~theta r s)
+    (Nj.join ~kind:Nj.Right ~theta r s)
     (Ta.right_outer ~theta r s);
   Fixtures.check_relation "TA full outer = NJ full outer"
-    (Nj.full_outer ~theta r s)
+    (Nj.join ~kind:Nj.Full ~theta r s)
     (Ta.full_outer ~theta r s)
 
 let window_sets_equal a b =

@@ -7,6 +7,7 @@
 
 module Csv = Tpdb_relation.Csv
 module Relation = Tpdb_relation.Relation
+module Fact = Tpdb_relation.Fact
 module Datasets = Tpdb_workload.Datasets
 module Catalog = Tpdb_query.Catalog
 module Parser = Tpdb_query.Parser
@@ -130,6 +131,33 @@ let test_many_partitions_join () =
   check_no_forced "parallelism 300 join" (fun () ->
       render (Nj.join ~options ~kind:Nj.Full ~theta:(Theta.eq 0 0) r s))
 
+(* The merge of a parallel join at 300 partitions, on three tuples per
+   side: too few for the sweeps to run a minor collection, so partition
+   0's window streams are still young when the merge gathers the
+   partitions' streams. The keys are picked to land in partition 0, and
+   the two-column key takes the multi-column probe, which allocates no
+   per-build bucket table (the single-column one allocates a 1024-bucket
+   table per pass and partition, and those major allocations run minor
+   collections). *)
+let test_partition_merge () =
+  let key = [ 0; 1 ] in
+  let in_partition0 i =
+    let fact = Fact.of_strings [ Printf.sprintf "k%d" i; "x" ] in
+    Parallel.bucket_of ~partitions:300 (Fact.hash (Fact.key key fact)) = 0
+  in
+  let keys = List.filteri (fun j _ -> j < 3) (List.filter in_partition0 (List.init 5000 Fun.id)) in
+  let rel name =
+    Relation.of_rows ~name ~columns:[ "K"; "L" ] ~tag:name
+      (List.map
+         (fun i -> ([ Printf.sprintf "k%d" i; "x" ], Tpdb_interval.Interval.make i (i + 3), 0.5))
+         keys)
+  in
+  let r = rel "r" and s = rel "s" in
+  let options = Nj.options ~sanitize:false ~parallelism:300 () in
+  let theta = Theta.conj (Theta.eq 0 0) (Theta.eq 1 1) in
+  check_no_forced "parallelism 300 merge" (fun () ->
+      render (Nj.join ~options ~kind:Nj.Anti ~theta r s))
+
 let suite =
   [
     Alcotest.test_case "Csv.load forces no minor collection" `Quick test_csv_load;
@@ -143,4 +171,6 @@ let suite =
       test_shard2_partitions;
     Alcotest.test_case "300-way join forces no minor collection" `Quick
       test_many_partitions_join;
+    Alcotest.test_case "300-way merge forces no minor collection" `Quick
+      test_partition_merge;
   ]

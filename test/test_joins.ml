@@ -38,7 +38,7 @@ let test_concat_functions () =
   Alcotest.(check int) "null padding" 3 (Fact.arity (Tuple.fact padded));
   Alcotest.(check bool) "padding is null" true
     (Value.is_null (Fact.get (Tuple.fact padded) 2));
-  (match Concat.tuple_of_window_no_fs ~prob overl with
+  (match Concat.tuple_of_set_window ~prob ~kind:`Except overl with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "anti-join formation accepted a pair window")
 
@@ -70,16 +70,16 @@ let test_empty_sides () =
   check_against_oracle empty empty;
   (* An empty s still yields the whole of r in the left outer join. *)
   Alcotest.(check int) "left outer keeps r" 1
-    (Relation.cardinality (Nj.left_outer ~theta:theta_k r empty));
+    (Relation.cardinality (Nj.join ~kind:Nj.Left ~theta:theta_k r empty));
   Alcotest.(check int) "anti keeps r" 1
-    (Relation.cardinality (Nj.anti ~theta:theta_k r empty))
+    (Relation.cardinality (Nj.join ~kind:Nj.Anti ~theta:theta_k r empty))
 
 let test_identical_intervals () =
   let r = krel "r" [ ([ "x" ], iv 2 6, 0.5) ] in
   let s = krel "s" [ ([ "x" ], iv 2 6, 0.5) ] in
   check_against_oracle r s;
   (* Exact cover: no unmatched or negating-free time points on either side. *)
-  let left = Nj.left_outer ~theta:theta_k r s in
+  let left = Nj.join ~kind:Nj.Left ~theta:theta_k r s in
   Alcotest.(check int) "pair + negation" 2 (Relation.cardinality left)
 
 let test_touching_intervals () =
@@ -88,7 +88,7 @@ let test_touching_intervals () =
   let s = krel "s" [ ([ "x" ], iv 4 6, 0.5) ] in
   check_against_oracle r s;
   Alcotest.(check int) "no pairs" 0
-    (Relation.cardinality (Nj.inner ~theta:theta_k r s))
+    (Relation.cardinality (Nj.join ~kind:Nj.Inner ~theta:theta_k r s))
 
 let test_point_intervals () =
   let r = krel "r" [ ([ "x" ], iv 3 4, 0.5) ] in
@@ -103,7 +103,7 @@ let test_many_stacked_matches () =
       (List.init 5 (fun i -> ([ "x" ], iv i (10 - i), 0.5)))
   in
   check_against_oracle r s;
-  let anti = Nj.anti ~theta:theta_k r s in
+  let anti = Nj.join ~kind:Nj.Anti ~theta:theta_k r s in
   let deepest =
     List.find
       (fun tp -> Interval.equal (Tuple.iv tp) (iv 4 6))
@@ -127,11 +127,11 @@ let test_probabilities_in_range () =
   let r, s = (Fixtures.relation_a (), Fixtures.relation_b ()) in
   let all_ops =
     [
-      Nj.inner ~theta:Fixtures.theta_loc r s;
-      Nj.anti ~theta:Fixtures.theta_loc r s;
-      Nj.left_outer ~theta:Fixtures.theta_loc r s;
-      Nj.right_outer ~theta:Fixtures.theta_loc r s;
-      Nj.full_outer ~theta:Fixtures.theta_loc r s;
+      Nj.join ~kind:Nj.Inner ~theta:Fixtures.theta_loc r s;
+      Nj.join ~kind:Nj.Anti ~theta:Fixtures.theta_loc r s;
+      Nj.join ~kind:Nj.Left ~theta:Fixtures.theta_loc r s;
+      Nj.join ~kind:Nj.Right ~theta:Fixtures.theta_loc r s;
+      Nj.join ~kind:Nj.Full ~theta:Fixtures.theta_loc r s;
     ]
   in
   List.iter
@@ -148,8 +148,8 @@ let test_explicit_env () =
   (* Joining derived relations requires an explicit environment. *)
   let r, s = (Fixtures.relation_a (), Fixtures.relation_b ()) in
   let env = Relation.prob_env [ r; s ] in
-  let derived = Nj.anti ~env ~theta:Fixtures.theta_loc r s in
-  let again = Nj.left_outer ~env ~theta:(Theta.eq 1 1) derived s in
+  let derived = Nj.join ~kind:Nj.Anti ~env ~theta:Fixtures.theta_loc r s in
+  let again = Nj.join ~kind:Nj.Left ~env ~theta:(Theta.eq 1 1) derived s in
   Alcotest.(check bool) "derived join runs" true (Relation.cardinality again > 0);
   List.iter
     (fun tp ->
@@ -264,9 +264,9 @@ let prop_left_decomposes =
     ~print:Tp_gen.print_triple
     (Tp_gen.scenario_gen ())
     (fun (theta, r, s) ->
-      let left = Nj.left_outer ~theta r s in
-      let inner = Nj.inner ~theta r s in
-      let anti = Nj.anti ~theta r s in
+      let left = Nj.join ~kind:Nj.Left ~theta r s in
+      let inner = Nj.join ~kind:Nj.Inner ~theta r s in
+      let anti = Nj.join ~kind:Nj.Anti ~theta r s in
       let pad = Tpdb_relation.Schema.arity (Relation.schema s) in
       let padded_anti =
         Relation.of_tuples (Relation.schema left)
@@ -292,12 +292,12 @@ let prop_full_contains_left_and_right_parts =
                  Tuple.iv tp ))
         |> List.sort_uniq compare
       in
-      let full = canon (Nj.full_outer ~theta r s) in
+      let full = canon (Nj.join ~kind:Nj.Full ~theta r s) in
       let contains part =
         List.for_all (fun row -> List.mem row full) (canon part)
       in
-      contains (Nj.left_outer ~theta r s)
-      && contains (Nj.right_outer ~theta r s))
+      contains (Nj.join ~kind:Nj.Left ~theta r s)
+      && contains (Nj.join ~kind:Nj.Right ~theta r s))
 
 let prop_anti_probability_decomposes =
   Test.make ~name:"P(anti row) factorizes over independent matches" ~count:120
@@ -305,7 +305,7 @@ let prop_anti_probability_decomposes =
     (Tp_gen.pair_gen ())
     (fun (r, s) ->
       let env = Relation.prob_env [ r; s ] in
-      let anti = Nj.anti ~theta:theta_k r s in
+      let anti = Nj.join ~kind:Nj.Anti ~theta:theta_k r s in
       List.for_all
         (fun tp ->
           Float.abs (Tuple.p tp -. Prob.exact env (Tuple.lineage tp)) < 1e-9)
@@ -453,10 +453,10 @@ let prop_composed_joins_match_oracle =
     (Tp_gen.scenario_gen ())
     (fun (theta, r, s) ->
       let env = Relation.prob_env [ r; s ] in
-      let derived = Nj.anti ~env ~theta r s in
+      let derived = Nj.join ~kind:Nj.Anti ~env ~theta r s in
       Relation.equal_as_sets
         (Oracle.eval ~env ~kind:Nj.Left ~theta derived s)
-        (Nj.left_outer ~env ~theta derived s))
+        (Nj.join ~kind:Nj.Left ~env ~theta derived s))
 
 let prop_static_safe_probabilities_bit_identical =
   (* A statically safe plan takes its probabilities from the sweep (or,

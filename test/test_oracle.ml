@@ -235,6 +235,26 @@ let differential_static_safe =
                (List.map (Oracle.report ~theta) ds
                @ [ print_scenario (theta, r, s) ])))
 
+(* The set operations under every configuration they run in: all but
+   the statically safe ones (jobs 1/2/4, prob-cache on and off, the
+   sanitizer, and the tiny-budget spill), on inputs whose Sub column
+   may be null. *)
+let differential_set_ops =
+  let configs = Oracle.default_configs in
+  Test.make
+    ~name:"differential: set operations = snapshot semantics on every config"
+    ~count:40 ~print:Tp_gen.print_pair
+    (Tp_gen.pair_gen ~nulls:true ())
+    (fun (r, s) ->
+      let theta = Theta.always in
+      match Oracle.check ~configs ~kinds:[] ~set_kinds:Nj.all_set_kinds ~theta r s with
+      | [] -> true
+      | ds ->
+          Test.fail_report
+            (String.concat "\n\n"
+               (List.map (Oracle.report ~theta) ds
+               @ [ Oracle.repro ~theta r s ])))
+
 (* Every Allen relation as θ's temporal component, on the paper example,
    across all five join kinds and jobs 1/2/4 — the deterministic
    end-to-end matrix the flat Allen kernels are gated on. Sequential and
@@ -278,4 +298,5 @@ let suite =
     qtest (differential Nj.Full);
     qtest differential_full_matrix;
     qtest differential_static_safe;
+    qtest differential_set_ops;
   ]

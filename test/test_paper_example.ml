@@ -22,7 +22,7 @@ let expected_left_outer () =
     ]
 
 let test_fig1b_nj () =
-  let result = Nj.left_outer ~theta:theta_loc (relation_a ()) (relation_b ()) in
+  let result = Nj.join ~kind:Nj.Left ~theta:theta_loc (relation_a ()) (relation_b ()) in
   check_relation "NJ left outer join reproduces Fig. 1b"
     (expected_left_outer ()) result
 
@@ -34,7 +34,7 @@ let test_fig1b_oracle () =
     (expected_left_outer ()) result
 
 let test_fig1b_probabilities () =
-  let result = Nj.left_outer ~theta:theta_loc (relation_a ()) (relation_b ()) in
+  let result = Nj.join ~kind:Nj.Left ~theta:theta_loc (relation_a ()) (relation_b ()) in
   let find lineage_str =
     let target =
       Fixtures.Formula.normalize (Fixtures.Formula.of_string lineage_str)
@@ -118,20 +118,20 @@ let test_table2_anti () =
       ]
   in
   check_relation "TP anti join on the paper example" expected
-    (Nj.anti ~theta:theta_loc (relation_a ()) (relation_b ()))
+    (Nj.join ~kind:Nj.Anti ~theta:theta_loc (relation_a ()) (relation_b ()))
 
 let test_table2_right_outer () =
   (* b ⟖ has unmatched/negating windows of b w.r.t. a: mirror of the
      example. Validated against the independent oracle. *)
-  let nj = Nj.right_outer ~theta:theta_loc (relation_a ()) (relation_b ()) in
+  let nj = Nj.join ~kind:Nj.Right ~theta:theta_loc (relation_a ()) (relation_b ()) in
   check_relation "right outer matches oracle" (oracle Nj.Right) nj
 
 let test_table2_full_outer () =
-  let nj = Nj.full_outer ~theta:theta_loc (relation_a ()) (relation_b ()) in
+  let nj = Nj.join ~kind:Nj.Full ~theta:theta_loc (relation_a ()) (relation_b ()) in
   check_relation "full outer matches oracle" (oracle Nj.Full) nj
 
 let test_inner () =
-  let nj = Nj.inner ~theta:theta_loc (relation_a ()) (relation_b ()) in
+  let nj = Nj.join ~kind:Nj.Inner ~theta:theta_loc (relation_a ()) (relation_b ()) in
   check_relation "inner join matches oracle" (oracle Nj.Inner) nj
 
 let suite =

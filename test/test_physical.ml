@@ -44,7 +44,17 @@ let test_schema_inference () =
   Alcotest.(check (list string)) "timeslice transparent" [ "Name"; "Loc" ]
     (Schema.columns (Physical.schema sliced));
   let set =
-    Physical.Set_op { kind = `Union; left = scan_a (); right = scan_a () }
+    Physical.Set_op
+      {
+        kind = `Union;
+        parallelism = 1;
+        sanitize = false;
+        prob_cache = true;
+        mem_budget = 0;
+        est_rows = None;
+        left = scan_a ();
+        right = scan_a ();
+      }
   in
   Alcotest.(check (list string)) "set op keeps left columns" [ "Name"; "Loc" ]
     (Schema.columns (Physical.schema set))

@@ -4,6 +4,7 @@ module Relation = Tpdb_relation.Relation
 module Tuple = Tpdb_relation.Tuple
 module Schema = Tpdb_relation.Schema
 module Projection = Tpdb_setops.Projection
+module Oracle = Tpdb_oracle.Oracle
 module Sweep = Tpdb_engine.Sweep
 
 let iv = Interval.make
@@ -120,7 +121,7 @@ let prop_project_matches_oracle =
     (Tp_gen.relation_gen ~name:"r" ())
     (fun r ->
       Relation.equal_as_sets
-        (Projection.oracle ~columns:[ 0 ] r)
+        (Oracle.project ~columns:[ 0 ] r)
         (Projection.project ~columns:[ 0 ] r))
 
 let prop_project_idempotent =

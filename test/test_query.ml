@@ -9,7 +9,6 @@ module Ast = Tpdb_query.Ast
 module Catalog = Tpdb_query.Catalog
 module Planner = Tpdb_query.Planner
 module Nj = Tpdb_joins.Nj
-module Set_ops = Tpdb_setops.Set_ops
 
 (* --- Lexer --- *)
 
@@ -155,7 +154,7 @@ let run sql = Planner.run_string (catalog ()) sql
 let test_sql_left_join_matches_api () =
   let via_sql = run "SELECT * FROM a LEFT TPJOIN b ON a.Loc = b.Loc" in
   let via_api =
-    Nj.left_outer ~theta:Fixtures.theta_loc (Fixtures.relation_a ())
+    Nj.join ~kind:Nj.Left ~theta:Fixtures.theta_loc (Fixtures.relation_a ())
       (Fixtures.relation_b ())
   in
   Fixtures.check_relation "sql = api" via_api via_sql
@@ -163,7 +162,7 @@ let test_sql_left_join_matches_api () =
 let test_sql_anti_join () =
   let via_sql = run "SELECT * FROM a ANTIJOIN b ON a.Loc = b.Loc" in
   let via_api =
-    Nj.anti ~theta:Fixtures.theta_loc (Fixtures.relation_a ())
+    Nj.join ~kind:Nj.Anti ~theta:Fixtures.theta_loc (Fixtures.relation_a ())
       (Fixtures.relation_b ())
   in
   Fixtures.check_relation "sql anti = api" via_api via_sql
@@ -202,7 +201,7 @@ let test_sql_set_operation () =
   Catalog.register c r;
   Catalog.register c s;
   let via_sql = Planner.run_string c "SELECT * FROM r UNION SELECT * FROM s" in
-  Fixtures.check_relation "sql union = api" (Set_ops.union r s) via_sql
+  Fixtures.check_relation "sql union = api" (Nj.set_op ~kind:`Union r s) via_sql
 
 let test_sql_distinct () =
   (* DISTINCT Loc over relation a: one tuple per location per maximal
@@ -265,7 +264,7 @@ let test_allen_syntax_end_to_end () =
       Fixtures.theta_loc
   in
   let via_api =
-    Nj.inner ~theta (Fixtures.relation_a ()) (Fixtures.relation_b ())
+    Nj.join ~kind:Nj.Inner ~theta (Fixtures.relation_a ()) (Fixtures.relation_b ())
   in
   Fixtures.check_relation "ON temporal = api" via_api via_sql;
   (* WHERE placement folds into the same join. *)
@@ -491,7 +490,7 @@ let test_sql_join_chain () =
   (* Equivalent to composing the API calls with the catalog env. *)
   let env = Catalog.env c in
   let step1 =
-    Nj.left_outer ~env ~theta:Fixtures.theta_loc (Fixtures.relation_a ())
+    Nj.join ~kind:Nj.Left ~env ~theta:Fixtures.theta_loc (Fixtures.relation_a ())
       (Fixtures.relation_b ())
   in
   let rev = Catalog.find_exn c "rev" in
@@ -503,7 +502,7 @@ let test_sql_join_chain () =
   let via_api =
     Tpdb_setops.Projection.project_names ~env
       ~columns:[ "Name"; "Hotel"; "Stars" ]
-      (Nj.left_outer ~env ~theta:theta2 step1 rev)
+      (Nj.join ~kind:Nj.Left ~env ~theta:theta2 step1 rev)
   in
   ignore via_api;
   (* Distinct lineage decompositions can differ between the two

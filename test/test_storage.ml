@@ -583,7 +583,7 @@ let prop_join_results_survive_storage =
     ~print:Tp_gen.print_triple
     (Tp_gen.scenario_gen ())
     (fun (theta, r, s) ->
-      let result = Tpdb_joins.Nj.left_outer ~theta r s in
+      let result = Tpdb_joins.Nj.join ~kind:Tpdb_joins.Nj.Left ~theta r s in
       with_temp_dir (fun dir ->
           let path = Filename.concat dir "q.tpr" in
           Heap_file.write path result;

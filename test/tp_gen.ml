@@ -1,5 +1,6 @@
 (* QCheck2 generators for small TP relations, sized so the quadratic
-   oracles (Spec, Oracle.eval, Set_ops.Oracle) stay fast. *)
+   oracles (Spec, and Oracle's joins, set operations and projection)
+   stay fast. *)
 
 module Interval = Tpdb_interval.Interval
 module Relation = Tpdb_relation.Relation
@@ -34,14 +35,16 @@ let probability : float Gen.t =
   Gen.map (fun x -> 0.05 +. (0.9 *. x)) (Gen.float_bound_inclusive 1.0)
 
 (* Facts are (key, sub): [keys] controls join selectivity, [sub] lets one
-   key carry several distinct facts. *)
-let relation_gen ?(keys = 3) ?(max_facts = 5) ~name () : Relation.t Gen.t =
+   key carry several distinct facts; with [nulls], [sub] may be null. *)
+let relation_gen ?(keys = 3) ?(max_facts = 5) ?(nulls = false) ~name () :
+    Relation.t Gen.t =
   let open Gen in
   let* n_facts = int_range 1 max_facts in
   let fact_gen =
     let* key = int_range 0 (keys - 1) in
-    let* sub = int_range 0 1 in
-    return [ Printf.sprintf "k%d" key; Printf.sprintf "x%d" sub ]
+    let* sub = int_range 0 (if nulls then 2 else 1) in
+    return
+      [ Printf.sprintf "k%d" key; (if sub = 2 then "" else Printf.sprintf "x%d" sub) ]
   in
   let* facts = list_repeat n_facts fact_gen in
   let facts = List.sort_uniq compare facts in
@@ -58,10 +61,10 @@ let relation_gen ?(keys = 3) ?(max_facts = 5) ~name () : Relation.t Gen.t =
     (Relation.of_rows ~name ~columns:[ "K"; "Sub" ] ~tag:name
        (List.concat rows_per_fact))
 
-let pair_gen ?keys ?max_facts () : (Relation.t * Relation.t) Gen.t =
+let pair_gen ?keys ?max_facts ?nulls () : (Relation.t * Relation.t) Gen.t =
   Gen.pair
-    (relation_gen ?keys ?max_facts ~name:"r" ())
-    (relation_gen ?keys ?max_facts ~name:"s" ())
+    (relation_gen ?keys ?max_facts ?nulls ~name:"r" ())
+    (relation_gen ?keys ?max_facts ?nulls ~name:"s" ())
 
 (* θs worth testing: key equality (hashable), full fact equality, an
    inequality (no equi-key: exercises the single-bucket path), and the
