@@ -97,7 +97,6 @@ let disjoined key tuples =
                   if Fact.equal (key tp) k then Some (Tuple.lineage tp) else None)
                 tuples) ))
 
-(* The set operations' rows of one snapshot. *)
 let set_rows ~kind r s t =
   let r_valid = valid_at r t and s_valid = valid_at s t in
   let in_s rt =
@@ -196,8 +195,6 @@ let set_op ?env ~kind r s =
     ~schema:(Nj.set_op_schema kind (Relation.schema r) (Relation.schema s))
     ~over:[ r; s ] (set_rows ~kind r s)
 
-(* Duplicate-eliminating projection: each projected fact once per
-   point, with the disjunction of its witnesses' lineages. *)
 let project ?env ~columns r =
   let names = Schema.columns (Relation.schema r) in
   let schema =

@@ -3,11 +3,11 @@
     The paper defines every TP join point-wise: at each time point [t]
     the output contains a row iff the §I snapshot semantics says so,
     with the Table I lineage. The set operations (arXiv:1910.00474) and
-    the duplicate-eliminating projection are defined the same way. The optimized flat sweep never evaluates
-    that definition directly — it sweeps intervals — and
-    TPSan re-derives the same lemmas with the same interval bookkeeping,
-    so a misconception shared between the sweep and the sanitizer passes
-    both silently. This module is the independent check: a deliberately
+    the duplicate-eliminating projection are defined the same way. The
+    optimized flat sweep never evaluates that definition directly — it
+    sweeps intervals — and TPSan re-derives the same lemmas with the
+    same interval bookkeeping, so a misconception shared between the
+    sweep and the sanitizer passes both silently. This module is the independent check: a deliberately
     naive, obviously-correct evaluator that
 
     - materializes both inputs point by point over the active timeline,
@@ -29,10 +29,12 @@
     out-of-core spilling and the statically safe probability path).
 
     All of them go through one point-wise materializer. Deliberately
-    quadratic in active-domain size — an oracle, not an operator. It shares only {!Tpdb_interval.Interval} arithmetic and
-    the lineage constructors with the pipeline under test; none of the
-    window machinery ({!Tpdb_windows.Flat_join}), the sweep bookkeeping,
-    or {!Tpdb_joins.Concat}.
+    quadratic in active-domain size — an oracle, not an operator. It
+    shares only {!Tpdb_interval.Interval} arithmetic, the lineage
+    constructors and the set operations' schema names with the pipeline
+    under test; none of the window machinery
+    ({!Tpdb_windows.Flat_join}), the sweep bookkeeping, or
+    {!Tpdb_joins.Concat}.
 
     With a {!Tpdb_obs.Metrics} sink installed, oracle work shows up as
     the [oracle_evals] / [oracle_comparisons] / [oracle_mismatches]
