@@ -240,14 +240,13 @@ let differential_static_safe =
    sanitizer, and the tiny-budget spill), on inputs whose Sub column
    may be null. *)
 let differential_set_ops =
-  let configs = Oracle.default_configs in
   Test.make
     ~name:"differential: set operations = snapshot semantics on every config"
     ~count:40 ~print:Tp_gen.print_pair
     (Tp_gen.pair_gen ~nulls:true ())
     (fun (r, s) ->
       let theta = Theta.always in
-      match Oracle.check ~configs ~kinds:[] ~set_kinds:Nj.all_set_kinds ~theta r s with
+      match Oracle.check ~kinds:[] ~set_kinds:Nj.all_set_kinds ~theta r s with
       | [] -> true
       | ds ->
           Test.fail_report
