@@ -183,7 +183,6 @@ let suite =
     Alcotest.test_case "union lineage per segment" `Quick test_union_semantics;
     Alcotest.test_case "intersection" `Quick test_intersection_semantics;
     Alcotest.test_case "difference" `Quick test_difference_semantics;
-    Alcotest.test_case "null facts" `Quick test_null_facts;
     Alcotest.test_case "schema mismatch" `Quick test_schema_mismatch;
     qtest prop_union_matches_oracle;
     qtest prop_intersection_matches_oracle;
@@ -191,4 +190,5 @@ let suite =
     qtest prop_self_difference_impossible;
     qtest prop_self_union_is_coalesce;
     qtest prop_intersection_commutes_probabilities;
+    Alcotest.test_case "null facts" `Quick test_null_facts;
   ]
