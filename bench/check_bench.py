@@ -9,16 +9,13 @@ deterministically must match the baseline exactly:
   - every sweep point's (series, size, output cardinality)
   - window counts per class (overlapping / unmatched / negating)
   - the deterministic metrics counters (tuples in/out, sweep segments,
-    lineage nodes, prob evals, prob-cache hits/misses/resets, ...)
+    lineage nodes, prob evals, BDD fallbacks, ...)
   - partition counts and sizes of the domain-parallel sweeps
+  - the composed block's rows, probabilities and BDD fallbacks
 
-On top of the exact checks, three machine-independent performance
+On top of the exact checks, two machine-independent performance
 invariants of the CURRENT report:
 
-  - the prob-cache hit rate on the lineage-heavy series must stay
-    above a floor (the cache memoizes whole-formula probabilities; a
-    hit-rate collapse means hash-consing or generation invalidation
-    regressed even if outputs are still right);
   - the flat sweep core must stay >= --sweep-ratio-floor (default 4.2x)
     faster than TA's conventional outer join (the "conventional" series)
     at the "Flat scale" sweep's ratio size — both sides are measured in
@@ -33,7 +30,7 @@ invariants of the CURRENT report:
     exactly so (domain scheduling moves worker allocations off the
     recording domain), hence a tolerance instead of an exact match.
 
-Usage: check_bench.py BASELINE CURRENT [--hit-rate-floor F]
+Usage: check_bench.py BASELINE CURRENT
                       [--sweep-ratio-floor F] [--alloc-tolerance F]
                       [--require-counter NAME]... [--pool-hit-rate-floor F]
                       [--qps-floor F] [--p99-ceiling-ms F]
@@ -71,6 +68,25 @@ node allocates more than F minor words on average, or when the block
 is missing. The Hashtbl-keyed table spent about 43 words per hit
 (key lists, options and the junct list); the open-addressing table
 probed by child ids spends none.
+
+Composed queries: the "composed" block carries the output rows of full
+outer and anti joins over a derived input (t = r full outer join s on
+8-key uniform pairs of 200 and 400 tuples per side, then t with s), the
+probabilities they computed (prob_evals), how many of those left the
+read-once path for a BDD (prob_bdd_fallbacks), and the words they
+allocated straight into the major heap (major minus promoted). Rows,
+prob_evals and prob_bdd_fallbacks must match the baseline exactly: a
+change there means output formation priced a different set of
+lineages, or the read-once check classified them differently. Whenever
+the current report has the block, its direct major words per BDD
+fallback may not exceed COMPOSED_MAJOR_WORDS_PER_FALLBACK_CEILING (64).
+A BDD manager with fixed 1024-slot tables spent about 3080 per
+fallback; one sized from its formula keeps its tables in the minor
+heap, and the joins' own large arrays come to 7.2 per fallback (the
+same in every run: the count is deterministic). Any table of more than
+256 words built per fallback lands in the major heap and costs at
+least 257, so the ceiling sits between the two with room for the
+joins' own arrays to grow ninefold.
 
 CSV loading: the "csv" block carries the bytes of a Webkit pair's CSV
 files at a fixed seed and the minor words Csv.load spends reading them.
@@ -116,10 +132,10 @@ the block, and on a missing block when either flag is set.
 Single-file mode: with only one report (check_bench.py CURRENT) every
 baseline comparison is skipped and only the current-report invariants
 run — used by the out-of-core CI job, whose --spill-only report has no
-baseline, no prob-cache series and no flat-scale sweep. The two report
-floors that depend on sweeps absent from such a report (prob-cache hit
-rate, flat sweep ratio) are skipped when their data is missing instead
-of failing; --require-counter and --pool-hit-rate-floor are the teeth:
+baseline and no flat-scale sweep. The flat sweep ratio floor, which
+depends on a sweep absent from such a report, is skipped when its data
+is missing instead of failing; --require-counter and
+--pool-hit-rate-floor are the teeth:
 
   - --require-counter NAME (repeatable) asserts the counter is present
     and non-zero in the current report. The CI memory-ceiling job
@@ -148,10 +164,14 @@ DETERMINISTIC_COUNTERS = [
     "prob_evals",
     "partition_sweeps",
     "sanitizer_checks",
-    "prob_cache_hits",
-    "prob_cache_misses",
-    "prob_cache_resets",
+    "prob_bdd_fallbacks",
 ]
+
+# The composed block's deterministic fields, compared exactly, and its
+# ceiling on words allocated straight into the major heap per BDD
+# fallback (see the docstring).
+COMPOSED_FIELDS = ("rows", "prob_evals", "prob_bdd_fallbacks")
+COMPOSED_MAJOR_WORDS_PER_FALLBACK_CEILING = 64
 
 
 def flat_sweep_ratio(doc):
@@ -186,7 +206,6 @@ def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("baseline", help="baseline report (or the sole report)")
     parser.add_argument("current", nargs="?", default=None)
-    parser.add_argument("--hit-rate-floor", type=float, default=0.25)
     parser.add_argument("--sweep-ratio-floor", type=float, default=4.2)
     parser.add_argument("--alloc-tolerance", type=float, default=0.15)
     parser.add_argument(
@@ -318,14 +337,12 @@ def main():
                     f"partition_skew.{field}: baseline {b}, current {c}"
                 )
 
-        pc_base = baseline["prob_cache"]
-        pc_cur = current["prob_cache"]
-        for name in ("hits", "misses", "resets"):
-            if pc_base.get(name) != pc_cur.get(name):
-                failures.append(
-                    f"prob_cache.{name}: baseline {pc_base.get(name)}, "
-                    f"current {pc_cur.get(name)}"
-                )
+        composed_base = baseline.get("composed", {})
+        composed_cur = current.get("composed", {})
+        for name in COMPOSED_FIELDS:
+            b, c = composed_base.get(name), composed_cur.get(name)
+            if b != c:
+                failures.append(f"composed.{name}: baseline {b}, current {c}")
 
         alloc_base = base_counters.get("minor_alloc_words")
         alloc_cur = cur_counters.get("minor_alloc_words")
@@ -337,15 +354,6 @@ def main():
                     f"(baseline {alloc_base}, current {alloc_cur}, "
                     f"tolerance {100 * args.alloc_tolerance:.0f}%)"
                 )
-
-    pc_cur = current["prob_cache"]
-    hit_rate = pc_cur.get("hit_rate", 0.0)
-    if "hit_rate" in pc_cur or not single_file:
-        if hit_rate < args.hit_rate_floor:
-            failures.append(
-                f"prob_cache.hit_rate {hit_rate:.3f} below floor "
-                f"{args.hit_rate_floor}"
-            )
 
     sweep_ratio = flat_sweep_ratio(current)
     if sweep_ratio is None:
@@ -453,6 +461,20 @@ def main():
                 f"{args.intern_words_per_hit_ceiling}"
             )
 
+    composed = current.get("composed")
+    if (
+        composed is not None
+        and composed["major_words_per_fallback"]
+        > COMPOSED_MAJOR_WORDS_PER_FALLBACK_CEILING
+    ):
+        failures.append(
+            f"the composed block allocates "
+            f"{composed['major_words_per_fallback']:.1f} direct major "
+            f"words per BDD fallback ({composed['direct_major_words']} "
+            f"words for {composed['prob_bdd_fallbacks']} fallbacks), "
+            f"above ceiling {COMPOSED_MAJOR_WORDS_PER_FALLBACK_CEILING}"
+        )
+
     csv = current.get("csv")
     if args.csv_words_per_byte_ceiling is not None:
         if csv is None:
@@ -504,8 +526,6 @@ def main():
         sys.exit(1)
 
     summary = [f"{len(cur_points)} sweep points"]
-    if "hit_rate" in pc_cur:
-        summary.append(f"hit rate {hit_rate:.3f}")
     if sweep_ratio is not None:
         summary.append(f"flat sweep ratio {sweep_ratio:.2f}x")
     if args.require_counter:
@@ -515,8 +535,6 @@ def main():
         )
     if args.pool_hit_rate_floor is not None:
         summary.append(f"pool hit rate {pool_rate:.3f}")
-    if "speedup" in pc_cur:
-        summary.append(f"speedup {json.dumps(pc_cur['speedup'])}")
     if render is not None:
         summary.append(
             f"render {render['pp_words_per_byte']:.3f} (pp) / "
@@ -527,6 +545,11 @@ def main():
         summary.append(f"join {join['words_per_row']:.1f} words per row")
     if lineage is not None:
         summary.append(f"lineage {lineage['words_per_hit']:.2f} words per hit")
+    if composed is not None:
+        summary.append(
+            f"composed {composed['major_words_per_fallback']:.1f} major "
+            f"words per fallback"
+        )
     if csv is not None:
         summary.append(f"csv {csv['words_per_byte']:.3f} words per byte")
     if spill is not None:

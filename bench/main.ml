@@ -26,7 +26,10 @@
                    words per output row of the same round, planned), the
                    lineage block (minor words per interning call that
                    finds its node, forming that round's output lineages
-                   in a fresh domain), the csv block (minor words per
+                   in a fresh domain), the composed block (rows,
+                   probabilities, BDD fallbacks and direct major words
+                   of full outer and anti joins over a derived input),
+                   the csv block (minor words per
                    input byte of Csv.load over a Webkit pair) and the
                    spill block (minor words
                    per tuple of spilling that pair to disk and reading
@@ -302,30 +305,6 @@ let run_spill_scale quick =
        spill_budget_mb)
     (List.map spill_point (spill_sizes quick))
 
-(* The prob-cache series: counters are snapshotted around the sweep so
-   the reported hit rate covers only the lineage-heavy runs, not every
-   join the other sweeps happen to execute. *)
-let prob_cache_report = ref None
-
-let run_prob_cache_sweep metrics scale =
-  let hits () = Metrics.get metrics Metrics.Prob_cache_hits in
-  let misses () = Metrics.get metrics Metrics.Prob_cache_misses in
-  let h0 = hits () and m0 = misses () in
-  let points = E.prob_cache_sweep ~scale () in
-  emit
-    "Prob cache (uniform, 8 keys): full outer / anti, cached vs uncached"
-    points;
-  let speedups = E.prob_cache_speedups points in
-  List.iter
-    (fun (kind, speedup) ->
-      Printf.printf "prob-cache speedup (%s): %.2fx\n" kind speedup)
-    speedups;
-  let h = hits () - h0 and m = misses () - m0 in
-  let rate = if h + m > 0 then float_of_int h /. float_of_int (h + m) else 0.0 in
-  if h + m > 0 then Printf.printf "prob-cache hit rate: %.3f\n" rate;
-  flush stdout;
-  prob_cache_report := Some (h, m, rate, speedups)
-
 (* Fixed sizes regardless of --quick: the committed baseline must carry
    the million-tuple points (see Experiments.flat_scale_sweep). *)
 let run_flat_scale () =
@@ -527,6 +506,70 @@ let run_lineage metrics_installed =
     (float_of_int hit_words /. float_of_int calls);
   lineage_report := Some (calls, nodes, miss_words, hit_words)
 
+(* --- composed queries ---
+
+   The paper's negation operators over a derived input: t = r ⟗ s over
+   few-key uniform pairs (8 keys, 200 and 400 tuples per side), then
+   t ⟗ s and t ▷ s under one env. A derived lineage repeats base
+   variables across a window's conjunction and its negations, so most
+   of these probabilities leave the read-once path for a BDD
+   ([Prob.exact]). Rows, [prob_evals] and [prob_bdd_fallbacks] are
+   deterministic, and check_bench.py compares them exactly against the
+   baseline. So are the words allocated straight into the major heap
+   (major minus promoted): a BDD manager with fixed 1024-slot tables
+   cost about 3080 of them per fallback, one sized from its formula
+   none, and check_bench.py caps them per fallback. The joins over t count
+   into the report's metrics sink, or into a private one without it. *)
+
+let composed_report : (int * int * int * int) option ref = ref None
+
+let run_composed metrics_installed =
+  let sink =
+    match metrics_installed with Some m -> m | None -> Metrics.create ()
+  in
+  let theta = Tpdb.Theta.eq 0 0 in
+  let inputs =
+    List.map
+      (fun size ->
+        let make name seed =
+          Tpdb.Datasets.Uniform.relation ~name ~seed:(seed + size) ~keys:8
+            ~horizon:1_000 ~mean_duration:60 size
+        in
+        let r = make "r" 17 and s = make "s" 23 in
+        let env = Relation.prob_env [ r; s ] in
+        (Nj.join ~env ~kind:Nj.Full ~theta r s, s, env))
+      [ 200; 400 ]
+  in
+  let evals () = Metrics.get sink Metrics.Prob_evals in
+  let fallbacks () = Metrics.get sink Metrics.Prob_bdd_fallbacks in
+  let direct_major () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  let rows, evals, fallbacks, words =
+    Metrics.with_sink sink (fun () ->
+        let e0 = evals () and f0 = fallbacks () and w0 = direct_major () in
+        let rows =
+          List.fold_left
+            (fun n (t, s, env) ->
+              List.fold_left
+                (fun n kind ->
+                  n + Relation.cardinality (Nj.join ~env ~kind ~theta t s))
+                n Nj.[ Full; Anti ])
+            0 inputs
+        in
+        ( rows,
+          evals () - e0,
+          fallbacks () - f0,
+          int_of_float (direct_major () -. w0) ))
+  in
+  Printf.printf
+    "composed: %d rows, %d probabilities, %d BDD fallbacks; %d direct major \
+     words (%.1f per fallback)\n%!"
+    rows evals fallbacks words
+    (float_of_int words /. float_of_int (max 1 fallbacks));
+  composed_report := Some (rows, evals, fallbacks, words)
+
 (* --- CSV load allocation ---
 
    Minor words per input byte of [Csv.load] over the webkit-spill pair
@@ -716,20 +759,6 @@ let json_report metrics =
             ( "promoted_words",
               J.int (Metrics.get metrics Metrics.Promoted_words) );
           ] );
-      ( "prob_cache",
-        match !prob_cache_report with
-        | None -> J.obj []
-        | Some (hits, misses, rate, speedups) ->
-            J.obj
-              [
-                ("hits", J.int hits);
-                ("misses", J.int misses);
-                ( "resets",
-                  J.int (Metrics.get metrics Metrics.Prob_cache_resets) );
-                ("hit_rate", J.float rate);
-                ( "speedup",
-                  J.obj (List.map (fun (k, v) -> (k, J.float v)) speedups) );
-              ] );
     ]
     @ (match !server_report with
       | None -> []
@@ -777,6 +806,22 @@ let json_report metrics =
                     J.float (float_of_int miss_words /. float_of_int nodes) );
                   ( "words_per_hit",
                     J.float (float_of_int hit_words /. float_of_int calls) );
+                ] );
+          ])
+    @ (match !composed_report with
+      | None -> []
+      | Some (rows, evals, fallbacks, words) ->
+          [
+            ( "composed",
+              J.obj
+                [
+                  ("rows", J.int rows);
+                  ("prob_evals", J.int evals);
+                  ("prob_bdd_fallbacks", J.int fallbacks);
+                  ("direct_major_words", J.int words);
+                  ( "major_words_per_fallback",
+                    J.float
+                      (float_of_int words /. float_of_int (max 1 fallbacks)) );
                 ] );
           ])
     @ (match !csv_report with
@@ -1039,7 +1084,6 @@ let () =
     if not (has "--no-bechamel") then run_bechamel ();
     if not (has "--no-sweep") then begin
       run_sweeps scale;
-      run_prob_cache_sweep metrics scale;
       run_flat_scale ();
       if scale <> E.Quick then run_extra_sweeps ()
     end;
@@ -1047,6 +1091,7 @@ let () =
     run_render (Metrics.active ());
     run_join (Metrics.active ());
     run_lineage (Metrics.active ());
+    run_composed (Metrics.active ());
     run_csv (Metrics.active ());
     run_spill_alloc (Metrics.active ())
   end;

@@ -111,8 +111,8 @@ let load_catalog tables db_dir =
    with exn -> fail_exn exn);
   catalog
 
-let plan_or_fail ?sanitize ?prob_cache ?mem_budget catalog jobs sql =
-  match Tpdb.Planner.plan ~parallelism:jobs ?sanitize ?prob_cache ?mem_budget
+let plan_or_fail ?sanitize ?mem_budget catalog jobs sql =
+  match Tpdb.Planner.plan ~parallelism:jobs ?sanitize ?mem_budget
           catalog
           (Tpdb.Parser.parse sql)
   with
@@ -153,19 +153,15 @@ let with_observability ~trace_out ~stats_out f =
    above every EXPLAIN / EXPLAIN ANALYZE report. The optional sinks
    (openmetrics, qlog) only append a segment when requested, so existing
    expectations stay byte-identical. *)
-let explain_header ~sanitize ~prob_cache ~trace_out ~stats_out ~openmetrics_out
-    ~qlog_out =
+let explain_header ~sanitize ~trace_out ~stats_out ~openmetrics_out ~qlog_out =
   let sink label = function Some path -> label ^ ": " ^ path | None -> label ^ ": off" in
   let opt label = function None -> "" | Some path -> "; " ^ label ^ ": " ^ path in
-  Printf.sprintf "-- sanitize: %s; %s; %s%s%s%s"
+  Printf.sprintf "-- sanitize: %s; %s; %s%s%s"
     (if sanitize then "on" else "off")
     (sink "trace" trace_out)
     (sink "stats" stats_out)
     (opt "openmetrics" openmetrics_out)
     (opt "qlog" qlog_out)
-    (* default-on: only worth a line when disabled, and the cram
-       expectations of cache-on runs stay byte-identical *)
-    (if prob_cache then "" else "; prob-cache: off")
 
 let iso_utc () =
   let tm = Unix.gmtime (Unix.gettimeofday ()) in
@@ -182,22 +178,19 @@ let slow_threshold = function
       | Some s -> float_of_string_opt s)
 
 let query tables db_dir explain_only analyze result_only jobs sanitize
-    no_prob_cache mem_budget_mb trace_out stats_out openmetrics_out qlog_out
-    slow_ms sql =
+    mem_budget_mb trace_out stats_out openmetrics_out qlog_out slow_ms sql =
   let catalog = load_catalog tables db_dir in
   let sanitize_flag = if sanitize then Some true else None in
-  let prob_cache = not no_prob_cache in
   (* --mem-budget wins over TPDB_MEM_BUDGET (which Nj reads itself when
      the plan carries no budget), mirroring --slow-ms / TPDB_SLOW_MS. *)
   let mem_budget = Option.map (fun mb -> mb * 1024 * 1024) mem_budget_mb in
   let plan =
-    plan_or_fail ?sanitize:sanitize_flag ~prob_cache ?mem_budget catalog jobs
-      sql
+    plan_or_fail ?sanitize:sanitize_flag ?mem_budget catalog jobs sql
   in
   let sanitize_on = sanitize || Tpdb.Invariant.env_enabled () in
   let slow_ms = slow_threshold slow_ms in
   let header =
-    explain_header ~sanitize:sanitize_on ~prob_cache ~trace_out ~stats_out
+    explain_header ~sanitize:sanitize_on ~trace_out ~stats_out
       ~openmetrics_out ~qlog_out
   in
   (* The query log and the slow-query dump need a trace (stage times,
@@ -273,8 +266,6 @@ let query tables db_dir explain_only analyze result_only jobs sanitize
                 wo = get Tpdb.Metrics.Windows_overlapping;
                 wu = get Tpdb.Metrics.Windows_unmatched;
                 wn = get Tpdb.Metrics.Windows_negating;
-                prob_cache_hits = get Tpdb.Metrics.Prob_cache_hits;
-                prob_cache_misses = get Tpdb.Metrics.Prob_cache_misses;
                 spill_bytes = get Tpdb.Metrics.Spill_bytes;
                 spill_partitions = get Tpdb.Metrics.Spill_partitions;
                 sanitizer_ms =
@@ -403,12 +394,6 @@ let query_cmd =
                  (also enabled by TPDB_SANITIZE=1): every join asserts the \
                  paper's window lemmas on its live streams and fails fast \
                  on a violation.")
-  and no_prob_cache =
-    Arg.(value & flag & info [ "no-prob-cache" ]
-           ~doc:"Compute every output probability from scratch instead of \
-                 through the per-domain memoization cache (identical \
-                 results; useful for measuring the cache and bounding \
-                 memory).")
   and mem_budget =
     Arg.(value & opt (some int) None & info [ "mem-budget" ] ~docv:"MB"
            ~doc:"Working-set budget in megabytes for the out-of-core join \
@@ -438,7 +423,7 @@ let query_cmd =
     Arg.(value & opt (some string) None & info [ "qlog" ] ~docv:"FILE"
            ~doc:"Append one JSONL record for the executed query: plan \
                  fingerprint, per-stage wall times, window-class counts, \
-                 rows in/out, prob-cache traffic, sanitizer time and GC \
+                 rows in/out, spill traffic, sanitizer time and GC \
                  deltas. Summarize with $(b,tpdb_cli qlog FILE).")
   and slow_ms =
     Arg.(value & opt (some float) None & info [ "slow-ms" ] ~docv:"MS"
@@ -455,7 +440,7 @@ let query_cmd =
     (Cmd.info "query"
        ~doc:"Run a TP-SQL query over CSV files and/or a database directory.")
     Term.(const query $ tables $ db_dir $ explain_only $ analyze $ result_only
-          $ jobs $ sanitize $ no_prob_cache $ mem_budget $ trace_out
+          $ jobs $ sanitize $ mem_budget $ trace_out
           $ stats_out $ openmetrics_out $ qlog_out $ slow_ms $ sql)
 
 (* --- qlog: summarize a structured query log --- *)
@@ -685,8 +670,7 @@ let render_cmd =
    [--seed CASE_SEED --seconds 0] regardless of how long the original
    run was. Failing cases are written to the artifact directory as
    loadable CSV pairs plus a divergence report. *)
-let fuzz oracle seconds seed out trace_out stats_out =
-  ignore (oracle : bool) (* the oracle is the only — and default — mode *);
+let fuzz seconds seed out trace_out stats_out =
   let budget_ns = int_of_float (seconds *. 1e9) in
   (if not (Sys.file_exists out) then
      try Sys.mkdir out 0o755
@@ -697,7 +681,9 @@ let fuzz oracle seconds seed out trace_out stats_out =
   let run_case case_seed =
     incr cases;
     let rand = Random.State.make [| case_seed |] in
-    let theta, r, s = QCheck2.Gen.generate1 ~rand (Tp_gen.scenario_gen ()) in
+    let theta, r, s =
+      QCheck2.Gen.generate1 ~rand (Tp_gen.scenario_gen ~nulls:true ())
+    in
     match Tpdb.Oracle.check ~set_kinds:Tpdb.Nj.all_set_kinds ~theta r s with
     | [] -> ()
     | divergences ->
@@ -735,17 +721,7 @@ let fuzz oracle seconds seed out trace_out stats_out =
   if !failures > 0 then exit 1
 
 let fuzz_cmd =
-  let oracle =
-    Arg.(value & flag & info [ "oracle" ]
-           ~doc:"Differential-oracle mode: evaluate each random scenario \
-                 point by point from the paper's snapshot semantics (exact \
-                 BDD probabilities) and diff every join kind and set \
-                 operation against the optimized pipeline across all \
-                 execution configurations \
-                 (parallelism, probability cache, sanitizer, spilling and \
-                 the statically safe probability path). This is the \
-                 default and currently only mode.")
-  and seconds =
+  let seconds =
     Arg.(value & opt float 5.0 & info [ "seconds" ] ~docv:"N"
            ~doc:"Time budget; generates fresh cases until it is spent. 0 \
                  runs exactly one case (the base seed) — use with --seed \
@@ -772,9 +748,13 @@ let fuzz_cmd =
   Cmd.v
     (Cmd.info "fuzz"
        ~doc:"Fuzz the TP join pipeline against the differential \
-             snapshot-semantics oracle; non-zero exit and CSV artifacts on \
-             any divergence.")
-    Term.(const fuzz $ oracle $ seconds $ seed $ out $ trace_out $ stats_out)
+             snapshot-semantics oracle: each random scenario is evaluated \
+             point by point (exact BDD probabilities) and diffed against \
+             every join kind and set operation under every execution \
+             configuration (parallelism, sanitizer, spilling and the \
+             statically safe probability path); non-zero exit and CSV \
+             artifacts on any divergence.")
+    Term.(const fuzz $ seconds $ seed $ out $ trace_out $ stats_out)
 
 (* --- store: CSV -> database directory --- *)
 

@@ -22,7 +22,7 @@
     - {!Oracle}: the differential snapshot-semantics oracle — ground
       truth evaluated point by point and diffed against {!Nj.join} and
       {!Nj.set_op} across every execution configuration (behind the
-      qcheck differential suite and [tpdb_cli fuzz --oracle]).
+      qcheck differential suite and [tpdb_cli fuzz]).
 
     {1 Baseline and extensions}
     - {!Align}, {!Ta}: the Temporal Alignment baseline.

@@ -233,69 +233,6 @@ let skew_sweep ?(size = 4_000) () =
       ])
     [ 0; 5; 10; 15; 20 ]
 
-(* Lineage-heavy prob-cache sweep: the outer input is itself a TP join
-   result — the paper's composed queries (an outer join feeding an anti
-   join, views over one probabilistic database). Derived lineages are
-   non-read-once (the same base variable recurs across a window
-   conjunction and its negations), so every probability needs a BDD
-   compile, and the sweep replays each derived lineage verbatim across
-   its gap windows — exactly the whole-formula repetition the per-domain
-   cache memoizes. One env closure is shared across the cached and
-   uncached series of a size, so the cached anti join additionally hits
-   the full outer join's memoized lineages (cross-operator reuse); the
-   two kinds are the paper's negation operators. *)
-let prob_cache_kinds = [ ("full-outer", Nj.Full); ("anti", Nj.Anti) ]
-
-let prob_cache_sizes = function
-  | Quick -> [ 200; 400 ]
-  | Default | Paper -> [ 500; 1_000; 2_000 ]
-
-let prob_cache_sweep ?(scale = Default) () =
-  let theta = Theta.eq 0 0 in
-  List.concat_map
-    (fun size ->
-      let make name seed =
-        Datasets.Uniform.relation ~name ~seed:(seed + size) ~keys:8
-          ~horizon:1_000 ~mean_duration:60 size
-      in
-      let r = make "r" 17 and s = make "s" 23 in
-      let env = Relation.prob_env [ r; s ] in
-      (* The derived input: untimed setup, identical for both series;
-         computed uncached so the cached series starts cold. *)
-      let t =
-        Nj.join
-          ~options:(Nj.options ~prob_cache:false ())
-          ~env ~kind:Nj.Full ~theta r s
-      in
-      List.concat_map
-        (fun (cname, prob_cache) ->
-          let options = Nj.options ~prob_cache () in
-          List.map
-            (fun (kname, kind) ->
-              point
-                (Printf.sprintf "%s/%s" kname cname)
-                size
-                (fun () ->
-                  Relation.cardinality (Nj.join ~options ~env ~kind ~theta t s)))
-            prob_cache_kinds)
-        [ ("uncached", false); ("cached", true) ])
-    (prob_cache_sizes scale)
-
-(* Per-kind speedup of the cached over the uncached series, summed over
-   the sweep sizes (total uncached ms / total cached ms). *)
-let prob_cache_speedups points =
-  List.map
-    (fun (kname, _) ->
-      let total suffix =
-        List.fold_left
-          (fun acc p ->
-            if p.series = kname ^ "/" ^ suffix then acc +. p.ms else acc)
-          0.0 points
-      in
-      let cached = total "cached" in
-      (kname, if cached > 0.0 then total "uncached" /. cached else 0.0))
-    prob_cache_kinds
-
 let ablation_replication dataset ~size =
   let theta = theta dataset in
   let r, s = pair dataset ~size in

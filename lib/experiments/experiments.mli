@@ -102,19 +102,6 @@ val parallel_sweep : ?scale:scale -> dataset -> point list
     actual cores — a single-core host only shows the partitioning
     overhead). *)
 
-val prob_cache_sweep : ?scale:scale -> unit -> point list
-(** Lineage-heavy series for the probability cache: full outer and anti
-    joins over few-key uniform pairs (8 keys, so window lineages are
-    large conjunctions over recurring variables), each run uncached
-    ([prob_cache:false]) and cached under one shared env. Series names
-    are [full-outer/cached], [full-outer/uncached], [anti/cached],
-    [anti/uncached]; outputs (and probabilities) are identical within a
-    kind by construction. *)
-
-val prob_cache_speedups : point list -> (string * float) list
-(** Per join kind, total uncached runtime over total cached runtime of a
-    {!prob_cache_sweep} result: the memoization speedup. *)
-
 val ablation_replication : dataset -> size:int -> int * int
 (** (TA replicas, NJ windows) at one size: the tuple replication NJ
     avoids. *)

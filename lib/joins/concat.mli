@@ -23,9 +23,8 @@ type side = Left | Right
 val tuple_of_window :
   prob:(Formula.t -> float) -> side:side -> pad:int -> Window.t -> Tuple.t
 (** [prob] computes the output probability of the window's lineage —
-    [Prob.compute env], or a {!Prob.Cache.compute} partial application
-    when the caller memoizes (how {!Nj} wires [~prob_cache]) — unless
-    the sweep already did ({!Window.p} is not [nan]). [pad] is
+    [Prob.compute env], or [Prob.factorize env] on a statically safe
+    plan — unless the sweep already did ({!Window.p} is not [nan]). [pad] is
     the arity of the null-padded side. Overlapping windows on the
     [Right] side are rejected with [Invalid_argument] (they are emitted
     by the left pass already). *)

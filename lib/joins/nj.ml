@@ -17,7 +17,6 @@ module Trace = Tpdb_obs.Trace
 type options = {
   parallelism : int;
   sanitize : bool;
-  prob_cache : bool;
   static_safe : bool;
   mem_budget : int;
   est_rows : (int * int) option;
@@ -34,8 +33,8 @@ let env_mem_budget () =
       | Some mb when mb > 0 -> mb * 1024 * 1024
       | _ -> 0)
 
-let options ?(parallelism = 1) ?sanitize ?(prob_cache = true)
-    ?(static_safe = false) ?mem_budget ?est_rows () =
+let options ?(parallelism = 1) ?sanitize ?(static_safe = false) ?mem_budget
+    ?est_rows () =
   if parallelism < 1 then
     invalid_arg "Nj.options: parallelism must be at least 1";
   let sanitize =
@@ -45,12 +44,11 @@ let options ?(parallelism = 1) ?sanitize ?(prob_cache = true)
     match mem_budget with Some b -> b | None -> env_mem_budget ()
   in
   if mem_budget < 0 then invalid_arg "Nj.options: mem_budget must be >= 0";
-  { parallelism; sanitize; prob_cache; static_safe; mem_budget; est_rows }
+  { parallelism; sanitize; static_safe; mem_budget; est_rows }
 
 let default_options = options ()
 let parallelism o = o.parallelism
 let sanitize o = o.sanitize
-let prob_cache o = o.prob_cache
 let static_safe o = o.static_safe
 let mem_budget o = o.mem_budget
 let est_rows o = o.est_rows
@@ -293,24 +291,6 @@ let windows_wuon = stage_stream `Wuon
 let env_default env r s =
   match env with Some e -> e | None -> Relation.prob_env [ r; s ]
 
-(* The probability function output formation runs through for the
-   windows the sweep did not price: memoized on the calling domain's
-   long-lived cache (keyed on hash-consed formula ids, reset when [env]
-   changes) unless the option turns it off. On a statically safe plan
-   ([static_safe], set from the planner's read-once classification) the
-   sweep prices every window whose partner lineages are bare variables,
-   and the rest go through [Prob.factorize] — no per-formula read-once
-   check, no BDD fallback; the sanitizer's output check cross-validates
-   against [Prob.compute], so a misclassified plan fails loudly under
-   TPDB_SANITIZE=1. *)
-let prob_fn ~options ~env =
-  let base = if options.static_safe then Prob.factorize else Prob.compute in
-  if options.prob_cache then begin
-    let cache = Prob.Cache.domain () in
-    fun lineage -> Prob.Cache.compute_with cache env ~miss:base lineage
-  end
-  else fun lineage -> base env lineage
-
 (* --- output formation per operator ----------------------------------- *)
 
 type join_kind = Inner | Anti | Left | Right | Full
@@ -359,7 +339,16 @@ let op_name = function Join kind -> kind_name kind | Set kind -> set_kind_name k
    sorted lists, so merging the filtered lists equals filtering the
    merged one. *)
 let form ~runner ~options ~env ~op ~theta ~rschema ~sschema =
-  let prob = prob_fn ~options ~env in
+  (* The probability of every window the sweep did not price comes from
+     [Prob.compute], as TA and the oracle compute it. On a statically
+     safe plan ([static_safe], set from the planner's read-once
+     classification) the sweep prices every window whose partner
+     lineages are bare variables, and the rest go through
+     [Prob.factorize] — no per-formula read-once check, no BDD fallback;
+     the sanitizer's output check cross-validates against
+     [Prob.compute], so a misclassified plan fails loudly under
+     TPDB_SANITIZE=1. *)
+  let prob = (if options.static_safe then Prob.factorize else Prob.compute) env in
   let env = if options.static_safe then Some env else None in
   let pad_r = Schema.arity rschema and pad_s = Schema.arity sschema in
   let tuples = Vec.create () and spanning = Vec.create () in

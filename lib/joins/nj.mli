@@ -14,7 +14,10 @@
     formation ({!Concat}). Right and full outer joins find the [s]
     side's windows in a second pass of the kernel with the sides swapped
     ({!Tpdb_windows.Flat_join.right}), which builds no overlapping
-    window.
+    window. Output formation prices every window the sweep did not with
+    {!Prob.compute} — the function TA and the oracle call — or with
+    {!Prob.factorize} on a statically safe plan (see {!static_safe}), so
+    NJ and TA share their probability path.
 
     {2 Set operations}
 
@@ -69,7 +72,6 @@ type options
 val options :
   ?parallelism:int ->
   ?sanitize:bool ->
-  ?prob_cache:bool ->
   ?static_safe:bool ->
   ?mem_budget:int ->
   ?est_rows:int * int ->
@@ -83,13 +85,6 @@ val options :
       invariant checks on every stage's stream, on the parallel merge,
       and on the final output; a violated paper lemma raises
       {!Tpdb_windows.Invariant.Violation};
-    - [prob_cache] (default [true]): compute output probabilities
-      through the calling domain's {!Prob.Cache} — memoized on
-      hash-consed formula ids, so lineages repeated across windows (and
-      across joins sharing one [env] closure) are evaluated once.
-      Probabilities are bit-identical either way; turn it off to
-      measure the uncached path or to bound memory. On a [static_safe]
-      plan only the windows the sweep does not price consult it;
     - [mem_budget] (default: the [TPDB_MEM_BUDGET] environment variable
       in megabytes, else [0] = unlimited): working-set budget in bytes
       for the out-of-core executor. When an equi-θ join's estimated
@@ -109,7 +104,6 @@ val default_options : options
 
 val parallelism : options -> int
 val sanitize : options -> bool
-val prob_cache : options -> bool
 
 val mem_budget : options -> int
 (** Out-of-core working-set budget in bytes; [0] = never spill. *)
@@ -122,7 +116,7 @@ val static_safe : options -> bool
     read-once (default [false]). When set, the sweep takes each
     window's probability from its tuples' probabilities, multiplied in
     the order {!Prob.factorize} evaluates the output lineage (so the
-    float is bit-identical), without consulting the cache; windows whose
+    float is bit-identical); windows whose
     partner lineages are not bare variables go through
     {!Prob.factorize} — no per-formula read-once check and no BDD
     fallback. Only set it from a proof such as the static safe-plan

@@ -21,14 +21,22 @@ let level_of_var m v =
       m.level_vars <- v :: m.level_vars;
       l
 
+(* Tables start at four slots per declared variable, capped at 1024
+   (256 for negations), and grow as nodes come. A derived lineage has a
+   handful of variables, so its tables stay in the minor heap; three
+   1024-slot tables would cost ~3000 words straight into the major heap
+   per formula. Capacity never changes a node id or the diagram's
+   structure, so the probabilities are the same whatever the sizes. *)
 let manager ?(order = []) () =
+  let vars = List.length order in
+  let slots = min 1024 (4 * vars) in
   let m =
     {
-      unique = Hashtbl.create 1024;
-      and_cache = Hashtbl.create 1024;
-      or_cache = Hashtbl.create 1024;
-      neg_cache = Hashtbl.create 256;
-      levels = Hashtbl.create 64;
+      unique = Hashtbl.create slots;
+      and_cache = Hashtbl.create slots;
+      or_cache = Hashtbl.create slots;
+      neg_cache = Hashtbl.create (min 256 slots);
+      levels = Hashtbl.create vars;
       level_vars = [];
       next_id = 2;
     }
@@ -137,7 +145,8 @@ let probability m env root =
      from its first variable, and over more than 256 variables a young
      one forces a minor collection (DESIGN.md §7). *)
   let order = Array.concat (List.rev_map (fun v -> [| v |]) m.level_vars) in
-  let memo = Hashtbl.create 256 in
+  (* at most one entry per node the manager has built *)
+  let memo = Hashtbl.create (min 256 (m.next_id - 2)) in
   let rec go f =
     match f with
     | Leaf true -> 1.0

@@ -5,9 +5,9 @@
    physically shared: equality of shared nodes is a pointer comparison,
    [hash] reads a precomputed field, and [vars]/[size] memoize per node.
    The sweeping window operators rebuild each window's lineage out of
-   largely the same sub-formulas as its neighbor's, so the sharing (and
-   the probability cache keyed on node ids, see {!Prob.Cache}) is what
-   turns the per-window lineage work from O(window size) into O(delta).
+   largely the same sub-formulas as its neighbor's, so the sharing is
+   what turns the per-window lineage work from O(window size) into
+   O(delta).
 
    The table is open addressing with linear probing over two parallel
    arrays: [keys.(i)] is [hkey + 1] of the node in slot [i] (0 marks an

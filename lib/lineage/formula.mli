@@ -11,8 +11,8 @@
     equal formulas built on the same domain are physically shared, so
     {!equal} is usually a pointer comparison, {!hash} is O(1), and
     {!vars}/{!size} are memoized per node. {!id} is unique process-wide
-    and never reused, which is what lets {!Prob.Cache} key compiled BDDs
-    and probabilities on it. Interned nodes are never reclaimed.
+    and never reused, so a table keyed on it is keyed on the formula.
+    Interned nodes are never reclaimed.
 
     The table is open addressing over two parallel arrays (structural
     hashes and nodes), probed by the ids of a node's children. Finding a

@@ -102,27 +102,12 @@ let factorize env f =
   in
   go f
 
-(* Memoized probability computation over hash-consed formulas.
-
-   A cache is a table of probabilities keyed by formula id — hash-consing
-   makes the id a sound proxy for the formula, so a lookup is one integer
-   hash away. Entries are valid for exactly one environment; the cache
-   detects a new one by physical identity of the closure and starts a
-   fresh generation. Misses delegate to [compute] (read-once fast path,
-   then a private-manager BDD), so a cached probability is bit-for-bit
-   the float the uncached path returns: memoization only skips repeated
-   evaluations of physically equal lineages, it never changes the
-   computation that produces a value.
-
-   An earlier design shared one growing BDD manager (plus per-node
-   probability memos) across all formulas of a generation; it lost more
-   to unique-table growth and kept-alive diagrams than cross-formula node
-   sharing recovered, because sweep lineages are flat conjunctions whose
-   hash-consed sub-terms rarely coincide. Whole-formula memoization is
-   the part that pays for itself. *)
+(* Memoized [compute] keyed on formula ids: hash-consing makes the id a
+   sound proxy for the formula. Entries are valid for one environment;
+   the cache detects a new one by physical identity of the closure and
+   starts a fresh generation. A hit returns the float an earlier
+   [compute] returned, so memoization never changes a value. *)
 module Cache = struct
-  module M = Tpdb_obs.Metrics
-
   type stats = { hits : int; misses : int; resets : int; entries : int }
 
   type t = {
@@ -136,35 +121,25 @@ module Cache = struct
   let create () =
     { env = None; results = Hashtbl.create 1024; hits = 0; misses = 0; resets = 0 }
 
-  (* One long-lived cache per domain: the parallel executor's workers each
-     get their own, so the hot path takes no locks. *)
   let key = Domain.DLS.new_key create
   let domain () = Domain.DLS.get key
 
-  let reset_generation t env =
-    t.env <- Some env;
-    Hashtbl.reset t.results;
-    t.resets <- t.resets + 1;
-    M.incr M.Prob_cache_resets
-
-  let compute_with t env ~miss f =
-    M.time M.Prob_cache_lookup_ns @@ fun () ->
+  let compute t env f =
     (match t.env with
     | Some e when e == env -> ()
-    | Some _ | None -> reset_generation t env);
+    | Some _ | None ->
+        t.env <- Some env;
+        Hashtbl.reset t.results;
+        t.resets <- t.resets + 1);
     match Hashtbl.find_opt t.results (Formula.id f) with
     | Some p ->
         t.hits <- t.hits + 1;
-        M.incr M.Prob_cache_hits;
         p
     | None ->
         t.misses <- t.misses + 1;
-        M.incr M.Prob_cache_misses;
-        let p = miss env f in
+        let p = compute env f in
         Hashtbl.add t.results (Formula.id f) p;
         p
-
-  let compute t env f = compute_with t env ~miss:compute f
 
   let stats t =
     {

@@ -36,10 +36,10 @@ val read_once : env -> Formula.t -> float option
     lineage produced from duplicate-free base relations is read-once. *)
 
 val compute : env -> Formula.t -> float
-(** {!read_once} when it applies, otherwise {!exact}. This is what the
-    join operators call when the probability cache is off. Records the
+(** {!read_once} when it applies, otherwise {!exact}. Records the
     [prob_readonce_checks] and (on BDD fallback) [prob_bdd_fallbacks]
-    counters in {!Tpdb_obs.Metrics}. *)
+    counters in {!Tpdb_obs.Metrics}. Every join operator and TA price
+    their output lineages through it; the oracle calls {!exact}. *)
 
 val factorize : env -> Formula.t -> float
 (** The static safe-plan fast path: factorized evaluation over the
@@ -53,22 +53,21 @@ val factorize : env -> Formula.t -> float
     probabilities against {!compute}. Records
     [analysis_static_prob_evals]. *)
 
-(** Memoized probability computation over hash-consed formulas.
+(** Memoized {!compute}, keyed on {!Formula.id} — hash-consing makes the
+    id a sound proxy for the formula — so a cached probability is
+    bit-for-bit the float {!compute} returns. The first [compute] with a
+    physically different [env] closure drops every memoized value.
+    Caches are single-domain.
 
-    A cache keys probabilities on {!Formula.id} — hash-consing makes the
-    id a sound proxy for the formula — so lineages repeated across sweep
-    windows (e.g. the λr an outer join replays across gap windows, or an
-    anti join re-deriving an outer join's WU/WN lineages under a shared
-    env) are evaluated once. Misses delegate to {!compute}, so a cached
-    probability is bit-for-bit the float the uncached path returns.
-
-    Invalidation is by environment {e generation}: the first [compute]
-    with a physically different [env] closure drops every memoized
-    value. Pass the same closure (e.g. one [Relation.prob_env] result)
-    across calls to share the cache between operators. Caches are
-    single-domain; use {!Cache.domain} for the calling domain's
-    long-lived instance (how [Nj] gets a per-worker cache with no locks
-    on the hot path). *)
+    No library code calls this module: output formation prices every
+    lineage through {!compute}, because within one join a cold cache
+    almost never hits and its lookups cost more than they save. It stays
+    for the perf harness ([perfbench/tpdb_perf.ml]), which replays
+    output lineages through it and reads {!Cache.stats} of the calling
+    domain's instance around each query. No join fills that instance,
+    so the harness's per-layer cache hit ratio reads 0 (its ratio
+    helper maps no lookups to 0). The module can go when the harness
+    stops replaying. *)
 module Cache : sig
   type t
 
@@ -81,16 +80,7 @@ module Cache : sig
       the domain). *)
 
   val compute : t -> env -> Formula.t -> float
-  (** Memoized {!compute}. Also records [prob_cache_hits]/[misses]/
-      [resets] counters and the [prob_cache_lookup_ns] distribution in
-      {!Tpdb_obs.Metrics}. *)
-
-  val compute_with :
-    t -> env -> miss:(env -> Formula.t -> float) -> Formula.t -> float
-  (** {!compute} with a caller-chosen miss path — how statically safe
-      plans memoize {!Tpdb_lineage.Prob.factorize} results through the
-      same per-domain cache. The caller must pass a [miss] that computes
-      the same value {!compute} would (the cache does not key on it). *)
+  (** Memoized {!compute}. *)
 
   val stats : t -> stats
   (** Lifetime totals for this cache instance; [entries] is the current

@@ -9,9 +9,6 @@ type counter =
   | Prob_evals
   | Partition_sweeps
   | Sanitizer_checks
-  | Prob_cache_hits
-  | Prob_cache_misses
-  | Prob_cache_resets
   | Oracle_evals
   | Oracle_comparisons
   | Oracle_mismatches
@@ -42,7 +39,6 @@ type dist =
   | Partition_size
   | Domain_busy_ns
   | Sanitizer_ns
-  | Prob_cache_lookup_ns
   | Oracle_eval_ns
   | Analysis_ns
   | Spill_partition_bytes
@@ -62,9 +58,6 @@ let counters =
     Prob_evals;
     Partition_sweeps;
     Sanitizer_checks;
-    Prob_cache_hits;
-    Prob_cache_misses;
-    Prob_cache_resets;
     Oracle_evals;
     Oracle_comparisons;
     Oracle_mismatches;
@@ -93,8 +86,8 @@ let counters =
   ]
 
 let dists =
-  [ Partition_size; Domain_busy_ns; Sanitizer_ns; Prob_cache_lookup_ns;
-    Oracle_eval_ns; Analysis_ns; Spill_partition_bytes; Pool_hit_rate;
+  [ Partition_size; Domain_busy_ns; Sanitizer_ns; Oracle_eval_ns;
+    Analysis_ns; Spill_partition_bytes; Pool_hit_rate;
     Server_query_ns; Server_queue_ns ]
 
 let counter_index = function
@@ -108,46 +101,42 @@ let counter_index = function
   | Prob_evals -> 7
   | Partition_sweeps -> 8
   | Sanitizer_checks -> 9
-  | Prob_cache_hits -> 10
-  | Prob_cache_misses -> 11
-  | Prob_cache_resets -> 12
-  | Oracle_evals -> 13
-  | Oracle_comparisons -> 14
-  | Oracle_mismatches -> 15
-  | Minor_alloc_words -> 16
-  | Analysis_deep_passes -> 17
-  | Analysis_pruned_subplans -> 18
-  | Analysis_folded_atoms -> 19
-  | Analysis_safe_joins -> 20
-  | Analysis_static_prob_evals -> 21
-  | Prob_readonce_checks -> 22
-  | Prob_bdd_fallbacks -> 23
-  | Major_alloc_words -> 24
-  | Promoted_words -> 25
-  | Spill_bytes -> 26
-  | Spill_partitions -> 27
-  | Pool_hits -> 28
-  | Pool_misses -> 29
-  | Server_queries -> 30
-  | Server_rejections -> 31
-  | Plan_cache_hits -> 32
-  | Plan_cache_misses -> 33
-  | Result_cache_hits -> 34
-  | Result_cache_misses -> 35
-  | Sessions_opened -> 36
-  | Sessions_closed -> 37
+  | Oracle_evals -> 10
+  | Oracle_comparisons -> 11
+  | Oracle_mismatches -> 12
+  | Minor_alloc_words -> 13
+  | Analysis_deep_passes -> 14
+  | Analysis_pruned_subplans -> 15
+  | Analysis_folded_atoms -> 16
+  | Analysis_safe_joins -> 17
+  | Analysis_static_prob_evals -> 18
+  | Prob_readonce_checks -> 19
+  | Prob_bdd_fallbacks -> 20
+  | Major_alloc_words -> 21
+  | Promoted_words -> 22
+  | Spill_bytes -> 23
+  | Spill_partitions -> 24
+  | Pool_hits -> 25
+  | Pool_misses -> 26
+  | Server_queries -> 27
+  | Server_rejections -> 28
+  | Plan_cache_hits -> 29
+  | Plan_cache_misses -> 30
+  | Result_cache_hits -> 31
+  | Result_cache_misses -> 32
+  | Sessions_opened -> 33
+  | Sessions_closed -> 34
 
 let dist_index = function
   | Partition_size -> 0
   | Domain_busy_ns -> 1
   | Sanitizer_ns -> 2
-  | Prob_cache_lookup_ns -> 3
-  | Oracle_eval_ns -> 4
-  | Analysis_ns -> 5
-  | Spill_partition_bytes -> 6
-  | Pool_hit_rate -> 7
-  | Server_query_ns -> 8
-  | Server_queue_ns -> 9
+  | Oracle_eval_ns -> 3
+  | Analysis_ns -> 4
+  | Spill_partition_bytes -> 5
+  | Pool_hit_rate -> 6
+  | Server_query_ns -> 7
+  | Server_queue_ns -> 8
 
 let counter_name = function
   | Tuples_in -> "tuples_in"
@@ -160,9 +149,6 @@ let counter_name = function
   | Prob_evals -> "prob_evals"
   | Partition_sweeps -> "partition_sweeps"
   | Sanitizer_checks -> "sanitizer_checks"
-  | Prob_cache_hits -> "prob_cache_hits"
-  | Prob_cache_misses -> "prob_cache_misses"
-  | Prob_cache_resets -> "prob_cache_resets"
   | Oracle_evals -> "oracle_evals"
   | Oracle_comparisons -> "oracle_comparisons"
   | Oracle_mismatches -> "oracle_mismatches"
@@ -193,7 +179,6 @@ let dist_name = function
   | Partition_size -> "partition_size"
   | Domain_busy_ns -> "domain_busy_ns"
   | Sanitizer_ns -> "sanitizer_ns"
-  | Prob_cache_lookup_ns -> "prob_cache_lookup_ns"
   | Oracle_eval_ns -> "oracle_eval_ns"
   | Analysis_ns -> "analysis_ns"
   | Spill_partition_bytes -> "spill_partition_bytes"

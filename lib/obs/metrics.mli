@@ -41,13 +41,6 @@ type counter =
   | Prob_evals  (** probability computations ({!Tpdb_lineage.Prob}) *)
   | Partition_sweeps  (** per-partition sweeps run by the domain pool *)
   | Sanitizer_checks  (** TPSan group/output checks executed *)
-  | Prob_cache_hits
-      (** probability computations answered from a {!Tpdb_lineage.Prob.Cache}
-          result table (keyed on hash-consed formula id) *)
-  | Prob_cache_misses  (** cache lookups that had to compute *)
-  | Prob_cache_resets
-      (** cache generation bumps: a cache saw a new environment and
-          dropped its memoized results *)
   | Oracle_evals
       (** snapshot-semantics evaluations run by {!Tpdb_oracle.Oracle} *)
   | Oracle_comparisons
@@ -121,8 +114,6 @@ type dist =
   | Partition_size  (** tuples (both sides) per parallel partition *)
   | Domain_busy_ns  (** wall time of each partition sweep, on its domain *)
   | Sanitizer_ns  (** wall time spent inside TPSan checks *)
-  | Prob_cache_lookup_ns
-      (** wall time of each [Prob.Cache.compute] call, hit or miss *)
   | Oracle_eval_ns
       (** wall time of each snapshot-semantics oracle evaluation *)
   | Analysis_ns

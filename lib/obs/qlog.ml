@@ -16,8 +16,6 @@ type record = {
   wo : int;
   wu : int;
   wn : int;
-  prob_cache_hits : int;
-  prob_cache_misses : int;
   spill_bytes : int;
   spill_partitions : int;
   sanitizer_ms : float;
@@ -43,8 +41,6 @@ let to_json r =
            [
              ("wo", Json.int r.wo); ("wu", Json.int r.wu); ("wn", Json.int r.wn);
            ] );
-       ("prob_cache_hits", Json.int r.prob_cache_hits);
-       ("prob_cache_misses", Json.int r.prob_cache_misses);
        ("spill_bytes", Json.int r.spill_bytes);
        ("spill_partitions", Json.int r.spill_partitions);
        ("sanitizer_ms", Json.float r.sanitizer_ms);
@@ -248,8 +244,6 @@ let record_of_json j =
     wo = int_of windows "wo";
     wu = int_of windows "wu";
     wn = int_of windows "wn";
-    prob_cache_hits = int_of j "prob_cache_hits";
-    prob_cache_misses = int_of j "prob_cache_misses";
     (* absent in logs written before the out-of-core executor: 0 *)
     spill_bytes = int_of j "spill_bytes";
     spill_partitions = int_of j "spill_partitions";

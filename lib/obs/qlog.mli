@@ -33,8 +33,6 @@ type record = {
   wo : int;  (** overlapping windows *)
   wu : int;  (** unmatched windows *)
   wn : int;  (** negating windows *)
-  prob_cache_hits : int;
-  prob_cache_misses : int;
   spill_bytes : int;  (** bytes the out-of-core executor wrote; 0 = in RAM *)
   spill_partitions : int;  (** spill partition count across the query's joins *)
   sanitizer_ms : float;

@@ -170,7 +170,7 @@ let materialize ~env ~name ~schema ~over rows_at =
         (fun (fact, lineage) points acc ->
           (* Glue maximal runs of time points back into intervals; the
              probability is the exact weighted model count — no
-             read-once shortcut, no cache. *)
+             read-once shortcut. *)
           let intervals =
             Timeline.coalesce (List.map (fun t -> Interval.make t (t + 1)) points)
           in
@@ -208,20 +208,18 @@ let project ?env ~columns r =
 
 type config = {
   jobs : int;
-  prob_cache : bool;
   sanitize : bool;
   mem_budget : int;
   static_safe : bool;
 }
 
-let config ?(jobs = 1) ?(prob_cache = true) ?(sanitize = false)
-    ?(mem_budget = 0) ?(static_safe = false) () =
-  { jobs; prob_cache; sanitize; mem_budget; static_safe }
+let config ?(jobs = 1) ?(sanitize = false) ?(mem_budget = 0)
+    ?(static_safe = false) () =
+  { jobs; sanitize; mem_budget; static_safe }
 
 let config_name c =
   let parts =
     (if c.jobs <> 1 then [ "jobs" ^ string_of_int c.jobs ] else [])
-    @ (if not c.prob_cache then [ "nocache" ] else [])
     @ (if c.sanitize then [ "sanitize" ] else [])
     @ (if c.mem_budget > 0 then [ "spill" ] else [])
     @ if c.static_safe then [ "safe" ] else []
@@ -230,13 +228,10 @@ let config_name c =
 
 let options_of c =
   Nj.options ~parallelism:c.jobs ~sanitize:c.sanitize
-    ~prob_cache:c.prob_cache ~mem_budget:c.mem_budget
-    ~static_safe:c.static_safe ()
+    ~mem_budget:c.mem_budget ~static_safe:c.static_safe ()
 
 let default_configs =
-  List.concat_map
-    (fun jobs -> [ config ~jobs (); config ~jobs ~prob_cache:false () ])
-    [ 1; 2; 4 ]
+  List.map (fun jobs -> config ~jobs ()) [ 1; 2; 4 ]
   @ [
       config ~sanitize:true ();
       config ~jobs:2 ~sanitize:true ();

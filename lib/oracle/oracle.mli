@@ -19,14 +19,14 @@
     - re-coalesces maximal intervals from the per-point rows, and
     - computes every probability by exact weighted model counting on the
       BDD ({!Tpdb_lineage.Prob.exact}), bypassing the read-once fast
-      path and the probability cache the pipeline uses.
+      path of {!Tpdb_lineage.Prob.compute}, which the pipeline uses.
 
     {!diff} then compares an optimized result against that ground truth:
     facts and intervals exactly, lineages up to {e logical equivalence}
     (BDD equality, not syntax), probabilities within {!prob_tolerance}.
     {!check} sweeps the comparison across every execution-configuration
-    axis the repo ships (parallelism, probability cache, sanitizer,
-    out-of-core spilling and the statically safe probability path).
+    axis the repo ships (parallelism, sanitizer, out-of-core spilling
+    and the statically safe probability path).
 
     All of them go through one point-wise materializer. Deliberately
     quadratic in active-domain size — an oracle, not an operator. It
@@ -80,7 +80,6 @@ val project : ?env:Prob.env -> columns:int list -> Relation.t -> Relation.t
 
 type config = {
   jobs : int;
-  prob_cache : bool;
   sanitize : bool;
   mem_budget : int;
   static_safe : bool;
@@ -92,24 +91,23 @@ type config = {
 
 val config :
   ?jobs:int ->
-  ?prob_cache:bool ->
   ?sanitize:bool ->
   ?mem_budget:int ->
   ?static_safe:bool ->
   unit ->
   config
-(** Defaults mirror {!Nj.options}: [jobs 1], [prob_cache true],
-    [sanitize false], [mem_budget 0], [static_safe false]. *)
+(** Defaults mirror {!Nj.options}: [jobs 1], [sanitize false],
+    [mem_budget 0], [static_safe false]. *)
 
 val config_name : config -> string
-(** Compact label, e.g. ["jobs2+nocache+sanitize"]; ["default"] for the
+(** Compact label, e.g. ["jobs2+sanitize"]; ["default"] for the
     all-defaults configuration. *)
 
 val options_of : config -> Nj.options
 
 val default_configs : config list
-(** The shipped sweep: jobs 1/2/4 × prob-cache on/off, plus the
-    sanitizer sequential and at [jobs 2]; two tiny-budget
+(** The shipped sweep: jobs 1/2/4, plus the sanitizer sequential and
+    at [jobs 2]; two tiny-budget
     ([mem_budget 1]) spilling variants that force every equi-θ scenario
     through the out-of-core executor, proving spilled output identical
     to the oracle's ground truth; and three statically safe variants (in

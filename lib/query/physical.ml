@@ -19,7 +19,6 @@ type t =
       kind : Nj.join_kind;
       parallelism : int;
       sanitize : bool;
-      prob_cache : bool;
       safe_lineage : bool;
       mem_budget : int;  (* bytes; 0 = Nj's default (TPDB_MEM_BUDGET) *)
       est_rows : (int * int) option;  (* catalog cardinalities for spill sizing *)
@@ -40,7 +39,6 @@ type t =
       kind : Nj.set_kind;
       parallelism : int;
       sanitize : bool;
-      prob_cache : bool;
       mem_budget : int;
       est_rows : (int * int) option;
       left : t;
@@ -75,9 +73,8 @@ let op_name = function
 
 (* [mem_budget = 0] means "not set here": leave the argument out so
    Nj's own TPDB_MEM_BUDGET fallback still applies. *)
-let nj_options ~parallelism ~sanitize ~prob_cache ~static_safe ~mem_budget
-    ~est_rows =
-  Nj.options ~parallelism ~sanitize ~prob_cache ~static_safe
+let nj_options ~parallelism ~sanitize ~static_safe ~mem_budget ~est_rows =
+  Nj.options ~parallelism ~sanitize ~static_safe
     ?mem_budget:(if mem_budget > 0 then Some mem_budget else None)
     ?est_rows ()
 
@@ -119,7 +116,6 @@ and eval ~env plan =
         kind;
         parallelism;
         sanitize;
-        prob_cache;
         safe_lineage;
         mem_budget;
         est_rows;
@@ -128,17 +124,15 @@ and eval ~env plan =
         right;
       } ->
       let options =
-        nj_options ~parallelism ~sanitize ~prob_cache ~static_safe:safe_lineage
-          ~mem_budget ~est_rows
+        nj_options ~parallelism ~sanitize ~static_safe:safe_lineage ~mem_budget
+          ~est_rows
       in
       Nj.join ~options ~env ~kind ~theta (to_relation ~env left)
         (to_relation ~env right)
-  | Set_op
-      { kind; parallelism; sanitize; prob_cache; mem_budget; est_rows; left; right }
-    ->
+  | Set_op { kind; parallelism; sanitize; mem_budget; est_rows; left; right } ->
       let options =
-        nj_options ~parallelism ~sanitize ~prob_cache ~static_safe:false
-          ~mem_budget ~est_rows
+        nj_options ~parallelism ~sanitize ~static_safe:false ~mem_budget
+          ~est_rows
       in
       Nj.set_op ~options ~env ~kind (to_relation ~env left)
         (to_relation ~env right)
@@ -185,10 +179,6 @@ let jobs_string parallelism =
 
 let sanitize_string sanitize = if sanitize then "; sanitize" else ""
 
-(* The cache is the default: only the unusual configuration is shown, so
-   existing EXPLAIN expectations stay byte-identical. *)
-let prob_cache_string prob_cache = if prob_cache then "" else "; prob-cache: off"
-
 (* Off by default; shown in MB when it divides evenly, else in bytes. *)
 let mem_budget_string budget =
   if budget <= 0 then ""
@@ -213,7 +203,6 @@ let describe ~child_schema plan =
         kind;
         parallelism;
         sanitize;
-        prob_cache;
         mem_budget;
         theta;
         left;
@@ -221,12 +210,11 @@ let describe ~child_schema plan =
         _;
       } ->
       Printf.sprintf
-        "%s (NJ pipeline: overlap[%s] -> LAWAU -> LAWAN; \xce\xb8: %s%s%s%s%s)"
+        "%s (NJ pipeline: overlap[%s] -> LAWAU -> LAWAN; \xce\xb8: %s%s%s%s)"
         (kind_string kind) executor
         (Theta.to_string ~left:(child_schema left) ~right:(child_schema right) theta)
         (jobs_string parallelism)
         (sanitize_string sanitize)
-        (prob_cache_string prob_cache)
         (mem_budget_string mem_budget)
   | Aggregate { spec; _ } ->
       Printf.sprintf "Sequenced Aggregate (%s; expectation per witness-constant segment)"
@@ -251,7 +239,7 @@ let describe ~child_schema plan =
    physical structure of the optimized plan — operators, relation names,
    column lists, θ (rendered against the child schemas, so renames
    matter), join kind and executor — but none of the runtime execution
-   knobs (parallelism, sanitize, prob_cache, safe_lineage): the same
+   knobs (parallelism, sanitize, safe_lineage): the same
    optimized plan run with different jobs or checks is the same plan,
    which is what the prepared-plan cache and the query log want to key
    on. *)
@@ -366,10 +354,6 @@ let analyze ?(estimate = fun _ -> None) ~env plan =
       Metrics.get metrics Metrics.Windows_unmatched,
       Metrics.get metrics Metrics.Windows_negating )
   in
-  let cache_counts () =
-    ( Metrics.get metrics Metrics.Prob_cache_hits,
-      Metrics.get metrics Metrics.Prob_cache_misses )
-  in
   let spill_counts () =
     ( Metrics.get metrics Metrics.Spill_bytes,
       Metrics.get metrics Metrics.Spill_partitions,
@@ -381,23 +365,16 @@ let analyze ?(estimate = fun _ -> None) ~env plan =
     let child_relations = List.map (fun (r, _, _) -> r) child_results in
     let rerooted = with_children plan child_relations in
     let wo0, wu0, wn0 = window_counts () in
-    let ch0, cm0 = cache_counts () in
     let sb0, sp0, ph0, pm0 = spill_counts () in
     let t0 = Unix.gettimeofday () in
     let result = to_relation ~env rerooted in
     let ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
     let wo1, wu1, wn1 = window_counts () in
-    let ch1, cm1 = cache_counts () in
     let sb1, sp1, ph1, pm1 = spill_counts () in
     let windows =
       let wo = wo1 - wo0 and wu = wu1 - wu0 and wn = wn1 - wn0 in
       if wo + wu + wn = 0 then ""
       else Printf.sprintf " [windows: WO=%d WU=%d WN=%d]" wo wu wn
-    in
-    let cache =
-      let hits = ch1 - ch0 and misses = cm1 - cm0 in
-      if hits + misses = 0 then ""
-      else Printf.sprintf " [prob-cache: %d hits, %d misses]" hits misses
     in
     let spill =
       (* only spilled nodes get the column, so in-RAM runs stay byte-identical *)
@@ -432,10 +409,10 @@ let analyze ?(estimate = fun _ -> None) ~env plan =
           (column, warning)
     in
     let line =
-      Printf.sprintf "%s%s  [rows=%d%s, %s]%s%s%s"
+      Printf.sprintf "%s%s  [rows=%d%s, %s]%s%s"
         (String.make (2 * indent) ' ')
         (describe ~child_schema:schema plan)
-        rows est_column (Clock.pp_ms ms) windows cache spill
+        rows est_column (Clock.pp_ms ms) windows spill
     in
     let block =
       String.concat "\n"
@@ -469,7 +446,6 @@ let analyze ?(estimate = fun _ -> None) ~env plan =
           (Metrics.Pool_hit_rate, plain);
           (Metrics.Domain_busy_ns, Clock.pp_ns);
           (Metrics.Sanitizer_ns, Clock.pp_ns);
-          (Metrics.Prob_cache_lookup_ns, Clock.pp_ns);
           (Metrics.Oracle_eval_ns, Clock.pp_ns);
           (Metrics.Analysis_ns, Clock.pp_ns);
         ]

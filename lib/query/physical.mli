@@ -25,8 +25,6 @@ type t =
           (** partition count of the domain-parallel sweep; 1 = sequential *)
       sanitize : bool;
           (** run the TPSan window-invariant checks during execution *)
-      prob_cache : bool;
-          (** memoize output probabilities ({!Tpdb_joins.Nj.options}) *)
       safe_lineage : bool;
           (** statically proven read-once: probabilities go through
               {!Tpdb_lineage.Prob.factorize} with no runtime read-once
@@ -65,7 +63,6 @@ type t =
       kind : Tpdb_joins.Nj.set_kind;
       parallelism : int;
       sanitize : bool;
-      prob_cache : bool;
       mem_budget : int;
       est_rows : (int * int) option;
           (** as on [Tp_join]; {!Tpdb_joins.Nj.set_op} runs on the join's
@@ -83,7 +80,7 @@ val fingerprint : t -> string
 (** A 16-hex-digit normalized-plan fingerprint: FNV-1a 64 over the
     plan's canonical shape — operators, relation names, column lists, θ,
     join kind and executor — excluding the runtime execution knobs
-    ([parallelism]/[sanitize]/[prob_cache]/[safe_lineage]), so the same
+    ([parallelism]/[sanitize]/[safe_lineage]), so the same
     optimized plan fingerprints identically however it is run. Stable
     across runs and processes: the query log groups by it, and the
     ROADMAP's prepared-plan cache will key on it. *)

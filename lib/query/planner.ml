@@ -170,8 +170,8 @@ let join_est_rows catalog left right =
   | Some l, Some r -> Some (l, r)
   | _ -> None
 
-let plan_select ~parallelism ~sanitize ~prob_cache ~mem_budget catalog
-    (s : Ast.select) : Physical.t =
+let plan_select ~parallelism ~sanitize ~mem_budget catalog (s : Ast.select) :
+    Physical.t =
   let lookup name =
     match Catalog.find catalog name with
     | Some r -> r
@@ -217,7 +217,6 @@ let plan_select ~parallelism ~sanitize ~prob_cache ~mem_budget catalog
               kind = join_kind j.kind;
               parallelism;
               sanitize;
-              prob_cache;
               safe_lineage = false;
               mem_budget;
               est_rows = join_est_rows catalog acc right;
@@ -430,8 +429,8 @@ let order_joins ~build ~stats (s : Ast.select) source_plan =
     | Some _ | None -> (source_plan, [])
   end
 
-let plan ?(parallelism = 1) ?sanitize ?(prob_cache = true) ?(mem_budget = 0)
-    catalog (query : Ast.t) =
+let plan ?(parallelism = 1) ?sanitize ?(mem_budget = 0) catalog (query : Ast.t)
+    =
   if parallelism < 1 then fail "parallelism must be at least 1";
   if mem_budget < 0 then fail "mem-budget must not be negative";
   let sanitize =
@@ -447,9 +446,7 @@ let plan ?(parallelism = 1) ?sanitize ?(prob_cache = true) ?(mem_budget = 0)
   in
   match query with
   | Ast.Select s ->
-      let build s =
-        plan_select ~parallelism ~sanitize ~prob_cache ~mem_budget catalog s
-      in
+      let build s = plan_select ~parallelism ~sanitize ~mem_budget catalog s in
       let source = build s in
       let chosen, reorder_notes = order_joins ~build ~stats s source in
       finish chosen reorder_notes
@@ -460,7 +457,7 @@ let plan ?(parallelism = 1) ?sanitize ?(prob_cache = true) ?(mem_budget = 0)
         | Ast.Intersect -> `Intersect
         | Ast.Except -> `Except
       in
-      let build = plan_select ~parallelism ~sanitize ~prob_cache ~mem_budget catalog in
+      let build = plan_select ~parallelism ~sanitize ~mem_budget catalog in
       let left = build a and right = build b in
       finish
         (Physical.Set_op
@@ -468,7 +465,6 @@ let plan ?(parallelism = 1) ?sanitize ?(prob_cache = true) ?(mem_budget = 0)
              kind;
              parallelism;
              sanitize;
-             prob_cache;
              mem_budget;
              est_rows = join_est_rows catalog left right;
              left;

@@ -27,7 +27,6 @@ type t
 val plan :
   ?parallelism:int ->
   ?sanitize:bool ->
-  ?prob_cache:bool ->
   ?mem_budget:int ->
   Catalog.t ->
   Ast.t ->
@@ -38,12 +37,9 @@ val plan :
     sequentially. Raises {!Plan_error} when < 1. [sanitize] (default
     {!Tpdb_windows.Invariant.env_enabled}, i.e. the [TPDB_SANITIZE]
     environment variable — the CLI's [--sanitize]) turns on the TPSan
-    window-invariant checks in every TP join node. [prob_cache] (default
-    [true], the CLI's [--no-prob-cache] turns it off) selects the
-    memoized probability path in every TP join node
-    ({!Tpdb_joins.Nj.options}). [mem_budget] (default [0] = not set, so
-    the executor's [TPDB_MEM_BUDGET] fallback still applies — the CLI's
-    [--mem-budget]) is the out-of-core working-set budget in bytes
+    window-invariant checks in every TP join node. [mem_budget] (default
+    [0] = not set, so the executor's [TPDB_MEM_BUDGET] fallback still
+    applies — the CLI's [--mem-budget]) is the out-of-core working-set budget in bytes
     stored into every TP join node; an equi-join whose estimated working
     set exceeds it is spilled to partitioned heap files and swept
     partition by partition ({!Tpdb_storage.Spill}). When both join

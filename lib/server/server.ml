@@ -96,8 +96,6 @@ let qlog_record ~sql ~fingerprint ~total_ms ~rows_out =
     wo = 0;
     wu = 0;
     wn = 0;
-    prob_cache_hits = 0;
-    prob_cache_misses = 0;
     spill_bytes = 0;
     spill_partitions = 0;
     sanitizer_ms = 0.0;

@@ -115,7 +115,10 @@ end)
    equals anything, so they could not match; under [`Not_distinct]
    ([null_safe]) nulls are one key like any other. *)
 let single_key_lookup ~env ~null_safe ~lcol ~rcol s =
-  let by_key = Value_table.create 1024 in
+  (* never more keys than build tuples: a small side (one partition of
+     a parallel join, say) gets a small table, not 1024 buckets straight
+     into the major heap *)
+  let by_key = Value_table.create (min 1024 (Relation.cardinality s)) in
   List.iteri
     (fun i tp ->
       let v = Fact.get (Tuple.fact tp) rcol in

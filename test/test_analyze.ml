@@ -130,7 +130,6 @@ let hand_join theta =
       kind = Nj.Inner;
       parallelism = 1;
       sanitize = false;
-      prob_cache = true;
       safe_lineage = false;
       mem_budget = 0;
       est_rows = None;

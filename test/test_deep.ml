@@ -117,7 +117,6 @@ let hand_join ?(kind = Nj.Inner) ?(theta = Theta.eq 0 0) left right =
       kind;
       parallelism = 1;
       sanitize = false;
-      prob_cache = true;
       safe_lineage = false;
       mem_budget = 0;
       est_rows = None;

@@ -136,9 +136,8 @@ let test_many_partitions_join () =
    0's window streams are still young when the merge gathers the
    partitions' streams. The keys are picked to land in partition 0, and
    the two-column key takes the multi-column probe, which allocates no
-   per-build bucket table (the single-column one allocates a 1024-bucket
-   table per pass and partition, and those major allocations run minor
-   collections). *)
+   per-build key table (the single-column probe's table, sized by its
+   build side, still runs a minor collection every other run here). *)
 let test_partition_merge () =
   let key = [ 0; 1 ] in
   let in_partition0 i =

@@ -329,39 +329,13 @@ let prop_parallel_equals_sequential =
                   ~options:(Nj.options ~parallelism:jobs ())
                   ~kind ~theta r s
               in
-              List.equal Tuple.equal (Relation.tuples seq)
-                (Relation.tuples par))
-            [ 2; 4 ])
-        all_kinds)
-
-let prop_cached_equals_uncached =
-  (* The probability cache is invisible: for every join kind and
-     partition count, the memoized run returns the uncached run's output
-     tuple for tuple — including bit-identical probability floats, which
-     the [Float.equal] on top of [Tuple.equal]'s 1e-9 tolerance pins. *)
-  Test.make ~name:"cached join = uncached (all kinds, jobs 1/2/4)" ~count:100
-    ~print:Tp_gen.print_triple
-    (Tp_gen.scenario_gen ())
-    (fun (theta, r, s) ->
-      List.for_all
-        (fun kind ->
-          List.for_all
-            (fun jobs ->
-              let uncached =
-                Nj.join
-                  ~options:(Nj.options ~parallelism:jobs ~prob_cache:false ())
-                  ~kind ~theta r s
-              in
-              let cached =
-                Nj.join
-                  ~options:(Nj.options ~parallelism:jobs ~prob_cache:true ())
-                  ~kind ~theta r s
-              in
+              (* bit-identical probabilities: [Float.equal] on top of
+                 [Tuple.equal]'s 1e-9 tolerance *)
               List.equal
                 (fun a b ->
                   Tuple.equal a b && Float.equal (Tuple.p a) (Tuple.p b))
-                (Relation.tuples uncached) (Relation.tuples cached))
-            [ 1; 2; 4 ])
+                (Relation.tuples seq) (Relation.tuples par))
+            [ 2; 4 ])
         all_kinds)
 
 let prop_sanitized_equals_unsanitized =
@@ -502,7 +476,6 @@ let prop_static_safe_probabilities_bit_identical =
           && exact (Nj.join ~options ~env ~kind:Nj.Right ~theta r derived))
         [
           Nj.options ~static_safe:true ();
-          Nj.options ~static_safe:true ~prob_cache:false ();
           Nj.options ~static_safe:true ~parallelism:2 ();
           Nj.options ~static_safe:true ~mem_budget:1 ();
         ])
@@ -549,7 +522,6 @@ let suite =
     qtest prop_full_contains_left_and_right_parts;
     qtest prop_anti_probability_decomposes;
     qtest prop_parallel_equals_sequential;
-    qtest prop_cached_equals_uncached;
     qtest prop_spilled_equals_in_ram;
     qtest prop_join_spilled_streams_equal_join;
     qtest prop_composed_joins_match_oracle;

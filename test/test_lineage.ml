@@ -370,6 +370,172 @@ let prop_cached_equals_uncached_prob =
                (Prob.compute env formula))
            formulas)
 
+(* [Prob.exact] as it stood with fixed-size tables (1024-slot unique,
+   and and or tables, a 256-slot negation cache and a 256-slot
+   probability memo), frozen verbatim. Table capacity cannot change a
+   node id or the diagram's structure, so a manager sized from its
+   formula must return the same floats bit for bit. *)
+module Frozen_exact = struct
+  type t = Leaf of bool | Node of { id : int; level : int; lo : t; hi : t }
+
+  type manager = {
+    unique : (int * int * int, t) Hashtbl.t;
+    and_cache : (int * int, t) Hashtbl.t;
+    or_cache : (int * int, t) Hashtbl.t;
+    neg_cache : (int, t) Hashtbl.t;
+    levels : (Var.t, int) Hashtbl.t;
+    mutable level_vars : Var.t list;
+    mutable next_id : int;
+  }
+
+  let node_id = function Leaf false -> 0 | Leaf true -> 1 | Node n -> n.id
+
+  let level_of_var m v =
+    match Hashtbl.find_opt m.levels v with
+    | Some l -> l
+    | None ->
+        let l = Hashtbl.length m.levels in
+        Hashtbl.add m.levels v l;
+        m.level_vars <- v :: m.level_vars;
+        l
+
+  let manager order =
+    let m =
+      {
+        unique = Hashtbl.create 1024;
+        and_cache = Hashtbl.create 1024;
+        or_cache = Hashtbl.create 1024;
+        neg_cache = Hashtbl.create 256;
+        levels = Hashtbl.create 64;
+        level_vars = [];
+        next_id = 2;
+      }
+    in
+    List.iter (fun v -> ignore (level_of_var m v)) order;
+    m
+
+  let mk m level lo hi =
+    if node_id lo = node_id hi then lo
+    else
+      let key = (level, node_id lo, node_id hi) in
+      match Hashtbl.find_opt m.unique key with
+      | Some n -> n
+      | None ->
+          let n = Node { id = m.next_id; level; lo; hi } in
+          m.next_id <- m.next_id + 1;
+          Hashtbl.add m.unique key n;
+          n
+
+  let rec neg m = function
+    | Leaf b -> Leaf (not b)
+    | Node n -> (
+        match Hashtbl.find_opt m.neg_cache n.id with
+        | Some r -> r
+        | None ->
+            let r = mk m n.level (neg m n.lo) (neg m n.hi) in
+            Hashtbl.add m.neg_cache n.id r;
+            r)
+
+  let rec apply m cache op a b =
+    match (a, b) with
+    | Leaf x, Leaf y -> Leaf (op x y)
+    | _ -> (
+        let key = (node_id a, node_id b) in
+        match Hashtbl.find_opt cache key with
+        | Some r -> r
+        | None ->
+            let r =
+              match (a, b) with
+              | Leaf _, Leaf _ -> assert false
+              | Node na, Node nb when na.level = nb.level ->
+                  mk m na.level (apply m cache op na.lo nb.lo)
+                    (apply m cache op na.hi nb.hi)
+              | Node na, Node nb when na.level < nb.level ->
+                  mk m na.level (apply m cache op na.lo b)
+                    (apply m cache op na.hi b)
+              | Node na, Leaf _ ->
+                  mk m na.level (apply m cache op na.lo b)
+                    (apply m cache op na.hi b)
+              | _, Node nb ->
+                  mk m nb.level (apply m cache op a nb.lo)
+                    (apply m cache op a nb.hi)
+            in
+            Hashtbl.add cache key r;
+            r)
+
+  let conj m a b =
+    match (a, b) with
+    | Leaf false, _ | _, Leaf false -> Leaf false
+    | Leaf true, f | f, Leaf true -> f
+    | _ -> apply m m.and_cache ( && ) a b
+
+  let disj m a b =
+    match (a, b) with
+    | Leaf true, _ | _, Leaf true -> Leaf true
+    | Leaf false, f | f, Leaf false -> f
+    | _ -> apply m m.or_cache ( || ) a b
+
+  let rec of_formula m f =
+    match Formula.view f with
+    | Formula.True -> Leaf true
+    | Formula.False -> Leaf false
+    | Formula.Var v -> mk m (level_of_var m v) (Leaf false) (Leaf true)
+    | Formula.Not g -> neg m (of_formula m g)
+    | Formula.And gs ->
+        List.fold_left (fun acc g -> conj m acc (of_formula m g)) (Leaf true) gs
+    | Formula.Or gs ->
+        List.fold_left (fun acc g -> disj m acc (of_formula m g)) (Leaf false) gs
+
+  let probability m env root =
+    let order = Array.of_list (List.rev m.level_vars) in
+    let memo = Hashtbl.create 256 in
+    let rec go = function
+      | Leaf true -> 1.0
+      | Leaf false -> 0.0
+      | Node n -> (
+          match Hashtbl.find_opt memo n.id with
+          | Some p -> p
+          | None ->
+              let pv = env order.(n.level) in
+              let p = ((1.0 -. pv) *. go n.lo) +. (pv *. go n.hi) in
+              Hashtbl.add memo n.id p;
+              p)
+    in
+    go root
+
+  let exact env f =
+    let m = manager (Formula.vars f) in
+    probability m env (of_formula m f)
+end
+
+(* Formulas that are not read-once, shaped like derived lineages: a
+   conjunction of base variables with the negated disjunction of
+   partners that share some of its variables, or'ed with a random
+   formula over the same pool. Pools of up to 40 variables make the
+   sized tables grow past their initial capacity. *)
+let repeated_formula_gen : Formula.t Gen.t =
+  let open Gen in
+  let* pool = int_range 2 40 in
+  let var = map (fun i -> Formula.var (Var.make "v" i)) (int_range 1 pool) in
+  let conj_of n = map Formula.conj (list_size (int_range 1 n) var) in
+  let* lambda = conj_of 4 in
+  let* partners = list_size (int_range 1 6) (conj_of 3) in
+  let* extra = formula_gen in
+  let* shape = int_range 0 2 in
+  let negating = Formula.and_not lambda (Formula.disj partners) in
+  return
+    (match shape with
+    | 0 -> negating
+    | 1 -> Formula.disj [ negating; Formula.conj [ lambda; extra ] ]
+    | _ -> Formula.conj [ Formula.disj [ lambda; extra ]; Formula.neg extra ])
+
+let prop_exact_frozen =
+  Test.make ~name:"Prob.exact = fixed-table exact (exact floats)" ~count:500
+    ~print:print_formula repeated_formula_gen (fun formula ->
+      let env v = 0.05 +. (0.9 *. Float.of_int (Var.idx v mod 17) /. 16.0) in
+      assume (Option.is_none (Prob.read_once env formula));
+      Float.equal (Prob.exact env formula) (Frozen_exact.exact env formula))
+
 let prop_negation_complements =
   Test.make ~name:"P(f) + P(!f) = 1" ~count:300 ~print:print_formula
     formula_gen (fun formula ->
@@ -409,4 +575,5 @@ let suite =
     qcheck prop_negation_complements;
     qcheck prop_equal_is_structural;
     qcheck prop_cached_equals_uncached_prob;
+    qcheck prop_exact_frozen;
   ]

@@ -431,13 +431,8 @@ let test_metrics_json () =
       "prob_evals";
       "partition_sweeps";
       "sanitizer_checks";
-      "prob_cache_hits";
-      "prob_cache_misses";
-      "prob_cache_resets";
+      "prob_bdd_fallbacks";
     ];
-  (match member "prob_cache_lookup_ns" (member "distributions" doc) with
-  | Obj _ -> ()
-  | _ -> Alcotest.fail "prob_cache_lookup_ns distribution missing");
   match member "partition_size" (member "distributions" doc) with
   | Obj _ as d -> (
       (* the histogram rework: every distribution carries min and the
@@ -565,7 +560,6 @@ let paper_plan ?(kind = Nj.Left) ?(parallelism = 1) ?(sanitize = false) () =
       kind;
       parallelism;
       sanitize;
-      prob_cache = true;
       safe_lineage = false;
       mem_budget = 0;
       est_rows = None;
@@ -610,8 +604,6 @@ let sample_record ?(fingerprint = "00000000deadbeef") ?(total_ms = 12.5)
     wo = 2;
     wu = 2;
     wn = 3;
-    prob_cache_hits = 4;
-    prob_cache_misses = 3;
     spill_bytes = 0;
     spill_partitions = 0;
     sanitizer_ms = 0.25;
@@ -681,7 +673,6 @@ let test_analyze_window_annotations () =
         kind = Nj.Left;
         parallelism = 1;
         sanitize = false;
-        prob_cache = true;
         safe_lineage = false;
         mem_budget = 0;
         est_rows = None;
@@ -699,8 +690,6 @@ let test_analyze_window_annotations () =
     (String.split_on_char '\n' report
     |> List.for_all (fun line ->
            (not (contains line "Scan ")) || not (contains line "[windows")));
-  Alcotest.(check bool) "join node annotated with prob-cache traffic" true
-    (contains report "[prob-cache: ");
   Alcotest.(check bool) "analyze leaves no sink behind" true
     (not (Metrics.enabled ()))
 

@@ -170,11 +170,11 @@ module Test = QCheck2.Test
 
 let qtest = QCheck_alcotest.to_alcotest ~speed_level:`Quick
 
-(* The acceptance axes: jobs 1/2/4 × prob-cache on/off. *)
+(* The acceptance axes: jobs 1/2/4 × sanitizer off/on. *)
 let axis_configs =
   List.concat_map
     (fun jobs ->
-      [ Oracle.config ~jobs (); Oracle.config ~jobs ~prob_cache:false () ])
+      [ Oracle.config ~jobs (); Oracle.config ~jobs ~sanitize:true () ])
     [ 1; 2; 4 ]
 
 let print_scenario (theta, r, s) = Oracle.repro ~theta r s
@@ -185,7 +185,7 @@ let differential ?(configs = axis_configs) ?(count = 120) kind =
       (Printf.sprintf "differential: %s join = snapshot semantics on %d axes"
          (Nj.kind_name kind) (List.length configs))
     ~count ~print:print_scenario
-    (Tp_gen.scenario_gen ())
+    (Tp_gen.scenario_gen ~nulls:true ())
     (fun (theta, r, s) ->
       match Oracle.check ~configs ~kinds:[ kind ] ~theta r s with
       | [] -> true
@@ -236,8 +236,8 @@ let differential_static_safe =
                @ [ print_scenario (theta, r, s) ])))
 
 (* The set operations under every configuration they run in: all but
-   the statically safe ones (jobs 1/2/4, prob-cache on and off, the
-   sanitizer, and the tiny-budget spill), on inputs whose Sub column
+   the statically safe ones (jobs 1/2/4, the sanitizer, and the
+   tiny-budget spill), on inputs whose Sub column
    may be null. *)
 let differential_set_ops =
   Test.make

@@ -22,7 +22,6 @@ let join kind =
       kind;
       parallelism = 1;
       sanitize = false;
-      prob_cache = true;
       safe_lineage = false;
       mem_budget = 0;
       est_rows = None;
@@ -49,7 +48,6 @@ let test_schema_inference () =
         kind = `Union;
         parallelism = 1;
         sanitize = false;
-        prob_cache = true;
         mem_budget = 0;
         est_rows = None;
         left = scan_a ();

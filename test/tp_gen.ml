@@ -98,8 +98,10 @@ let print_triple (theta, r, s) =
   Printf.sprintf "theta: %s\n%s\n%s" (Theta.to_string theta) (print_relation r)
     (print_relation s)
 
-let scenario_gen ?keys ?max_facts () : (Theta.t * Relation.t * Relation.t) Gen.t
-    =
+(* With [nulls], the Sub column may be null (see [relation_gen]), so a
+   θ with [Theta.eq 1 1] meets null keys, which [=] never matches. *)
+let scenario_gen ?keys ?max_facts ?nulls () :
+    (Theta.t * Relation.t * Relation.t) Gen.t =
   Gen.map
     (fun (theta, (r, s)) -> (theta, r, s))
-    (Gen.pair theta_gen (pair_gen ?keys ?max_facts ()))
+    (Gen.pair theta_gen (pair_gen ?keys ?max_facts ?nulls ()))
